@@ -1082,7 +1082,7 @@ impl Model for PoolModel {
                         if let Query::Open(sh) = &mut t.query {
                             sh[w] = Shard::Todo;
                         }
-                        out.push((format!("pool: failover/hedge -> redispatch shard {w}"), t));
+                        out.push((format!("pool: failover -> redispatch shard {w}"), t));
                     }
                 }
             }

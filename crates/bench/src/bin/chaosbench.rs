@@ -215,6 +215,13 @@ fn run_case(case: &Case) -> Measurement {
         stop.store(true, Ordering::SeqCst);
     });
 
+    // The clients can finish before the detector (20 ms beats) has even
+    // noticed the last kill: give the supervisor a bounded while to
+    // respawn it before the counts are read.
+    let deadline = mrbc_obs::monotonic_us() + 10_000_000;
+    while pool.pool_stats().respawns < case.kills as u64 && mrbc_obs::monotonic_us() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
     let stats = pool.pool_stats();
     let mut recoveries = pool.recoveries_ms();
     recoveries.sort_unstable();

@@ -47,7 +47,7 @@ USAGE:
       runs until a client sends shutdown or QUIT arrives on stdin
   mrbc serve pool <file> [--workers W] [--port P] [--addr A]
                     [--hosts H] [--batch B] [--queue Q] [--max-batch M]
-                    [--hedge-ms MS] [--retry-after MS] [--faults PLAN]
+                    [--retry-after MS] [--faults PLAN]
                     [--trace-dir D] [--flight-dir D]
       supervised pool of W serve-worker child processes behind one
       front-end: source-range sharded routing, heartbeat failure

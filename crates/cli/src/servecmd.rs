@@ -142,7 +142,7 @@ fn watch_stdin_for_quit() -> Arc<AtomicBool> {
 
 /// `mrbc serve pool <graph> [--workers W] [--port P] [--addr A]
 /// [--hosts H] [--batch B] [--queue Q] [--max-batch M]
-/// [--hedge-ms MS] [--retry-after MS] [--faults PLAN]
+/// [--retry-after MS] [--faults PLAN]
 /// [--wal-dir DIR] [--wal-flush-ms MS]`
 ///
 /// Starts `W` serve-worker child processes (each a full `mrbc serve`
@@ -211,13 +211,6 @@ fn cmd_pool(p: &ParsedArgs) -> Result<String, CmdError> {
         addr,
         workers,
         retry_after_ms: p.get_or("retry-after", 100u32).map_err(CmdError::general)?,
-        hedge_after_ms: match p.get_str("hedge-ms") {
-            None => None,
-            Some(ms) => Some(
-                ms.parse()
-                    .map_err(|_| CmdError::general("bad --hedge-ms"))?,
-            ),
-        },
         faults,
         wal_dir: wal_dir.clone(),
         wal_flush_ms: p.get_or("wal-flush-ms", 5u64).map_err(CmdError::general)?,
@@ -306,7 +299,7 @@ fn cmd_pool(p: &ParsedArgs) -> Result<String, CmdError> {
     Ok(format!(
         "pool exited cleanly: {} workers, {} sessions, {} routed, \
          {} failovers, {} respawns, {} retries emitted, {} partials emitted, \
-         {} hedges, {} mutations replayed, recoveries {:?} ms\n",
+         {} mutations replayed, recoveries {:?} ms\n",
         workers,
         stats.sessions,
         stats.routed,
@@ -314,7 +307,6 @@ fn cmd_pool(p: &ParsedArgs) -> Result<String, CmdError> {
         stats.respawns,
         stats.retries_emitted,
         stats.partials_emitted,
-        stats.hedges,
         stats.replayed_mutations,
         recoveries,
     ))
@@ -333,7 +325,6 @@ fn render_stats(s: &ServeStats) -> String {
          stale rejections:   {}\n\
          mutations:          {}\n\
          queue depth:        {}\n\
-         hedges fired:       {}\n\
          failover attempts:  {}\n\
          replayed mutations: {}\n\
          sources reused:     {}\n\
@@ -351,7 +342,6 @@ fn render_stats(s: &ServeStats) -> String {
         s.stale_rejections,
         s.mutations,
         s.queue_depth,
-        s.hedge_fired,
         s.failover_attempts,
         s.replay_mutations,
         s.sources_reused,

@@ -9,9 +9,11 @@
 //! [payload len: u32][crc of payload: u32][payload…]
 //! ```
 //!
-//! Writes go to a `.tmp` sibling first and are atomically renamed into
-//! place, so a crash mid-write never corrupts the previous checkpoint —
-//! at worst it leaves a stale `.tmp` that the next save overwrites.
+//! Writes go through [`mrbc_util::fsio::write_atomic`] — a `.tmp`
+//! sibling, fsynced, atomically renamed into place, directory fsynced —
+//! so a crash mid-write never corrupts the previous checkpoint (at worst
+//! it leaves a stale `.tmp` that the next save overwrites) and a
+//! checkpoint whose `save` returned survives a crash.
 //! Loads verify magic, version, rank, length and CRC and report failures
 //! as a structured [`CheckpointError`] (never a generic I/O error), which
 //! the CLI maps to a dedicated exit code so operators can tell "corrupt
@@ -28,6 +30,7 @@ use std::io::Read;
 use std::path::{Path, PathBuf};
 
 use mrbc_util::crc::crc32;
+use mrbc_util::fsio;
 use mrbc_util::wire::{WireReader, WireWriter};
 
 /// Checkpoint file magic: `"MRCK"`.
@@ -151,9 +154,8 @@ impl CheckpointStore {
         let mut bytes = w.into_bytes();
         bytes.extend_from_slice(payload);
 
-        let tmp = self.dir.join(format!(".ckpt-r{}.tmp", self.rank));
-        fs::write(&tmp, &bytes)?;
-        fs::rename(&tmp, self.path_of(step))?;
+        let tmp_name = format!(".ckpt-r{}.tmp", self.rank);
+        fsio::write_atomic(&self.dir, &tmp_name, &self.path_of(step), &bytes)?;
         mrbc_obs::counter_add("net.checkpoint.saved", 1);
         mrbc_obs::counter_add("net.checkpoint.bytes", bytes.len() as u64);
         self.prune()?;
@@ -298,8 +300,10 @@ mod tests {
                 .save(step, format!("state-{step}").as_bytes())
                 .unwrap();
         }
-        // Only the newest KEEP_CHECKPOINTS remain.
+        // Only the newest KEEP_CHECKPOINTS remain, and the tmp sibling
+        // every save went through was renamed away.
         assert_eq!(store.list_steps().unwrap(), vec![3, 4]);
+        assert!(!dir.join(".ckpt-r3.tmp").exists());
         let (step, payload) = store.load_latest().unwrap();
         assert_eq!(step, 4);
         assert_eq!(payload, b"state-4");

@@ -29,6 +29,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
+use mrbc_util::crc::crc32;
+
 use crate::json::{self, JsonWriter, Value};
 
 /// Number of events the ring retains (older entries are overwritten).
@@ -248,20 +250,6 @@ pub fn latest_in(dir: &Path) -> Option<PathBuf> {
     best.map(|(_, p)| p)
 }
 
-/// IEEE CRC-32 (reflected, as used by gzip/PNG); bitwise — the dump
-/// path is cold so no table is needed.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xffff_ffffu32;
-    for &byte in data {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,13 +260,6 @@ mod tests {
         crate::test_mutex()
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // The classic check value for IEEE CRC-32.
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

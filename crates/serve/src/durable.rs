@@ -24,10 +24,19 @@
 
 use std::path::Path;
 
+use mrbc_util::framing;
 use mrbc_util::wal::{Recovered, Wal, WalConfig, WalError};
 use mrbc_util::wire::{WireReader, WireWriter};
 
 use crate::proto::{self, MutateOp, ServeStats};
+
+/// Magic (`"MRSS"`) and layout version opening every snapshot payload.
+/// The version is the payload's own, not the wire protocol's: bump it
+/// when the mutation encoding or [`proto::encode_stats`] changes shape.
+/// Any other payload is refused on open as [`WalError::Corrupt`], never
+/// misparsed (upgrade procedure: README "Durable mutations").
+const SNAPSHOT_MAGIC: u32 = 0x5353_524D;
+const SNAPSHOT_VERSION: u32 = 1;
 
 /// An acknowledged edge mutation, as recovered from the log.
 pub type LoggedMutation = (MutateOp, u32, u32);
@@ -101,19 +110,24 @@ impl DurableLog {
         mutations: &[LoggedMutation],
         stats: &ServeStats,
     ) -> Result<u64, WalError> {
-        let mut w = WireWriter::with_capacity(16 + mutations.len() * 9);
-        w.u64(mutations.len() as u64);
-        for &m in mutations {
-            encode_mutation(&mut w, m);
-        }
-        proto::encode_stats(&mut w, stats);
-        self.wal.snapshot(&w.into_bytes())
+        self.wal.snapshot(&encode_snapshot(mutations, stats))
     }
 
     /// This front-end's fencing generation (bumped on every open).
     pub fn generation(&self) -> u64 {
         self.wal.generation()
     }
+}
+
+fn encode_snapshot(mutations: &[LoggedMutation], stats: &ServeStats) -> Vec<u8> {
+    let mut w = WireWriter::with_capacity(24 + mutations.len() * 9);
+    framing::write_preamble(&mut w, SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
+    w.u64(mutations.len() as u64);
+    for &m in mutations {
+        encode_mutation(&mut w, m);
+    }
+    proto::encode_stats(&mut w, stats);
+    w.into_bytes()
 }
 
 fn decode_recovery(recovered: &Recovered) -> Result<DurableRecovery, WalError> {
@@ -125,6 +139,8 @@ fn decode_recovery(recovered: &Recovered) -> Result<DurableRecovery, WalError> {
         let mut r = WireReader::new(payload);
         let bad =
             |what: String| WalError::Corrupt(format!("snapshot covering record {seq}: {what}"));
+        framing::check_preamble(&mut r, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)
+            .map_err(|e| bad(e.to_string()))?;
         let count = r.u64().map_err(|e| bad(e.to_string()))?;
         if count as usize > payload.len() {
             return Err(bad(format!("mutation count {count} exceeds payload")));
@@ -211,6 +227,36 @@ mod tests {
         );
         assert!(!rec.truncated_tail);
         assert!(log.generation() >= 2, "generation bumped per open");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn snapshot_layout_is_pinned_to_its_version() {
+        // Preamble, count, one mutation, fifteen counters, no histograms.
+        // If this length moves the layout did: bump `SNAPSHOT_VERSION`.
+        let payload = encode_snapshot(&[(MutateOp::AddEdge, 1, 2)], &ServeStats::default());
+        assert_eq!(SNAPSHOT_VERSION, 1);
+        assert_eq!(payload.len(), 8 + 8 + 9 + 15 * 8 + 4);
+    }
+
+    #[test]
+    fn snapshot_in_the_old_stats_layout_is_refused_as_corrupt() {
+        // What PR 12 and earlier wrote: no preamble, and a sixteenth
+        // counter (`hedge_fired`) in the stats half.
+        let mut v4 = WireWriter::new();
+        v4.u64(1);
+        encode_mutation(&mut v4, (MutateOp::AddEdge, 1, 2));
+        for counter in 0..16u64 {
+            v4.u64(counter);
+        }
+        v4.u32(0); // no histograms
+        let dir = tmpdir("oldlayout");
+        {
+            let (wal, _) = Wal::open(&dir, sync_cfg()).expect("open raw wal");
+            wal.snapshot(&v4.into_bytes()).expect("raw snapshot");
+        }
+        let err = DurableLog::open(&dir, sync_cfg()).expect_err("old layout must not load");
+        assert!(matches!(err, WalError::Corrupt(_)), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -27,6 +27,7 @@
 //! the integration tests enforce.
 
 pub mod client;
+pub mod conn;
 pub mod durable;
 pub mod pool;
 pub mod proto;

@@ -26,24 +26,22 @@
 //! replaying the mutation log; in-flight requests they held fail over
 //! to a sibling, and requests that exhaust every sibling or the
 //! dispatch deadline surface as [`Response::Retry`] — **never a hang**.
-//!
-//! The failover state machine per worker:
-//!
-//! ```text
-//!            probes answered                 conn EOF / detector Dead
-//!   Ready ─────────────────────▶ Ready ────────────────────────────▶ Down
-//!     ▲                                                               │
-//!     │   respawn → handshake → replay mutation log → reset detector  │
-//!     └───────────────────────────────────────────────────────────────┘
-//! ```
+//! (DESIGN.md §12 draws the per-worker failover state machine.)
 //!
 //! Chaos clauses from the shared fault DSL are executed here for real:
 //! `kill:worker=R@query=N` SIGKILLs worker `R` once the router has
 //! dispatched `N` queries to it, and `pause:worker=R:ms=D` freezes it
 //! with `SIGSTOP`/`SIGCONT` (process backends only).
+//!
+//! Every socket is a [`crate::conn::Conn`]. Client sessions run on the
+//! same [`Front`] the single daemon uses; the [`Handler`] here calls
+//! [`route`] on the session's reader thread, which blocks (bounded by
+//! the dispatch deadline) and so keeps a session's answers in request
+//! order. A [`WorkerConn`] is the same connection with a callback that
+//! resolves the pending-reply map. Only the supervisor runs on a timer.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -58,20 +56,18 @@ use mrbc_graph::CsrGraph;
 use mrbc_net::detector::{DetectorConfig, HeartbeatDetector, PeerStatus};
 use mrbc_net::mesh::now_ms;
 use mrbc_obs as obs;
-use mrbc_util::framing::{self, EnvelopeDecoder};
+use mrbc_util::framing;
 use mrbc_util::wal::{WalConfig, WalError};
 
+use crate::conn::{Conn, Flow, FrameTx, Front, Handler, Reply};
 use crate::durable::DurableLog;
 use crate::proto::{
-    decode_request, decode_response, encode_request, encode_response, MutateOp, Request, Response,
-    ServeStats, TraceCtx,
+    decode_response, encode_request, MutateOp, Request, Response, ServeStats, TraceCtx,
 };
 use crate::sched::SchedConfig;
 use crate::server::{start, ServeConfig, Server};
 
-/// How long pump loops sleep when idle.
-const PUMP_IDLE: Duration = Duration::from_millis(1);
-/// Supervisor pump period.
+/// Supervisor period: heartbeat, chaos and liveness checks.
 const SUPERVISE_EVERY: Duration = Duration::from_millis(5);
 /// Deadline for a respawned worker to print its readiness line.
 const SPAWN_READY_MS: u64 = 30_000;
@@ -111,9 +107,6 @@ pub struct PoolConfig {
     pub dispatch_timeout_ms: u64,
     /// The `after_ms` hint carried by emitted `Retry` responses.
     pub retry_after_ms: u32,
-    /// When set, a query unanswered for this long is hedged: dispatched
-    /// a second time to a sibling worker, first answer wins.
-    pub hedge_after_ms: Option<u64>,
     /// Chaos clauses (`kill:worker=`, `pause:worker=`, `torn:wal@rec=`,
     /// `fsyncfail:ms=`) executed by the supervisor and the WAL.
     pub faults: Option<FaultPlan>,
@@ -138,7 +131,6 @@ impl Default for PoolConfig {
             detector: DetectorConfig::default(),
             dispatch_timeout_ms: 60_000,
             retry_after_ms: 100,
-            hedge_after_ms: None,
             faults: None,
             wal_dir: None,
             wal_flush_ms: 5,
@@ -160,8 +152,6 @@ pub struct PoolStats {
     pub partials_emitted: u64,
     /// Requests re-routed to a sibling after a worker died mid-flight.
     pub failovers: u64,
-    /// Straggler queries hedged to a sibling.
-    pub hedges: u64,
     /// Workers respawned by the supervisor.
     pub respawns: u64,
     /// Mutations replayed into respawned workers during recovery.
@@ -180,7 +170,6 @@ struct PoolCounters {
     retries_emitted: AtomicU64,
     partials_emitted: AtomicU64,
     failovers: AtomicU64,
-    hedges: AtomicU64,
     respawns: AtomicU64,
     replayed_mutations: AtomicU64,
     churn_driven: AtomicU64,
@@ -195,7 +184,6 @@ impl PoolCounters {
             retries_emitted: self.retries_emitted.load(Ordering::Relaxed),
             partials_emitted: self.partials_emitted.load(Ordering::Relaxed),
             failovers: self.failovers.load(Ordering::Relaxed),
-            hedges: self.hedges.load(Ordering::Relaxed),
             respawns: self.respawns.load(Ordering::Relaxed),
             replayed_mutations: self.replayed_mutations.load(Ordering::Relaxed),
             churn_driven: self.churn_driven.load(Ordering::Relaxed),
@@ -212,83 +200,44 @@ enum WorkerReply {
     ConnDead,
 }
 
-/// A unit of work for a connection's dedicated writer thread.
-enum WriteCmd {
-    /// A sealed frame to put on the wire.
-    Frame(Vec<u8>),
-    /// Stop the writer thread (connection teardown).
-    Quit,
-}
-
-/// One live TCP connection to a worker: a queue into a dedicated writer
-/// thread (so no caller ever blocks on socket I/O under a lock), a
-/// pending-reply map, and a reader thread that resolves replies and
-/// drains the map with [`WorkerReply::ConnDead`] when the stream dies.
+/// One live connection to a worker: the [`Conn`] plus the pending-reply
+/// map its reader callback resolves. When the stream dies the reader
+/// fails every in-flight request with [`WorkerReply::ConnDead`].
 struct WorkerConn {
-    /// Queue into the writer thread, which owns the write half.
-    write_tx: mpsc::Sender<WriteCmd>,
-    /// The underlying socket, kept only so [`WorkerConn::sever`] can
-    /// `shutdown` it (which takes `&self`); all writes go via the
-    /// writer thread's own clone.
-    sock: TcpStream,
+    conn: Conn,
     pending: Mutex<HashMap<u64, mpsc::Sender<WorkerReply>>>,
-    conn_alive: AtomicBool,
     reader: Mutex<Option<JoinHandle<()>>>,
-    writer: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl WorkerConn {
-    /// Registers interest in `id`, then enqueues the sealed request
-    /// carrying `ctx` for the writer thread. On a dead queue (writer
-    /// thread gone) the registration is rolled back. A socket-level
-    /// write failure surfaces asynchronously: the writer thread severs
-    /// the stream, the reader notices, and the waiter gets
-    /// [`WorkerReply::ConnDead`].
-    fn send(
-        &self,
-        id: u64,
-        ctx: TraceCtx,
-        req: &Request,
-        tx: mpsc::Sender<WorkerReply>,
-    ) -> io::Result<()> {
-        if !self.conn_alive.load(Ordering::SeqCst) {
-            return Err(io::Error::new(io::ErrorKind::NotConnected, "worker down"));
-        }
+    /// Registers interest in `id`, then queues the sealed request
+    /// carrying `ctx` on the connection; `false` (registration rolled
+    /// back) if it is closed. A socket-level write failure surfaces
+    /// asynchronously: the writer severs the stream, the reader
+    /// notices, and the waiter gets [`WorkerReply::ConnDead`].
+    fn send(&self, id: u64, ctx: TraceCtx, req: &Request, tx: mpsc::Sender<WorkerReply>) -> bool {
         if let Ok(mut p) = self.pending.lock() {
             p.insert(id, tx);
         }
-        let bytes = framing::seal(&encode_request(id, ctx, req));
-        let res = self
-            .write_tx
-            .send(WriteCmd::Frame(bytes))
-            .map_err(|_| io::Error::new(io::ErrorKind::NotConnected, "writer gone"));
-        if res.is_err() {
+        let sent = self.conn.send(framing::seal(&encode_request(id, ctx, req)));
+        if !sent {
             if let Ok(mut p) = self.pending.lock() {
                 p.remove(&id);
             }
-            self.conn_alive.store(false, Ordering::SeqCst);
         }
-        res
+        sent
     }
 
-    /// Marks the connection dead and fails every in-flight request so
-    /// its waiter can fail over instead of sleeping out its deadline.
-    /// Also tells the writer thread to exit.
+    /// Severs the connection (its reader and writer both wake and exit)
+    /// and fails every in-flight request so its waiter can fail over
+    /// instead of sleeping out its deadline.
     fn drain_dead(&self) {
-        self.conn_alive.store(false, Ordering::SeqCst);
-        drop(self.write_tx.send(WriteCmd::Quit));
+        self.conn.close();
         if let Ok(mut p) = self.pending.lock() {
             for (_, tx) in p.drain() {
                 drop(tx.send(WorkerReply::ConnDead));
             }
         }
-    }
-
-    /// [`WorkerConn::drain_dead`] plus a hard socket shutdown, so the
-    /// reader thread's blocking `read` returns immediately.
-    fn sever(&self) {
-        self.drain_dead();
-        drop(self.sock.shutdown(std::net::Shutdown::Both));
     }
 }
 
@@ -362,7 +311,6 @@ struct PoolShared {
     workers: usize,
     dispatch_timeout_ms: u64,
     retry_after_ms: u32,
-    hedge_after_ms: Option<u64>,
     slots: Vec<WorkerSlot>,
     detector: Mutex<HeartbeatDetector>,
     shutdown: AtomicBool,
@@ -400,11 +348,7 @@ impl PoolShared {
 
     fn conn_of(&self, rank: usize) -> Option<Arc<WorkerConn>> {
         let conn = self.slots[rank].conn.lock().ok()?.clone()?;
-        if conn.conn_alive.load(Ordering::SeqCst) {
-            Some(conn)
-        } else {
-            None
-        }
+        conn.conn.is_open().then_some(conn)
     }
 
     fn first_alive(&self) -> Option<usize> {
@@ -441,9 +385,8 @@ impl PoolShared {
 /// A running pool front-end. Dropping the handle shuts everything down:
 /// front-end threads, supervisor, and every worker backend.
 pub struct Pool {
-    local_addr: SocketAddr,
+    front: Front,
     shared: Arc<PoolShared>,
-    listener: Option<JoinHandle<()>>,
     supervisor: Option<JoinHandle<()>>,
     churn: Option<JoinHandle<()>>,
 }
@@ -457,8 +400,6 @@ pub fn start_pool(spawn: WorkerSpawn, cfg: PoolConfig) -> io::Result<Pool> {
         ));
     }
     let listener = TcpListener::bind(&cfg.addr)?;
-    listener.set_nonblocking(true)?;
-    let local_addr = listener.local_addr()?;
 
     // Open the WAL and recover BEFORE any worker exists: the recovered
     // history seeds the mutation log, so the normal bring-up replay
@@ -492,7 +433,6 @@ pub fn start_pool(spawn: WorkerSpawn, cfg: PoolConfig) -> io::Result<Pool> {
         workers: cfg.workers,
         dispatch_timeout_ms: cfg.dispatch_timeout_ms,
         retry_after_ms: cfg.retry_after_ms,
-        hedge_after_ms: cfg.hedge_after_ms,
         slots: (0..cfg.workers)
             .map(|_| WorkerSlot {
                 conn: Mutex::new(None),
@@ -527,12 +467,7 @@ pub fn start_pool(spawn: WorkerSpawn, cfg: PoolConfig) -> io::Result<Pool> {
             .name("pool-supervise".into())
             .spawn(move || supervise_loop(&shared, spawner, faults))?
     };
-    let accept = {
-        let shared = Arc::clone(&shared);
-        thread::Builder::new()
-            .name("pool-listen".into())
-            .spawn(move || listener_loop(listener, &shared))?
-    };
+    let front = Front::start(listener, "pool", Vec::new(), Arc::clone(&shared) as _)?;
     // The churn clause runs after the workers are up (graph_info is
     // populated by the handshakes above), so the storm hits a serving
     // pool, not a cold one.
@@ -553,9 +488,8 @@ pub fn start_pool(spawn: WorkerSpawn, cfg: PoolConfig) -> io::Result<Pool> {
     };
 
     Ok(Pool {
-        local_addr,
+        front,
         shared,
-        listener: Some(accept),
         supervisor: Some(supervisor),
         churn,
     })
@@ -564,7 +498,7 @@ pub fn start_pool(spawn: WorkerSpawn, cfg: PoolConfig) -> io::Result<Pool> {
 impl Pool {
     /// The front-end's bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.front.local_addr()
     }
 
     /// Highest graph epoch observed across workers.
@@ -604,7 +538,7 @@ impl Pool {
             // sockets anyway; the in-process mode needs the nudge.
             if let Ok(conn) = slot.conn.lock() {
                 if let Some(conn) = conn.as_ref() {
-                    conn.sever();
+                    conn.drain_dead();
                 }
             }
         }
@@ -617,14 +551,12 @@ impl Pool {
 
     /// Requests shutdown without blocking.
     pub fn trigger_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.front.trigger_shutdown();
     }
 
     /// Blocks until the front-end and supervisor threads exit.
     pub fn wait(&mut self) {
-        if let Some(h) = self.listener.take() {
-            drop(h.join());
-        }
+        self.front.wait();
         if let Some(h) = self.churn.take() {
             drop(h.join());
         }
@@ -713,8 +645,9 @@ fn spawn_backend(spawner: &mut WorkerSpawn, rank: usize) -> io::Result<(Backend,
     }
 }
 
-/// Connects to a freshly spawned worker and starts its reader and
-/// writer threads.
+/// Connects to a freshly spawned worker and starts the connection's
+/// threads. The reader callback resolves pending replies and feeds the
+/// failure detector; when the stream ends it drains the pending map.
 fn connect_worker(
     shared: &Arc<PoolShared>,
     rank: usize,
@@ -724,139 +657,66 @@ fn connect_worker(
         .parse()
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "bad worker address"))?;
     let stream = TcpStream::connect_timeout(&sockaddr, Duration::from_millis(HANDSHAKE_MS))?;
-    stream.set_nodelay(true)?;
-    stream.set_write_timeout(Some(Duration::from_millis(HANDSHAKE_MS)))?;
-    let read_side = stream.try_clone()?;
-    read_side.set_read_timeout(Some(Duration::from_millis(50)))?;
-    let write_side = stream.try_clone()?;
-    let (write_tx, write_rx) = mpsc::channel();
-
+    let (conn, reader) = Conn::open(stream, &format!("pool-worker-{rank}"))?;
     let conn = Arc::new(WorkerConn {
-        write_tx,
-        sock: stream,
+        conn,
         pending: Mutex::new(HashMap::new()),
-        conn_alive: AtomicBool::new(true),
         reader: Mutex::new(None),
-        writer: Mutex::new(None),
     });
-
-    // The writer thread deliberately captures no `Arc<WorkerConn>`: it
-    // holds only its stream clone and the channel receiver, so the
-    // connection's refcount can reach zero while the thread is parked
-    // on `recv` (the dropped sender wakes and ends it).
-    let writer = thread::Builder::new()
-        .name(format!("pool-worker-tx-{rank}"))
-        .spawn(move || worker_writer_loop(write_side, write_rx))?;
-    if let Ok(mut slot) = conn.writer.lock() {
-        *slot = Some(writer);
-    }
-
-    let reader = {
+    let handle = {
         let conn = Arc::clone(&conn);
         let shared = Arc::clone(shared);
         thread::Builder::new()
-            .name(format!("pool-worker-rx-{rank}"))
-            .spawn(move || worker_reader_loop(read_side, &conn, &shared, rank))?
+            .name(format!("pool-worker-{rank}-rx"))
+            .spawn(move || {
+                reader.run(
+                    |body, _tx| worker_replied(&shared, &conn, rank, &body),
+                    || conn.drain_dead(),
+                );
+            })?
     };
     if let Ok(mut slot) = conn.reader.lock() {
-        *slot = Some(reader);
+        *slot = Some(handle);
     }
     Ok(conn)
 }
 
-/// Owns the write half of one worker connection: drains the frame
-/// queue onto the wire. On a write error it severs the socket — the
-/// reader thread then fails the in-flight waiters — and exits.
-fn worker_writer_loop(mut stream: TcpStream, rx: mpsc::Receiver<WriteCmd>) {
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            WriteCmd::Frame(bytes) => {
-                if stream.write_all(&bytes).is_err() {
-                    drop(stream.shutdown(std::net::Shutdown::Both));
-                    break;
-                }
-            }
-            WriteCmd::Quit => break,
-        }
+/// One response body from worker `rank`: liveness evidence, an epoch
+/// observation, and the answer some waiter is blocked on.
+fn worker_replied(shared: &PoolShared, conn: &WorkerConn, rank: usize, body: &[u8]) -> Flow {
+    let Ok((id, resp)) = decode_response(body) else {
+        return Flow::Close;
+    };
+    if let Ok(mut d) = shared.detector.lock() {
+        d.heard_from(rank, now_ms());
     }
-}
-
-/// Pumps one worker connection: resolves pending replies, feeds the
-/// failure detector, and drains the pending map when the stream dies.
-fn worker_reader_loop(
-    mut stream: TcpStream,
-    conn: &Arc<WorkerConn>,
-    shared: &Arc<PoolShared>,
-    rank: usize,
-) {
-    let mut dec = EnvelopeDecoder::new();
-    let mut buf = [0u8; 4096];
-    loop {
-        if !conn.conn_alive.load(Ordering::SeqCst) {
-            break;
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => {
-                dec.feed(&buf[..n]);
-                loop {
-                    let body = match dec.next_body() {
-                        Ok(Some(b)) => b,
-                        Ok(None) => break,
-                        Err(_) => {
-                            conn.drain_dead();
-                            return;
-                        }
-                    };
-                    let Ok((id, resp)) = decode_response(&body) else {
-                        conn.drain_dead();
-                        return;
-                    };
-                    if let Ok(mut d) = shared.detector.lock() {
-                        d.heard_from(rank, now_ms());
-                    }
-                    if let Response::Mutated { epoch, .. }
-                    | Response::Welcome { epoch, .. }
-                    | Response::SubsetBc { epoch, .. } = &resp
-                    {
-                        shared.epoch.fetch_max(*epoch, Ordering::SeqCst);
-                    }
-                    let waiter = conn.pending.lock().ok().and_then(|mut p| p.remove(&id));
-                    if let Some(tx) = waiter {
-                        drop(tx.send(WorkerReply::Answer(resp)));
-                    }
-                    // No waiter: a probe or an abandoned/hedged request
-                    // that already got its answer elsewhere. Drop it.
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
+    if let Response::Mutated { epoch, .. }
+    | Response::Welcome { epoch, .. }
+    | Response::SubsetBc { epoch, .. } = &resp
+    {
+        shared.epoch.fetch_max(*epoch, Ordering::SeqCst);
     }
-    conn.drain_dead();
+    let waiter = conn.pending.lock().ok().and_then(|mut p| p.remove(&id));
+    if let Some(tx) = waiter {
+        drop(tx.send(WorkerReply::Answer(resp)));
+    }
+    // No waiter: a probe, or a request whose waiter gave up. Drop it.
+    Flow::Continue
 }
 
 /// Sends `req` on `conn` (untraced — pool housekeeping traffic) and
 /// waits up to `timeout_ms` for its answer.
 fn call_conn(
-    shared: &Arc<PoolShared>,
+    shared: &PoolShared,
     conn: &Arc<WorkerConn>,
     req: &Request,
     timeout_ms: u64,
 ) -> Option<Response> {
     let (tx, rx) = mpsc::channel();
     let id = shared.fresh_id();
-    conn.send(id, TraceCtx::NONE, req, tx).ok()?;
+    if !conn.send(id, TraceCtx::NONE, req, tx) {
+        return None;
+    }
     match rx.recv_timeout(Duration::from_millis(timeout_ms)) {
         Ok(WorkerReply::Answer(resp)) => Some(resp),
         _ => None,
@@ -960,13 +820,9 @@ fn tear_down_worker(shared: &Arc<PoolShared>, rank: usize) {
     let slot = &shared.slots[rank];
     let conn = slot.conn.lock().ok().and_then(|mut c| c.take());
     if let Some(conn) = conn {
-        conn.sever();
+        conn.drain_dead();
         let reader = conn.reader.lock().ok().and_then(|mut r| r.take());
         if let Some(h) = reader {
-            drop(h.join());
-        }
-        let writer = conn.writer.lock().ok().and_then(|mut w| w.take());
-        if let Some(h) = writer {
             drop(h.join());
         }
     }
@@ -1007,7 +863,7 @@ fn supervise_loop(shared: &Arc<PoolShared>, mut spawner: WorkerSpawn, faults: Op
             for rank in 0..shared.workers {
                 if let Some(conn) = shared.conn_of(rank) {
                     let (tx, _rx) = mpsc::channel();
-                    drop(conn.send(shared.fresh_id(), TraceCtx::NONE, &Request::Stats, tx));
+                    conn.send(shared.fresh_id(), TraceCtx::NONE, &Request::Stats, tx);
                 }
             }
         }
@@ -1248,12 +1104,12 @@ fn shard_of(s: u32, vertices: u64, workers: usize) -> usize {
     (rank as usize).min(workers - 1)
 }
 
-/// Routes one query to `start_rank`, failing over to siblings when a
-/// worker dies mid-flight and hedging stragglers when configured. The
-/// absolute deadline bounds the whole affair; `None` means "not answered
-/// in time" and the caller emits `Retry`.
+/// Routes one query to `start_rank`, failing over to the next sibling
+/// when a worker dies with the request in flight. Each worker is tried
+/// at most once and the absolute deadline bounds the whole affair;
+/// `None` means "not answered" and the caller emits `Retry`.
 fn call_worker(
-    shared: &Arc<PoolShared>,
+    shared: &PoolShared,
     start_rank: usize,
     ctx: TraceCtx,
     req: &Request,
@@ -1261,98 +1117,36 @@ fn call_worker(
 ) -> Option<Response> {
     let w = shared.workers;
     let (tx, rx) = mpsc::channel();
-    let mut rank = start_rank % w;
-    let mut dispatches = 0usize;
-    let mut outstanding = 0usize;
-    let mut hedged = false;
-    // One dispatch per worker plus one hedge is the budget; past that the
-    // pool is out of healthy siblings.
-    let budget = w + 1;
-
-    loop {
-        let now = now_ms();
-        if now >= deadline_ms {
-            return None;
-        }
-        if outstanding == 0 {
-            // Find the next rank that accepts the dispatch.
-            let mut placed = false;
-            for _ in 0..w {
-                if dispatches >= budget {
-                    return None;
-                }
-                if let Some(conn) = shared.conn_of(rank) {
-                    let id = shared.fresh_id();
-                    shared.slots[rank]
-                        .dispatched
-                        .fetch_add(1, Ordering::Relaxed);
-                    if conn.send(id, ctx, req, tx.clone()).is_ok() {
-                        dispatches += 1;
-                        outstanding += 1;
-                        placed = true;
-                        break;
-                    }
-                }
-                rank = (rank + 1) % w;
-            }
-            if !placed {
-                // No live worker at all: bail out now, the client gets
-                // a Retry and the supervisor keeps respawning.
-                return None;
-            }
-        }
-
-        let remaining = deadline_ms.saturating_sub(now_ms());
-        if remaining == 0 {
-            return None;
-        }
-        let wait = match shared.hedge_after_ms {
-            Some(h) if !hedged && remaining > h => h,
-            _ => remaining,
+    for rank in (0..w).map(|i| (start_rank + i) % w) {
+        let Some(conn) = shared.conn_of(rank) else {
+            continue;
         };
-        match rx.recv_timeout(Duration::from_millis(wait)) {
+        shared.slots[rank]
+            .dispatched
+            .fetch_add(1, Ordering::Relaxed);
+        if !conn.send(shared.fresh_id(), ctx, req, tx.clone()) {
+            continue;
+        }
+        let remaining = deadline_ms.saturating_sub(now_ms());
+        match rx.recv_timeout(Duration::from_millis(remaining)) {
             Ok(WorkerReply::Answer(resp)) => return Some(resp),
             Ok(WorkerReply::ConnDead) => {
-                outstanding -= 1;
                 shared.counters.failovers.fetch_add(1, Ordering::Relaxed);
                 obs::flight::note("pool.failover", rank as u64, ctx.trace);
-                rank = (rank + 1) % w;
-                // Loop re-dispatches to the next sibling (or keeps
-                // waiting on the hedge twin if one is still out).
             }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if wait == remaining {
-                    return None; // deadline spent
-                }
-                // Hedge window elapsed: duplicate to a sibling, first
-                // answer wins, the loser resolves to a dropped entry.
-                hedged = true;
-                let sibling = (rank + 1) % w;
-                if sibling != rank || w == 1 {
-                    if let Some(conn) = shared.conn_of(sibling) {
-                        let id = shared.fresh_id();
-                        if conn.send(id, ctx, req, tx.clone()).is_ok() {
-                            obs::flight::note("pool.hedge", sibling as u64, ctx.trace);
-                            shared.counters.hedges.fetch_add(1, Ordering::Relaxed);
-                            shared.slots[sibling]
-                                .dispatched
-                                .fetch_add(1, Ordering::Relaxed);
-                            dispatches += 1;
-                            outstanding += 1;
-                        }
-                    }
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return None,
+            Err(_) => return None, // deadline spent
         }
     }
+    // Out of live siblings: the client gets a Retry and the supervisor
+    // keeps respawning.
+    None
 }
 
 /// Aggregated pool stats: per-worker counters summed and their phase
 /// histograms merged by name (log-bucketed histograms add bucket-wise),
-/// plus the pool's own tier — session count and the hedge/failover/
-/// replay counters only the front-end can know.
-fn aggregate_stats(shared: &Arc<PoolShared>) -> Response {
+/// plus the pool's own tier — session count and the failover/replay
+/// counters only the front-end can know.
+fn aggregate_stats(shared: &PoolShared) -> Response {
     let mut total = ServeStats::default();
     let mut answered = false;
     for rank in 0..shared.workers {
@@ -1385,7 +1179,6 @@ fn aggregate_stats(shared: &Arc<PoolShared>) -> Response {
     }
     let c = &shared.counters;
     total.sessions = c.sessions.load(Ordering::Relaxed);
-    total.hedge_fired = c.hedges.load(Ordering::Relaxed);
     total.failover_attempts = c.failovers.load(Ordering::Relaxed);
     total.replay_mutations = c.replayed_mutations.load(Ordering::Relaxed);
     // Fold in the persisted pre-restart base so `query stats` reports
@@ -1406,7 +1199,6 @@ fn aggregate_stats(shared: &Arc<PoolShared>) -> Response {
         total.sources_rebuilt = total.sources_rebuilt.max(base.sources_rebuilt);
         total.fallback_full = total.fallback_full.max(base.fallback_full);
         total.sessions += base.sessions;
-        total.hedge_fired += base.hedge_fired;
         total.failover_attempts += base.failover_attempts;
         total.replay_mutations += base.replay_mutations;
         total.merge_hists(&base);
@@ -1416,7 +1208,7 @@ fn aggregate_stats(shared: &Arc<PoolShared>) -> Response {
 
 /// Broadcasts a mutation to every live worker in rank order, holding the
 /// mutation-log lock so recovery replay serializes against it.
-fn broadcast_mutate(shared: &Arc<PoolShared>, op: MutateOp, u: u32, v: u32) -> Response {
+fn broadcast_mutate(shared: &PoolShared, op: MutateOp, u: u32, v: u32) -> Response {
     let Ok(mut log) = shared.mutation_log.lock() else {
         return shared.retry();
     };
@@ -1481,12 +1273,7 @@ fn broadcast_mutate(shared: &Arc<PoolShared>, op: MutateOp, u: u32, v: u32) -> R
 /// `SubsetBc` fan-out: canonicalize, group by shard affinity, dispatch
 /// each group to its owner, merge per-group vectors in rank order. Lost
 /// groups degrade the answer to `Partial { missing_sources }`.
-fn fan_out_subset(
-    shared: &Arc<PoolShared>,
-    ctx: TraceCtx,
-    epoch_pin: u64,
-    sources: &[u32],
-) -> Response {
+fn fan_out_subset(shared: &PoolShared, ctx: TraceCtx, epoch_pin: u64, sources: &[u32]) -> Response {
     let vertices = shared.graph_info.lock().map(|g| g.0).unwrap_or(0);
     let mut canon: Vec<u32> = sources.to_vec();
     canon.sort_unstable();
@@ -1581,7 +1368,7 @@ fn fan_out_subset(
 /// the trace context the client sent; routed queries get a
 /// `pool.route` span in that trace, and workers receive a child
 /// context whose parent is the routing span.
-fn route(shared: &Arc<PoolShared>, ctx: TraceCtx, req: &Request) -> Response {
+fn route(shared: &PoolShared, ctx: TraceCtx, req: &Request) -> Response {
     match req {
         Request::Hello { .. } => {
             let (vertices, edges) = shared.graph_info.lock().map(|g| *g).unwrap_or((0, 0));
@@ -1595,10 +1382,8 @@ fn route(shared: &Arc<PoolShared>, ctx: TraceCtx, req: &Request) -> Response {
             }
         }
         Request::Stats => aggregate_stats(shared),
-        Request::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            Response::Bye
-        }
+        // Answered by the front-end; never routed.
+        Request::Shutdown => Response::Bye,
         req => {
             shared.counters.routed.fetch_add(1, Ordering::Relaxed);
             let span_id = obs::fresh_id();
@@ -1629,113 +1414,20 @@ fn route(shared: &Arc<PoolShared>, ctx: TraceCtx, req: &Request) -> Response {
 }
 
 // ---------------------------------------------------------------------
-// Front-end listener / sessions
+// Front-end sessions
 // ---------------------------------------------------------------------
 
-fn listener_loop(listener: TcpListener, shared: &Arc<PoolShared>) {
-    let mut sessions: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let index = shared.counters.sessions.fetch_add(1, Ordering::Relaxed) + 1;
-                let shared = Arc::clone(shared);
-                let spawned = thread::Builder::new()
-                    .name(format!("pool-sess-{index}"))
-                    .spawn(move || session_loop(stream, &shared));
-                match spawned {
-                    Ok(h) => sessions.push(h),
-                    Err(_) => {
-                        // Thread exhaustion: shed the connection.
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(PUMP_IDLE),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => thread::sleep(PUMP_IDLE),
-        }
+impl Handler for PoolShared {
+    fn session_opened(&self) -> u64 {
+        self.counters.sessions.fetch_add(1, Ordering::Relaxed) + 1
     }
-    for h in sessions {
-        drop(h.join());
+
+    fn handle(&self, _session: u64, _id: u64, ctx: TraceCtx, req: Request, _tx: &FrameTx) -> Reply {
+        Reply::Now(route(self, ctx, &req))
     }
-}
 
-/// Writes one sealed response on a blocking stream.
-fn write_frame(stream: &mut TcpStream, id: u64, resp: &Response) -> io::Result<()> {
-    stream.write_all(&framing::seal(&encode_response(id, resp)))
-}
-
-/// One front-end client session. The stream is blocking with a short
-/// read timeout so the loop can observe shutdown; request handling is
-/// synchronous (routing blocks this thread, bounded by the dispatch
-/// deadline), which preserves per-session response ordering.
-fn session_loop(mut stream: TcpStream, shared: &Arc<PoolShared>) {
-    if stream.set_nodelay(true).is_err()
-        || stream
-            .set_read_timeout(Some(Duration::from_millis(50)))
-            .is_err()
-        || stream
-            .set_write_timeout(Some(Duration::from_millis(10_000)))
-            .is_err()
-    {
-        return;
-    }
-    let mut dec = EnvelopeDecoder::new();
-    let mut greeted = false;
-    let mut buf = [0u8; 4096];
-
-    'pump: loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => dec.feed(&buf[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => break,
-        }
-        loop {
-            let body = match dec.next_body() {
-                Ok(Some(b)) => b,
-                Ok(None) => break,
-                Err(_) => break 'pump,
-            };
-            let (id, ctx, req) = match decode_request(&body) {
-                Ok(triple) => triple,
-                Err(e) => {
-                    let resp = Response::Error {
-                        message: format!("malformed request: {e}"),
-                    };
-                    drop(write_frame(&mut stream, 0, &resp));
-                    break 'pump;
-                }
-            };
-            if !greeted && !matches!(req, Request::Hello { .. }) {
-                let resp = Response::Error {
-                    message: "handshake required before queries".to_string(),
-                };
-                drop(write_frame(&mut stream, id, &resp));
-                break 'pump;
-            }
-            if matches!(req, Request::Hello { .. }) {
-                greeted = true;
-            }
-            let is_bye = matches!(req, Request::Shutdown);
-            let resp = route(shared, ctx, &req);
-            if write_frame(&mut stream, id, &resp).is_err() {
-                break 'pump;
-            }
-            if is_bye {
-                break 'pump;
-            }
-        }
+    fn shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
     }
 }
 

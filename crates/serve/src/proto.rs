@@ -39,7 +39,8 @@ pub const SERVE_MAGIC: u32 = 0x5653_524D;
 /// lost; maps to exit code 8).
 /// v4: epoch-maintenance counters in Stats (`sources_reused` /
 /// `sources_rebuilt` / `fallback_full` from the incremental engine).
-pub const SERVE_VERSION: u32 = 4;
+/// v5: `hedge_fired` removed from Stats (hedging is gone).
+pub const SERVE_VERSION: u32 = 5;
 
 /// Trace correlation context carried on every request: the originating
 /// query's trace id and the span id of the sender's enclosing span.
@@ -190,8 +191,8 @@ impl Request {
 /// A single daemon fills the scheduler fields and its per-phase latency
 /// histograms; the pool front-end sums worker snapshots (histograms
 /// merge by bucket addition) and adds the supervision counters
-/// (`hedge_fired` / `failover_attempts` / `replay_mutations`), which
-/// are always 0 in a worker's own snapshot.
+/// (`failover_attempts` / `replay_mutations`), which are always 0 in a
+/// worker's own snapshot.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Current graph epoch.
@@ -215,8 +216,6 @@ pub struct ServeStats {
     /// Jobs waiting in the scheduler queue at snapshot time (summed
     /// across workers by the pool).
     pub queue_depth: u64,
-    /// Hedged duplicate dispatches fired by the pool front-end.
-    pub hedge_fired: u64,
     /// In-flight requests re-dispatched to another worker after a
     /// connection died.
     pub failover_attempts: u64,
@@ -281,7 +280,8 @@ impl ServeStats {
 
 /// Encodes a [`ServeStats`] snapshot (the body of [`Response::Stats`];
 /// also the stats half of the pool's durable WAL snapshot, so cumulative
-/// counters survive a front-end restart).
+/// counters survive a front-end restart — a layout change here needs a
+/// `SNAPSHOT_VERSION` bump in `durable.rs`).
 pub fn encode_stats(w: &mut WireWriter, s: &ServeStats) {
     w.u64(s.epoch);
     w.u64(s.queries);
@@ -293,7 +293,6 @@ pub fn encode_stats(w: &mut WireWriter, s: &ServeStats) {
     w.u64(s.mutations);
     w.u64(s.sessions);
     w.u64(s.queue_depth);
-    w.u64(s.hedge_fired);
     w.u64(s.failover_attempts);
     w.u64(s.replay_mutations);
     w.u64(s.sources_reused);
@@ -328,7 +327,6 @@ pub fn decode_stats(r: &mut WireReader<'_>) -> Result<ServeStats, WireError> {
         mutations: r.u64()?,
         sessions: r.u64()?,
         queue_depth: r.u64()?,
-        hedge_fired: r.u64()?,
         failover_attempts: r.u64()?,
         replay_mutations: r.u64()?,
         sources_reused: r.u64()?,
@@ -921,7 +919,6 @@ mod tests {
                 mutations: 4,
                 sessions: 3,
                 queue_depth: 7,
-                hedge_fired: 2,
                 failover_attempts: 1,
                 replay_mutations: 4,
                 sources_reused: 120,

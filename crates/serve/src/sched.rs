@@ -11,8 +11,18 @@
 //! queries per dispatched batch — which exceeds 1 exactly when
 //! concurrency exists to exploit.
 //!
-//! Two policies keep the daemon predictable under load:
+//! Three policies keep the daemon predictable under load:
 //!
+//! * **Coalescing window.** While more than one session is submitting,
+//!   a dispatch is held open until [`WINDOW_US`] after its first job was
+//!   admitted, or until it is full. A worker that wakes on the first
+//!   `submit` would otherwise dispatch singletons however many callers
+//!   there are, and their combined rate would follow the cost of a
+//!   thread hand-off, which on a small box differs severalfold from one
+//!   minute to the next; held open, concurrent callers share dispatches
+//!   at one per window. A daemon with one active session — a lone
+//!   caller, a pool front-end's link — has nobody to wait for and never
+//!   does.
 //! * **Bounded queue.** `submit` refuses jobs beyond `queue_cap` with a
 //!   structured `Busy{queued, capacity}` instead of queueing unboundedly
 //!   — latency stays bounded and memory cannot grow without limit.
@@ -24,11 +34,21 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 
-use mrbc_obs::Histogram;
+use mrbc_obs::{self as obs, Histogram};
 
-use crate::proto::{Request, Response, ServeStats, TraceCtx};
+use crate::proto::{Request, ServeStats, TraceCtx};
+
+/// How long after its first job's admission a dispatch stays open for
+/// other sessions' queries (µs).
+const WINDOW_US: u64 = 1_000;
+
+/// The queue counts as shared for this long (µs) after two different
+/// sessions were last admitted back to back. Long, so that a caller the
+/// OS stalled for a few hundred ms is not taken for one that left.
+const SHARED_US: u64 = 1_000_000;
 
 /// Scheduler tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -48,13 +68,14 @@ impl Default for SchedConfig {
     }
 }
 
-/// One admitted query, carrying the reply channel of its session.
+/// One admitted query, carrying the writer queue of its session.
 pub struct Job {
     /// Accept-order index of the owning session (diagnostics).
     pub session: u64,
     /// Client-chosen request id, echoed in the response.
     pub id: u64,
-    /// `mrbc_obs::now_us()` at admission (0 when obs is disabled).
+    /// `mrbc_obs::monotonic_us()` at admission; phase histograms and the
+    /// scheduler's coalescing window are measured from it.
     pub enqueued_us: u64,
     /// Trace context the request arrived with (`TraceCtx::NONE` for
     /// uninstrumented clients); the worker tags its execution span with
@@ -62,10 +83,10 @@ pub struct Job {
     pub ctx: TraceCtx,
     /// The admitted request.
     pub req: Request,
-    /// Where the worker sends the `(id, response)` pair. A dead receiver
-    /// (client hung up) makes the send a no-op — the worker never blocks
-    /// on a departed client.
-    pub reply: Sender<(u64, Response)>,
+    /// The owning session's writer queue ([`crate::conn::FrameTx`]) for
+    /// the sealed response. Sending never blocks and fails harmlessly
+    /// once the connection is gone.
+    pub reply: Sender<Vec<u8>>,
 }
 
 /// Monotonic serving counters, readable from any thread.
@@ -123,8 +144,8 @@ impl Counters {
 
     /// Snapshot into the wire-level stats struct. `epoch` and
     /// `queue_depth` are instantaneous readings supplied by the caller;
-    /// the pool-tier counters (`hedge_fired`, ...) stay zero here and
-    /// are filled in by the front-end when it aggregates.
+    /// the pool-tier counters (`failover_attempts`, ...) stay zero here
+    /// and are filled in by the front-end when it aggregates.
     pub fn snapshot(&self, epoch: u64, queue_depth: u64) -> ServeStats {
         let hists = {
             let h = self.phases.lock().unwrap_or_else(|e| e.into_inner());
@@ -148,7 +169,6 @@ impl Counters {
             fallback_full: self.fallback_full.load(Ordering::Relaxed),
             sessions: self.sessions.load(Ordering::Relaxed),
             queue_depth,
-            hedge_fired: 0,
             failover_attempts: 0,
             replay_mutations: 0,
             hists,
@@ -156,10 +176,25 @@ impl Counters {
     }
 }
 
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Set by [`Scheduler::close`]: nothing more is admitted and
+    /// [`Scheduler::wait_batch`] ends once `jobs` is drained.
+    closed: bool,
+    /// Session and `enqueued_us` of the latest admission.
+    last_admit: Option<(u64, u64)>,
+    /// The latest admission that followed another session's within
+    /// [`SHARED_US`]: the two sessions and the later `enqueued_us`.
+    shared: Option<(u64, u64, u64)>,
+}
+
 /// The bounded FIFO queue between session threads and the batch worker.
 pub struct Scheduler {
     cfg: SchedConfig,
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<Queue>,
+    /// Signalled by `submit` and `close`; the batch worker sleeps on it.
+    ready: Condvar,
     /// Serving counters (sessions and worker both update these).
     pub counters: Counters,
 }
@@ -169,40 +204,109 @@ impl Scheduler {
     pub fn new(cfg: SchedConfig) -> Self {
         Scheduler {
             cfg,
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue::default()),
+            ready: Condvar::new(),
             counters: Counters::default(),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<Job>> {
+    fn lock(&self) -> MutexGuard<'_, Queue> {
         self.queue.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Jobs currently queued.
     pub fn queued(&self) -> usize {
-        self.lock().len()
+        self.lock().jobs.len()
     }
 
     /// Admits `job`, or sheds it: `Err((queued, capacity))` when the
-    /// queue is at capacity. Never blocks.
+    /// queue is at capacity or closed (a job admitted after the worker
+    /// left would never be answered). Never blocks.
     pub fn submit(&self, job: Job) -> Result<(), (u32, u32)> {
         let mut q = self.lock();
-        if q.len() >= self.cfg.queue_cap {
+        if q.closed || q.jobs.len() >= self.cfg.queue_cap {
             self.counters
                 .busy_rejections
                 .fetch_add(1, Ordering::Relaxed);
-            return Err((q.len() as u32, self.cfg.queue_cap as u32));
+            return Err((q.jobs.len() as u32, self.cfg.queue_cap as u32));
         }
-        q.push_back(job);
+        if let Some((session, at)) = q.last_admit {
+            if session != job.session && job.enqueued_us.saturating_sub(at) <= SHARED_US {
+                q.shared = Some((session, job.session, job.enqueued_us));
+            }
+        }
+        q.last_admit = Some((job.session, job.enqueued_us));
+        q.jobs.push_back(job);
         self.counters.queries.fetch_add(1, Ordering::Relaxed);
+        self.ready.notify_one();
         Ok(())
     }
 
     /// Takes the next dispatch: a lone `Mutate` if one heads the queue
     /// (the epoch barrier), otherwise the longest non-`Mutate` prefix up
-    /// to `max_batch`. Empty when nothing is queued.
+    /// to `max_batch`. Empty when nothing is queued. Never blocks.
     pub fn take_batch(&self) -> Vec<Job> {
+        self.take_locked(&mut self.lock().jobs)
+    }
+
+    /// Blocks until a dispatch is available and, on a shared queue,
+    /// its coalescing window has closed, then takes it; `None` once the
+    /// scheduler is closed and drained. The batch worker's only wait.
+    pub fn wait_batch(&self) -> Option<Vec<Job>> {
+        let mut q = self
+            .ready
+            .wait_while(self.lock(), |q| q.jobs.is_empty() && !q.closed)
+            .unwrap_or_else(|e| e.into_inner());
+        let opened = q.jobs.front()?.enqueued_us;
+        // Never more than one window from now, whatever the stamp says.
+        let close_at = opened
+            .saturating_add(WINDOW_US)
+            .min(obs::monotonic_us() + WINDOW_US);
+        loop {
+            let now = obs::monotonic_us();
+            if now >= close_at || !self.holds_open(&q, now) {
+                return Some(self.take_locked(&mut q.jobs));
+            }
+            q = self
+                .ready
+                .wait_timeout(q, Duration::from_micros(close_at - now))
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
+    }
+
+    /// Whether waiting can still add to the front dispatch: the queue is
+    /// shared and open, and the dispatch is neither full nor cut short
+    /// by a `Mutate` barrier.
+    fn holds_open(&self, q: &Queue, now: u64) -> bool {
+        let shared = q
+            .shared
+            .is_some_and(|(_, _, at)| now.saturating_sub(at) <= SHARED_US);
+        shared
+            && !q.closed
+            && q.jobs.len() < self.cfg.max_batch
+            && !q
+                .jobs
+                .iter()
+                .any(|j| matches!(j.req, Request::Mutate { .. }))
+    }
+
+    /// A session's connection ended: it is not one of the sessions
+    /// sharing the queue any more, whatever it did a moment ago.
+    pub fn session_closed(&self, session: u64) {
         let mut q = self.lock();
+        q.last_admit = q.last_admit.filter(|&(s, _)| s != session);
+        q.shared = q.shared.filter(|&(a, b, _)| a != session && b != session);
+    }
+
+    /// Stops admission and wakes the worker, which drains what is
+    /// already queued and then sees `wait_batch` return `None`.
+    pub fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
+    }
+
+    fn take_locked(&self, q: &mut VecDeque<Job>) -> Vec<Job> {
         let mut batch = Vec::new();
         if matches!(q.front().map(|j| &j.req), Some(Request::Mutate { .. })) {
             if let Some(job) = q.pop_front() {
@@ -307,6 +411,101 @@ mod tests {
     }
 
     #[test]
+    fn closing_drains_the_queue_then_ends_the_wait() {
+        let s = Scheduler::new(SchedConfig::default());
+        s.submit(job(query())).unwrap();
+        s.close();
+        // Already-admitted work is still dispatched; nothing new is.
+        assert_eq!(s.submit(job(query())), Err((1, 64)));
+        assert_eq!(s.wait_batch().map(|b| b.len()), Some(1));
+        assert!(s.wait_batch().is_none());
+    }
+
+    #[test]
+    fn wait_batch_returns_a_job_submitted_from_another_thread() {
+        let s = std::sync::Arc::new(Scheduler::new(SchedConfig::default()));
+        let waiter = {
+            let s = std::sync::Arc::clone(&s);
+            std::thread::spawn(move || s.wait_batch().map(|b| b.len()))
+        };
+        s.submit(job(query())).unwrap();
+        assert_eq!(waiter.join().unwrap(), Some(1));
+    }
+
+    /// A job of `session`, admitted now.
+    fn job_of(session: u64, req: Request) -> Job {
+        Job {
+            session,
+            enqueued_us: obs::monotonic_us(),
+            ..job(req)
+        }
+    }
+
+    #[test]
+    fn only_a_shared_queue_holds_a_dispatch_open() {
+        let s = Scheduler::new(SchedConfig {
+            queue_cap: 64,
+            max_batch: 3,
+        });
+        let held = |s: &Scheduler| s.holds_open(&s.lock(), obs::monotonic_us());
+        // One session, however busy, has nobody to wait for.
+        s.submit(job_of(1, query())).unwrap();
+        s.submit(job_of(1, query())).unwrap();
+        assert!(!held(&s));
+        s.take_batch();
+        // A second session makes the queue shared ...
+        s.submit(job_of(2, query())).unwrap();
+        assert!(held(&s));
+        // ... until the dispatch is full,
+        s.submit(job_of(1, query())).unwrap();
+        s.submit(job_of(2, query())).unwrap();
+        assert!(!held(&s));
+        s.take_batch();
+        // cut short by a barrier,
+        s.submit(job_of(1, query())).unwrap();
+        assert!(held(&s));
+        s.submit(job_of(2, mutate())).unwrap();
+        assert!(!held(&s));
+        s.take_batch();
+        s.take_batch();
+        // the other session hangs up,
+        s.submit(job_of(1, query())).unwrap();
+        assert!(held(&s));
+        s.session_closed(2);
+        assert!(!held(&s));
+        s.submit(job_of(3, query())).unwrap();
+        assert!(held(&s));
+        s.take_batch();
+        // or the scheduler closes.
+        s.submit(job_of(1, query())).unwrap();
+        assert!(held(&s));
+        s.close();
+        assert!(!held(&s));
+    }
+
+    #[test]
+    fn a_shared_dispatch_waits_out_its_window_and_no_longer() {
+        let s = Scheduler::new(SchedConfig::default());
+        s.submit(job_of(1, query())).unwrap();
+        s.submit(job_of(2, query())).unwrap();
+        assert_eq!(s.take_batch().len(), 2);
+        // Shared, one job queued: the dispatch closes a window after the
+        // job's admission, not at once.
+        let lone = job_of(1, query());
+        let opened = lone.enqueued_us;
+        s.submit(lone).unwrap();
+        assert_eq!(s.wait_batch().map(|b| b.len()), Some(1));
+        assert!(obs::monotonic_us() >= opened + WINDOW_US);
+        // A stamp from the future cannot hold it open longer than that.
+        s.submit(Job {
+            enqueued_us: u64::MAX,
+            ..job_of(2, query())
+        })
+        .unwrap();
+        assert_eq!(s.wait_batch().map(|b| b.len()), Some(1));
+    }
+
+    #[test]
     fn counters_snapshot_into_wire_stats() {
         let c = Counters::default();
         c.queries.store(10, Ordering::Relaxed);
@@ -319,7 +518,6 @@ mod tests {
         assert_eq!(s.coalescing_factor(), 4.0);
         assert_eq!(s.queue_depth, 3);
         // Worker snapshots never claim pool-tier activity.
-        assert_eq!(s.hedge_fired, 0);
         assert_eq!(s.failover_attempts, 0);
         assert_eq!(s.replay_mutations, 0);
         let q = s.hist("serve.queue_us").expect("queue hist");

@@ -175,22 +175,22 @@ impl EpochStore {
         postprocess::top_k(&self.full_bc(), k)
     }
 
-    /// Forward artifacts `(dist, σ)` of `s` for the current epoch,
-    /// computing (and caching) them on first use.
+    /// Forward artifacts `(dist, σ)` of `s` for the current epoch: a
+    /// copy of the maintenance engine's when it is resident, otherwise
+    /// computed (and cached) on first use.
     pub fn forward(&self, s: VertexId) -> ForwardArtifacts {
         let graph = {
-            let mut inner = self.lock();
+            let inner = self.lock();
             if let Some(fw) = inner.forward.get(&s) {
                 return Arc::clone(fw);
             }
             if let Some(engine) = &inner.incr {
                 // The maintenance engine already holds this source's
                 // forward artifacts (bitwise equal to a fresh BFS on the
-                // current graph); publish a copy instead of re-running.
+                // current graph): hand out a copy instead of re-running,
+                // and do not cache it — the engine is the cache.
                 let art = engine.source(s);
-                let result = Arc::new((art.dist.clone(), art.sigma.clone()));
-                inner.forward.insert(s, Arc::clone(&result));
-                return result;
+                return Arc::new((art.dist.clone(), art.sigma.clone()));
             }
             Arc::clone(&inner.graph)
         };
@@ -219,7 +219,7 @@ impl EpochStore {
     /// desynchronize the epoch). On success the CSR is rebuilt, the
     /// epoch bumped, and the caches either *maintained* (when the
     /// incremental engine is resident: affected sources rebuilt, BC
-    /// re-folded, forward artifacts repopulated lazily from the engine)
+    /// re-folded, forward artifacts served from the engine)
     /// or dropped (engine never built / disabled / over the cache
     /// bound). Either way, pinned readers of the old epoch turn `Stale`
     /// and fresh reads are bit-identical to a from-scratch recompute.

@@ -347,3 +347,25 @@ fn malformed_and_unshaken_requests_are_rejected() {
     }
     server.shutdown();
 }
+
+#[test]
+fn phase_histograms_are_real_without_a_recorder() {
+    // No recorder is installed in this process, so `obs::now_us()` reads
+    // 0; the phase stamps must come from the always-on monotonic clock.
+    let g = test_graph();
+    let mut server = launch(g, SchedConfig::default(), Some("stall:ms=20"));
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+    for v in 0..4 {
+        client.bc_score(0, v).expect("bc(v)");
+    }
+    let stats = client.stats().expect("stats");
+    let total = stats.hist("serve.total_us").expect("total histogram");
+    assert_eq!(total.count(), 4);
+    // Each query sat out the 20 ms stall between admission and answer.
+    assert!(
+        total.percentile_bucket_lo(50) >= 8_192,
+        "serve.total_us p50 bucket starts at {} us",
+        total.percentile_bucket_lo(50)
+    );
+    server.shutdown();
+}

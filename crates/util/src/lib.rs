@@ -26,6 +26,9 @@
 //! * [`framing`] — the shared `[len][crc][body]` stream envelope and
 //!   magic/version handshake preamble every TCP protocol in the
 //!   workspace (`mrbc-net`, `mrbc-serve`) speaks.
+//! * [`fsio`] — the one durable file-replacement sequence (write tmp →
+//!   fsync → rename → fsync dir) shared by the WAL and the checkpoint
+//!   store.
 //! * [`wal`] — a durable write-ahead log (CRC-framed records, rotating
 //!   segments, torn-tail truncation, group-commit fsync batching, and
 //!   snapshot compaction) backing the serving tier's ack-durability
@@ -38,6 +41,7 @@ mod bitset;
 pub mod crc;
 mod flat_map;
 pub mod framing;
+pub mod fsio;
 pub mod stats;
 pub mod sync;
 pub mod wal;

@@ -45,6 +45,7 @@
 
 use crate::crc::crc32;
 use crate::framing;
+use crate::fsio;
 use crate::wire::{WireReader, WireWriter};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -123,6 +124,13 @@ impl std::error::Error for WalError {}
 
 fn io_err(what: &str, path: &Path, e: &std::io::Error) -> WalError {
     WalError::Io(format!("{what} {}: {e}", path.display()))
+}
+
+/// For [`fsio`] errors, which already name their step and path.
+impl From<std::io::Error> for WalError {
+    fn from(e: std::io::Error) -> Self {
+        WalError::Io(e.to_string())
+    }
 }
 
 /// What [`Wal::open`] recovered from the directory.
@@ -274,7 +282,7 @@ impl Wal {
             .open(&path)
             .map_err(|e| io_err("open", &path, &e))?;
         file.sync_data().map_err(|e| io_err("fsync", &path, &e))?;
-        sync_dir(dir)?;
+        fsio::sync_dir(dir)?;
 
         let inner = Arc::new(Inner {
             dir: dir.to_path_buf(),
@@ -355,7 +363,7 @@ impl Wal {
                 .append(true)
                 .open(&path)
                 .map_err(|e| io_err("open", &path, &e))?;
-            sync_dir(&inner.dir)?;
+            fsio::sync_dir(&inner.dir)?;
             st.file = file;
             st.seg_len = PREAMBLE_LEN;
         }
@@ -416,14 +424,12 @@ impl Wal {
         let mut bytes = w.into_bytes();
         bytes.extend_from_slice(payload);
 
-        let tmp = inner.dir.join(".snap.tmp");
-        let path = snapshot_path(&inner.dir, seq);
-        fs::write(&tmp, &bytes).map_err(|e| io_err("write", &tmp, &e))?;
-        File::open(&tmp)
-            .and_then(|f| f.sync_data())
-            .map_err(|e| io_err("fsync", &tmp, &e))?;
-        fs::rename(&tmp, &path).map_err(|e| io_err("rename", &path, &e))?;
-        sync_dir(&inner.dir)?;
+        fsio::write_atomic(
+            &inner.dir,
+            ".snap.tmp",
+            &snapshot_path(&inner.dir, seq),
+            &bytes,
+        )?;
 
         // Prune old snapshots (keep the newest two for fallback).
         let mut snaps = list_snapshots(&inner.dir)?;
@@ -441,7 +447,7 @@ impl Wal {
                 let _ = fs::remove_file(path);
             }
         }
-        sync_dir(&inner.dir)?;
+        fsio::sync_dir(&inner.dir)?;
         Ok(seq)
     }
 
@@ -508,13 +514,6 @@ fn write_preamble_file(path: &Path) -> Result<(), WalError> {
         .map_err(|e| io_err("write", path, &e))?;
     f.sync_data().map_err(|e| io_err("fsync", path, &e))?;
     Ok(())
-}
-
-/// Fsyncs the directory so renames/creates/unlinks are themselves durable.
-fn sync_dir(dir: &Path) -> Result<(), WalError> {
-    File::open(dir)
-        .and_then(|f| f.sync_all())
-        .map_err(|e| io_err("fsync dir", dir, &e))
 }
 
 /// Segment files in `dir`, sorted by first-record sequence number.
@@ -697,13 +696,7 @@ fn bump_generation(dir: &Path) -> Result<u64, WalError> {
     w.u32(GEN_MAGIC);
     w.u64(gen);
     w.u32(crc32(&gen.to_le_bytes()));
-    let tmp = dir.join(".generation.tmp");
-    fs::write(&tmp, w.into_bytes()).map_err(|e| io_err("write", &tmp, &e))?;
-    File::open(&tmp)
-        .and_then(|f| f.sync_data())
-        .map_err(|e| io_err("fsync", &tmp, &e))?;
-    fs::rename(&tmp, &path).map_err(|e| io_err("rename", &path, &e))?;
-    sync_dir(dir)?;
+    fsio::write_atomic(dir, ".generation.tmp", &path, &w.into_bytes())?;
     Ok(gen)
 }
 

@@ -127,7 +127,8 @@ proptest! {
             prop_assert_eq!(bits(&base.bc), bits(&got.bc), "chunk {}", chunk);
         }
         let again = abbc::abbc_bc(&g, &sources, 1);
+        // Scores only: `work_units` counts racing relaxations, which do
+        // depend on the interleaving.
         prop_assert_eq!(bits(&base.bc), bits(&again.bc));
-        prop_assert_eq!(base.work_units, again.work_units);
     }
 }
