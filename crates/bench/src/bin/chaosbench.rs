@@ -26,6 +26,7 @@ use mrbc_obs::json::JsonWriter;
 use mrbc_serve::{
     start_pool, ClientConfig, PoolConfig, Request, Response, RetryClient, SchedConfig, WorkerSpawn,
 };
+use mrbc_util::stats::percentile;
 
 struct Case {
     name: &'static str,
@@ -81,14 +82,6 @@ fn cases(quick: bool) -> Vec<Case> {
             kills: 3,
         },
     ]
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
 }
 
 /// One chaos run: pool up, baseline scores, concurrent retrying clients

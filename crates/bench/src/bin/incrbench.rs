@@ -27,6 +27,7 @@ use mrbc_core::BcConfig;
 use mrbc_graph::{generators, CsrGraph};
 use mrbc_obs::json::JsonWriter;
 use mrbc_serve::{EpochStore, IncrConfig, MutateOp};
+use mrbc_util::stats::percentile;
 
 struct Case {
     name: &'static str,
@@ -87,22 +88,6 @@ fn cases(quick: bool) -> Vec<Case> {
             full_mutations: 12,
         },
     ]
-}
-
-fn percentile_u64(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
-
-fn percentile_f64(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
 }
 
 /// Deterministic mutation stream over the probe graph, alternating
@@ -209,8 +194,8 @@ fn run_case(case: Case) -> Measurement {
         );
     }
 
-    let incr_p50 = percentile_u64(&incr.lat_us, 0.50);
-    let full_p50 = percentile_u64(&full.lat_us, 0.50);
+    let incr_p50 = percentile(&incr.lat_us, 0.50);
+    let full_p50 = percentile(&full.lat_us, 0.50);
     let denom = incr.reused + incr.rebuilt;
     Measurement {
         name: case.name,
@@ -218,16 +203,16 @@ fn run_case(case: Case) -> Measurement {
         edges,
         mutations: incr.lat_us.len() as u64,
         incr_p50_us: incr_p50,
-        incr_p99_us: percentile_u64(&incr.lat_us, 0.99),
+        incr_p99_us: percentile(&incr.lat_us, 0.99),
         full_p50_us: full_p50,
-        full_p99_us: percentile_u64(&full.lat_us, 0.99),
+        full_p99_us: percentile(&full.lat_us, 0.99),
         speedup: full_p50 as f64 / incr_p50.max(1) as f64,
         reuse_ratio: if denom == 0 {
             0.0
         } else {
             incr.reused as f64 / denom as f64
         },
-        affected_fraction_p50: percentile_f64(&incr.affected_fractions, 0.50),
+        affected_fraction_p50: percentile(&incr.affected_fractions, 0.50),
         fallback_full: incr.fallback_full,
     }
 }

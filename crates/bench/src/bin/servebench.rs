@@ -15,6 +15,7 @@ use mrbc_bench::report::Table;
 use mrbc_graph::generators;
 use mrbc_obs::json::JsonWriter;
 use mrbc_serve::{SchedConfig, ServeClient, ServeConfig, ServeStats};
+use mrbc_util::stats::percentile;
 
 struct Case {
     name: &'static str,
@@ -58,14 +59,6 @@ fn cases() -> Vec<Case> {
             max_batch: 8,
         },
     ]
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
 }
 
 /// Drives one case: spawns the daemon, hammers it, reads the counters.

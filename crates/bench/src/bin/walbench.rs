@@ -29,6 +29,7 @@ use mrbc_serve::{
     start_pool, ClientConfig, DurableLog, MutateOp, PoolConfig, Request, Response, RetryClient,
     SchedConfig, WorkerSpawn,
 };
+use mrbc_util::stats::percentile;
 use mrbc_util::wal::WalConfig;
 
 struct Case {
@@ -90,14 +91,6 @@ fn cases(quick: bool) -> Vec<Case> {
             mutations: 128,
         },
     ]
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
 }
 
 /// Deterministic mutation stream: edge (u, v) pairs over the probe

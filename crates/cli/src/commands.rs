@@ -11,6 +11,7 @@ use mrbc_graph::generators::{
 };
 use mrbc_graph::properties::GraphProperties;
 use mrbc_graph::{algo, io, sample, CsrGraph};
+use mrbc_obs::json::{self, Value};
 
 /// Usage text for `mrbc help`.
 pub const USAGE: &str = "\
@@ -48,6 +49,7 @@ USAGE:
   mrbc serve pool <file> [--workers W] [--port P] [--addr A]
                     [--hosts H] [--batch B] [--queue Q] [--max-batch M]
                     [--retry-after MS] [--faults PLAN]
+                    [--wal-dir DIR] [--wal-flush-ms MS]
                     [--trace-dir D] [--flight-dir D]
       supervised pool of W serve-worker child processes behind one
       front-end: source-range sharded routing, heartbeat failure
@@ -57,6 +59,11 @@ USAGE:
       (combine with the front-end's own --trace and `mrbc obs merge`)
       --flight-dir D: dump the flight-recorder ring to D on panic,
       worker death, and every Retry/Partial emission
+      --wal-dir DIR: every acknowledged mutation is fsynced into a
+      write-ahead log in DIR before the ack leaves; a restart over DIR
+      replays it to the exact pre-crash epoch (a log that cannot be
+      opened exits 8). --wal-flush-ms MS is the group-commit window
+      (default 5; 0 = fsync on every append)
   mrbc query <addr> <sub> [--epoch E] [--retries N] [...]
       subs: bc --v V | top --k K | dist --s S --t T
             subset --sources V,V,... | mutate --add U-V | --remove U-V
@@ -81,6 +88,7 @@ EXIT CODES:
   4 daemon busy (queue full; retry)   5 pinned epoch is stale
   6 pool is recovering (Retry exhausted; resend later)
   7 partial result (a shard was lost mid-query; missing sources listed)
+  8 durability broken (the write-ahead log is corrupt or cannot be synced)
 
 OBSERVABILITY (any command):
   --trace out.json    write a Chrome-trace / Perfetto timeline of the run
@@ -101,6 +109,14 @@ FAULT PLANS (--faults):
                            routed N queries; the supervisor respawns it
     pause:worker=R:ms=D    (serve pool) freeze worker R with SIGSTOP for
                            D ms once it has seen traffic, then SIGCONT
+    torn:wal@rec=N         (serve pool, --wal-dir) the Nth WAL append is
+                           half-written and the log poisoned
+    fsyncfail:ms=D         (serve pool, --wal-dir) WAL fsyncs fail once D ms
+                           of flush budget are spent; mutations exit 8
+    churn:edges=K@seed=S   (serve pool) the front-end drives a seeded storm
+                           of K edge mutations through its normal path
+    hangup:session=N       (serve) the daemon severs its Nth accepted session
+    stall:ms=D             (serve) the batch worker sleeps D ms per batch
     seed=S                 deterministic fault stream seed
 ";
 
@@ -244,216 +260,329 @@ impl ObsRun {
     }
 }
 
+/// A gate on one element of a report's array: from the element's name,
+/// the gated field and the array's floor, the failure text if it fails.
+type Gate = (
+    &'static str,
+    fn(&str, Option<&Value>, f64) -> Option<String>,
+);
+
+/// An array `check-json` walks.
+struct List {
+    /// The array's key, then any name accepted in its place.
+    keys: &'static [&'static str],
+    /// What the summary counts its elements as (and, after a comma,
+    /// what their all passing shows).
+    counted_as: &'static str,
+    /// A top-level number the gates compare against, and the summary's
+    /// words for it.
+    floor: Option<(&'static str, &'static str)>,
+    /// Numbers every element must carry.
+    needs: &'static [&'static str],
+    /// The gates apply to elements whose name starts so (any name when
+    /// empty); the failure text when no element does.
+    only: (&'static str, &'static str),
+    gates: &'static [Gate],
+}
+
+const CASES: List = List {
+    keys: &["cases"],
+    counted_as: "cases",
+    floor: None,
+    needs: &[],
+    only: ("", ""),
+    gates: &[],
+};
+
+/// A pass/fail flag a report carries about itself.
+struct Verdict {
+    /// Path to the flag; an optional verdict is read when the path's
+    /// first key is present.
+    at: &'static [&'static str],
+    required: bool,
+    /// Failure text when the flag is false.
+    failed: &'static str,
+    /// Failure text when it is not a flag.
+    malformed: &'static str,
+    /// The line a true flag adds to the output.
+    held: &'static str,
+}
+
+const WITHIN_BUDGET: Verdict = Verdict {
+    at: &["within_budget"],
+    required: false,
+    failed: "bench reports budget exceeded",
+    malformed: "malformed within_budget field",
+    held: "overhead budget: within bounds\n",
+};
+
+/// One kind of document `check-json` validates.
+struct Schema {
+    /// The tag the document must carry, or its prefix when this ends in
+    /// `-`, under `schema` (under `otherData.schema` for `nested`).
+    tag: &'static str,
+    nested: bool,
+    /// What failure texts call the document.
+    noun: &'static str,
+    /// Top-level keys that must be present; `Some` for a count, `true`
+    /// where a count of zero means nothing was explored.
+    top: &'static [(&'static str, Option<bool>)],
+    lists: &'static [List],
+    verdict: Option<Verdict>,
+}
+
+const BENCH: Schema = Schema {
+    tag: "mrbc-bench-",
+    nested: false,
+    noun: "bench",
+    top: &[],
+    lists: &[List {
+        keys: &["cases", "inputs"],
+        ..CASES
+    }],
+    verdict: Some(WITHIN_BUDGET),
+};
+
+/// Every document kind, first match wins: `--metrics` and `--trace`
+/// exports, `mrbc-analyze dist-check --json` reports (any recorded
+/// violation, truncation or uncaught seeded bug fails), the two bench
+/// reports with gates of their own, then any other `BENCH_*.json`.
+const SCHEMAS: &[Schema] = &[
+    Schema {
+        tag: json::METRICS_SCHEMA,
+        noun: "metrics",
+        top: &[("counters", None), ("gauges", None), ("histograms", None)],
+        lists: &[],
+        verdict: Some(Verdict {
+            at: &["bounds", "within_bounds"],
+            required: false,
+            failed: "bound probes report violations",
+            malformed: "malformed bounds report",
+            held: "bound probes: all invariants hold\n",
+        }),
+        ..BENCH
+    },
+    Schema {
+        tag: json::TRACE_SCHEMA,
+        nested: true,
+        noun: "trace",
+        lists: &[List {
+            keys: &["traceEvents"],
+            counted_as: "events",
+            ..CASES
+        }],
+        verdict: None,
+        ..BENCH
+    },
+    Schema {
+        tag: "mrbc-analyze-dist-v1",
+        noun: "dist-check",
+        top: &[
+            ("states_explored", Some(true)),
+            ("invariants_checked", Some(true)),
+            ("max_depth", Some(false)),
+        ],
+        lists: &[
+            List {
+                keys: &["models"],
+                counted_as: "models clean",
+                gates: &[
+                    ("violation", |name, f, _| {
+                        (!matches!(f, Some(Value::Null)))
+                            .then(|| format!("model {name:?} records a violation"))
+                    }),
+                    ("truncated", |name, f, _| {
+                        (f.and_then(Value::as_bool) != Some(false))
+                            .then(|| format!("model {name:?} was truncated"))
+                    }),
+                ],
+                ..CASES
+            },
+            List {
+                keys: &["injections"],
+                counted_as: "seeded bugs caught",
+                gates: &[("caught", |name, f, _| {
+                    (f.and_then(Value::as_bool) != Some(true))
+                        .then(|| format!("seeded bug {name:?} was not caught"))
+                })],
+                ..CASES
+            },
+        ],
+        verdict: None,
+        ..BENCH
+    },
+    // BENCH_wal.json: a recovery that surfaced fewer mutations than
+    // were acknowledged is a durability-contract breach, not a perf
+    // regression, and the overhead verdict is mandatory.
+    Schema {
+        tag: "mrbc-bench-wal-v1",
+        lists: &[List {
+            gates: &[
+                ("lost_acked", |name, f, _| match f.and_then(Value::as_u64) {
+                    Some(0) => None,
+                    Some(n) => Some(format!(
+                        "case {name:?} lost {n} acked mutation(s) across recovery"
+                    )),
+                    None => Some(format!("case {name:?} missing lost_acked")),
+                }),
+            ],
+            counted_as: "cases, zero lost acked mutations",
+            ..CASES
+        }],
+        verdict: Some(Verdict {
+            required: true,
+            failed: "durability overhead budget exceeded",
+            malformed: "missing or malformed within_budget",
+            ..WITHIN_BUDGET
+        }),
+        ..BENCH
+    },
+    // BENCH_incr.json: the power-law case — the workload the serving
+    // tier is designed for — must clear the report's own speedup floor
+    // with a nonzero reuse ratio and a median affected-source fraction
+    // below half the graph. An engine that reuses nothing has silently
+    // degraded to drop-and-recompute; this gate makes that a CI failure.
+    // Other cases are reported, not gated.
+    Schema {
+        tag: "mrbc-bench-incr-v1",
+        lists: &[List {
+            floor: Some(("min_speedup", "power-law speedup floor")),
+            needs: &["speedup", "reuse_ratio", "affected_fraction_p50"],
+            only: ("powerlaw", "no power-law case to gate on"),
+            gates: &[
+                ("speedup", |name, f, floor| {
+                    let speedup = f.and_then(Value::as_f64)?;
+                    (speedup < floor).then(|| {
+                        format!("case {name:?} speedup {speedup:.2}x below the {floor:.1}x floor")
+                    })
+                }),
+                ("reuse_ratio", |name, f, _| {
+                    (f.and_then(Value::as_f64)? <= 0.0).then(|| {
+                        format!(
+                            "case {name:?} reused no per-source artifacts \
+                             (maintenance degraded to full recompute)"
+                        )
+                    })
+                }),
+                ("affected_fraction_p50", |name, f, _| {
+                    let affected = f.and_then(Value::as_f64)?;
+                    (affected >= 0.5).then(|| {
+                        format!(
+                            "case {name:?} median affected-source fraction \
+                             {affected:.2} is not incremental"
+                        )
+                    })
+                }),
+            ],
+            ..CASES
+        }],
+        verdict: Some(Verdict {
+            required: true,
+            failed: "incremental speedup gate failed",
+            malformed: "missing or malformed within_budget",
+            ..WITHIN_BUDGET
+        }),
+        ..BENCH
+    },
+    BENCH,
+];
+
 /// `mrbc check-json <file>`: re-parse an emitted export and verify its
-/// schema tag and shape — the hermetic validation step the CI smoke test
-/// runs on `--trace` / `--metrics` output.
+/// schema tag and shape against [`SCHEMAS`] — the hermetic validation
+/// step the CI smoke test runs on `--trace` / `--metrics` output, and
+/// the gate on every bench report.
 fn cmd_check_json(p: &ParsedArgs) -> Result<String, String> {
-    use mrbc_obs::json::{self, Value};
     let path = p
         .positional
         .first()
         .ok_or_else(|| "missing JSON file argument".to_string())?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let v = json::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
-    let metrics_tag = v.get("schema").and_then(Value::as_str);
-    let trace_tag = v
+    let top = v.get("schema").and_then(Value::as_str);
+    let nested = v
         .get("otherData")
         .and_then(|o| o.get("schema"))
         .and_then(Value::as_str);
-    match (metrics_tag, trace_tag) {
-        (Some(json::METRICS_SCHEMA), _) => {
-            for key in ["counters", "gauges", "histograms"] {
-                if v.get(key).is_none() {
-                    return Err(format!("{path}: metrics document missing {key:?}"));
-                }
-            }
-            let mut s = format!("{path}: valid {} document\n", json::METRICS_SCHEMA);
-            if let Some(bounds) = v.get("bounds") {
-                match bounds.get("within_bounds").and_then(Value::as_bool) {
-                    Some(true) => s += "bound probes: all invariants hold\n",
-                    Some(false) => return Err(format!("{path}: bound probes report violations")),
-                    None => return Err(format!("{path}: malformed bounds report")),
-                }
-            }
-            Ok(s)
-        }
-        (_, Some(json::TRACE_SCHEMA)) => {
-            let events = v
-                .get("traceEvents")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| format!("{path}: trace document missing traceEvents"))?;
-            Ok(format!(
-                "{path}: valid {} document ({} events)\n",
-                json::TRACE_SCHEMA,
-                events.len()
-            ))
-        }
-        // `mrbc-analyze dist-check --json` reports: exploration stats
-        // plus per-model verdicts; any recorded violation, truncation,
-        // or uncaught seeded bug fails the validation.
-        (Some(tag @ "mrbc-analyze-dist-v1"), _) => {
-            for key in ["states_explored", "invariants_checked", "max_depth"] {
-                let n = v
-                    .get(key)
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| format!("{path}: dist-check document missing {key:?}"))?;
-                if key != "max_depth" && n == 0 {
-                    return Err(format!("{path}: dist-check explored nothing ({key} = 0)"));
-                }
-            }
-            let models = v
-                .get("models")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| format!("{path}: dist-check document missing models"))?;
-            for m in models {
-                let name = m.get("name").and_then(Value::as_str).unwrap_or("?");
-                if !matches!(m.get("violation"), Some(Value::Null)) {
-                    return Err(format!("{path}: model {name:?} records a violation"));
-                }
-                if m.get("truncated").and_then(Value::as_bool) != Some(false) {
-                    return Err(format!("{path}: model {name:?} was truncated"));
-                }
-            }
-            let injections = v
-                .get("injections")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| format!("{path}: dist-check document missing injections"))?;
-            for inj in injections {
-                let name = inj.get("name").and_then(Value::as_str).unwrap_or("?");
-                if inj.get("caught").and_then(Value::as_bool) != Some(true) {
-                    return Err(format!("{path}: seeded bug {name:?} was not caught"));
-                }
-            }
-            Ok(format!(
-                "{path}: valid {tag} document ({} models clean, {} seeded bugs caught)\n",
-                models.len(),
-                injections.len()
-            ))
-        }
-        // WAL durability bench (BENCH_wal.json): on top of the generic
-        // bench shape, every case must report `lost_acked = 0` — a
-        // recovery that surfaced fewer mutations than were acknowledged
-        // is a durability-contract breach, not a perf regression — and
-        // the overhead verdict is mandatory, not optional.
-        (Some(tag @ "mrbc-bench-wal-v1"), _) => {
-            let cases = v
-                .get("cases")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| format!("{path}: bench document missing cases"))?;
-            for c in cases {
-                let name = c.get("name").and_then(Value::as_str).unwrap_or("?");
-                match c.get("lost_acked").and_then(Value::as_u64) {
-                    Some(0) => {}
-                    Some(n) => {
-                        return Err(format!(
-                            "{path}: case {name:?} lost {n} acked mutation(s) across recovery"
-                        ))
-                    }
-                    None => return Err(format!("{path}: case {name:?} missing lost_acked")),
-                }
-            }
-            match v.get("within_budget").and_then(Value::as_bool) {
-                Some(true) => {}
-                Some(false) => return Err(format!("{path}: durability overhead budget exceeded")),
-                None => return Err(format!("{path}: missing or malformed within_budget")),
-            }
-            Ok(format!(
-                "{path}: valid {tag} document ({} cases, zero lost acked mutations)\n\
-                 overhead budget: within bounds\n",
-                cases.len()
-            ))
-        }
-        // Incremental-maintenance bench (BENCH_incr.json): on top of
-        // the generic bench shape, the power-law case — the workload
-        // the serving tier is designed for — must clear the report's
-        // own speedup floor with a nonzero reuse ratio and a median
-        // affected-source fraction below half the graph. A report where
-        // the engine reuses nothing is a maintenance path that silently
-        // degraded to drop-and-recompute, and this gate is where that
-        // regression becomes a CI failure instead of a perf mystery.
-        (Some(tag @ "mrbc-bench-incr-v1"), _) => {
-            let cases = v
-                .get("cases")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| format!("{path}: bench document missing cases"))?;
-            let min_speedup = v
-                .get("min_speedup")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("{path}: missing or malformed min_speedup"))?;
-            let mut powerlaw = 0usize;
-            for c in cases {
-                let name = c.get("name").and_then(Value::as_str).unwrap_or("?");
-                let speedup = c
-                    .get("speedup")
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| format!("{path}: case {name:?} missing speedup"))?;
-                let reuse = c
-                    .get("reuse_ratio")
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| format!("{path}: case {name:?} missing reuse_ratio"))?;
-                let affected = c
-                    .get("affected_fraction_p50")
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| {
-                        format!("{path}: case {name:?} missing affected_fraction_p50")
-                    })?;
-                if !name.starts_with("powerlaw") {
-                    continue;
-                }
-                powerlaw += 1;
-                if speedup < min_speedup {
-                    return Err(format!(
-                        "{path}: case {name:?} speedup {speedup:.2}x below the \
-                         {min_speedup:.1}x floor"
-                    ));
-                }
-                if reuse <= 0.0 {
-                    return Err(format!(
-                        "{path}: case {name:?} reused no per-source artifacts \
-                         (maintenance degraded to full recompute)"
-                    ));
-                }
-                if affected >= 0.5 {
-                    return Err(format!(
-                        "{path}: case {name:?} median affected-source fraction \
-                         {affected:.2} is not incremental"
-                    ));
-                }
-            }
-            if powerlaw == 0 {
-                return Err(format!("{path}: no power-law case to gate on"));
-            }
-            match v.get("within_budget").and_then(Value::as_bool) {
-                Some(true) => {}
-                Some(false) => return Err(format!("{path}: incremental speedup gate failed")),
-                None => return Err(format!("{path}: missing or malformed within_budget")),
-            }
-            Ok(format!(
-                "{path}: valid {tag} document ({} cases, power-law speedup floor \
-                 {min_speedup:.1}x)\noverhead budget: within bounds\n",
-                cases.len()
-            ))
-        }
-        // Bench reports (BENCH_*.json): a `cases` array plus an optional
-        // pass/fail verdict that turns the validation into a CI gate.
-        (Some(tag), _) if tag.starts_with("mrbc-bench-") => {
-            let cases = v
-                .get("cases")
-                .or_else(|| v.get("inputs"))
-                .and_then(Value::as_arr)
-                .ok_or_else(|| format!("{path}: bench document missing cases"))?;
-            let mut s = format!("{path}: valid {tag} document ({} cases)\n", cases.len());
-            if let Some(b) = v.get("within_budget") {
-                match b.as_bool() {
-                    Some(true) => s += "overhead budget: within bounds\n",
-                    Some(false) => return Err(format!("{path}: bench reports budget exceeded")),
-                    None => return Err(format!("{path}: malformed within_budget field")),
-                }
-            }
-            Ok(s)
-        }
-        _ => Err(format!("{path}: unrecognized schema")),
+    let matched = SCHEMAS.iter().find_map(|s| {
+        let tag = if s.nested { nested } else { top }?;
+        let hit = tag == s.tag || (s.tag.ends_with('-') && tag.starts_with(s.tag));
+        hit.then_some((s, tag))
+    });
+    let (schema, tag) = matched.ok_or_else(|| format!("{path}: unrecognized schema"))?;
+    match validate(schema, tag, &v) {
+        Ok(report) => Ok(format!("{path}: {report}")),
+        Err(why) => Err(format!("{path}: {why}")),
     }
+}
+
+/// Walks `v` through one schema's checks, in the order the table lists
+/// them; the report on success, the first failure otherwise.
+fn validate(s: &Schema, tag: &str, v: &Value) -> Result<String, String> {
+    let noun = s.noun;
+    for &(key, count) in s.top {
+        let missing = || format!("{noun} document missing {key:?}");
+        let field = v.get(key).ok_or_else(missing)?;
+        if let Some(nonzero) = count {
+            if field.as_u64().ok_or_else(missing)? == 0 && nonzero {
+                return Err(format!("{noun} explored nothing ({key} = 0)"));
+            }
+        }
+    }
+    let mut claims = Vec::new();
+    for list in s.lists {
+        let items = list
+            .keys
+            .iter()
+            .find_map(|key| v.get(key))
+            .and_then(Value::as_arr)
+            .ok_or_else(|| format!("{noun} document missing {}", list.keys[0]))?;
+        claims.push(format!("{} {}", items.len(), list.counted_as));
+        let mut floor = 0.0;
+        if let Some((key, words)) = list.floor {
+            floor = v
+                .get(key)
+                .and_then(Value::as_f64)
+                .ok_or_else(|| format!("missing or malformed {key}"))?;
+            claims.push(format!("{words} {floor:.1}x"));
+        }
+        let mut gated = 0usize;
+        for item in items {
+            let name = item.get("name").and_then(Value::as_str).unwrap_or("?");
+            for key in list.needs {
+                if item.get(key).and_then(Value::as_f64).is_none() {
+                    return Err(format!("case {name:?} missing {key}"));
+                }
+            }
+            if !name.starts_with(list.only.0) {
+                continue;
+            }
+            gated += 1;
+            for (key, gate) in list.gates {
+                if let Some(why) = gate(name, item.get(key), floor) {
+                    return Err(why);
+                }
+            }
+        }
+        if gated == 0 && !list.only.1.is_empty() {
+            return Err(list.only.1.to_string());
+        }
+    }
+    let mut report = format!("valid {tag} document");
+    if !claims.is_empty() {
+        report += &format!(" ({})", claims.join(", "));
+    }
+    report.push('\n');
+    if let Some(verdict) = &s.verdict {
+        if verdict.required || v.get(verdict.at[0]).is_some() {
+            let flag = verdict.at.iter().try_fold(v, |v, key| v.get(key));
+            match flag.and_then(Value::as_bool) {
+                Some(true) => report += verdict.held,
+                Some(false) => return Err(verdict.failed.to_string()),
+                None => return Err(verdict.malformed.to_string()),
+            }
+        }
+    }
+    Ok(report)
 }
 
 /// Builds a generator graph from CLI parameters (shared by `generate` and

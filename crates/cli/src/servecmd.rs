@@ -313,42 +313,10 @@ fn cmd_pool(p: &ParsedArgs) -> Result<String, CmdError> {
 }
 
 fn render_stats(s: &ServeStats) -> String {
-    let mut out = format!(
-        "epoch:              {}\n\
-         sessions:           {}\n\
-         queries:            {}\n\
-         source queries:     {}\n\
-         batches:            {}\n\
-         batched sources:    {}\n\
-         coalescing factor:  {:.2}\n\
-         busy rejections:    {}\n\
-         stale rejections:   {}\n\
-         mutations:          {}\n\
-         queue depth:        {}\n\
-         failover attempts:  {}\n\
-         replayed mutations: {}\n\
-         sources reused:     {}\n\
-         sources rebuilt:    {}\n\
-         reuse ratio:        {:.2}\n\
-         full fallbacks:     {}\n",
-        s.epoch,
-        s.sessions,
-        s.queries,
-        s.source_queries,
-        s.batches,
-        s.batched_sources,
-        s.coalescing_factor(),
-        s.busy_rejections,
-        s.stale_rejections,
-        s.mutations,
-        s.queue_depth,
-        s.failover_attempts,
-        s.replay_mutations,
-        s.sources_reused,
-        s.sources_rebuilt,
-        s.reuse_ratio(),
-        s.fallback_full,
-    );
+    let mut out = String::new();
+    for (label, value) in s.rows() {
+        out += &format!("{:<20}{value}\n", format!("{label}:"));
+    }
     for (name, h) in &s.hists {
         out += &format!(
             "{name:<19} n={} p50={}us p99={}us p999={}us max={}us\n",
@@ -553,6 +521,58 @@ mod tests {
         let server = mrbc_serve::start(g, ServeConfig::default()).expect("daemon");
         let addr = server.local_addr().to_string();
         (server, addr)
+    }
+
+    /// The `query stats` listing, byte for byte as the hand-written
+    /// renderer printed it before the field table.
+    #[test]
+    fn stats_listing_is_pinned() {
+        let mut h = obs::Histogram::default();
+        h.record(120);
+        h.record(90_000);
+        let s = ServeStats {
+            epoch: 5,
+            queries: 10,
+            source_queries: 8,
+            batches: 2,
+            batched_sources: 6,
+            busy_rejections: 1,
+            stale_rejections: 3,
+            mutations: 4,
+            sessions: 9,
+            queue_depth: 7,
+            failover_attempts: 11,
+            replay_mutations: 12,
+            sources_reused: 120,
+            sources_rebuilt: 13,
+            fallback_full: 14,
+            hists: vec![
+                ("serve.exec_us".to_string(), obs::Histogram::default()),
+                ("serve.total_us".to_string(), h),
+            ],
+        };
+        let want = "\
+epoch:              5
+sessions:           9
+queries:            10
+source queries:     8
+batches:            2
+batched sources:    6
+coalescing factor:  4.00
+busy rejections:    1
+stale rejections:   3
+mutations:          4
+queue depth:        7
+failover attempts:  11
+replayed mutations: 12
+sources reused:     120
+sources rebuilt:    13
+reuse ratio:        0.90
+full fallbacks:     14
+serve.exec_us       n=0 p50=0us p99=0us p999=0us max=0us
+serve.total_us      n=2 p50=120us p99=81920us p999=81920us max=90000us
+";
+        assert_eq!(render_stats(&s), want);
     }
 
     #[test]

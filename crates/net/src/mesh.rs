@@ -22,14 +22,16 @@
 //!
 //! The mesh is single-threaded: sockets are non-blocking and a `pump`
 //! drains readable bytes, flushes pending writes, emits heartbeats, and
-//! redials broken connections. Workers call it from their step loop (via
-//! [`Mesh::allgather`]) and from their stall loop, so the transport
+//! redials broken connections. Whatever blocks on the mesh — connect,
+//! allgather, goodbye, a worker's step and stall loops — does so in
+//! [`Mesh::wait_until`], which pumps on every turn, so the transport
 //! makes progress even while the program is blocked on recovery.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::time::Duration;
 
 use mrbc_dgalois::reliability::{AckTracker, PairSeqs, Reassembly};
 use mrbc_util::backoff::Backoff;
@@ -37,13 +39,13 @@ use mrbc_util::backoff::Backoff;
 use crate::detector::{DetectorConfig, HeartbeatDetector, PeerStatus};
 use crate::frame::{Frame, FrameDecoder, FrameKind};
 
-/// Milliseconds since the process-wide transport clock epoch.
+/// Time since the process-wide transport clock epoch.
 ///
 /// The transport is the one subsystem that must consult real time (TCP
 /// peers fail in wall-clock time, not in round counts); everything is
 /// funneled through this helper so the rest of the crate stays
 /// clock-free and the detector stays a pure function of timestamps.
-pub fn now_ms() -> u64 {
+fn clock() -> Duration {
     use std::sync::OnceLock;
     use std::time::Instant;
     static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -52,8 +54,16 @@ pub fn now_ms() -> u64 {
     // lint: allow(wallclock): the transport owns real time (see above)
     let epoch = *EPOCH.get_or_init(Instant::now);
     // lint: allow(wallclock): same justification as above; single site.
-    Instant::now().duration_since(epoch).as_millis() as u64
+    Instant::now().duration_since(epoch)
 }
+
+/// Milliseconds since the transport clock epoch (see [`clock`]).
+pub fn now_ms() -> u64 {
+    clock().as_millis() as u64
+}
+
+/// How often a blocked mesh polls its sockets (see [`Mesh::wait_until`]).
+const POLL_PERIOD: Duration = Duration::from_millis(1);
 
 /// Transport failure surfaced to the worker loop.
 #[derive(Debug)]
@@ -224,6 +234,8 @@ pub struct Mesh {
     partition_until_ms: Vec<u64>,
     /// In-flight allgather, if any.
     exchange: Option<ExchangeState>,
+    /// When [`Mesh::wait_until`] polls next, or last did (transport clock).
+    next_poll: Duration,
     /// Transport counters.
     pub stats: MeshStats,
 }
@@ -264,6 +276,7 @@ impl Mesh {
             detector: HeartbeatDetector::new(n, cfg.detector, now),
             partition_until_ms: vec![0; n],
             exchange: None,
+            next_poll: Duration::ZERO,
             stats: MeshStats::default(),
         })
     }
@@ -284,26 +297,59 @@ impl Mesh {
         self.epoch
     }
 
+    /// Pumps the transport until `ready` yields a value: the one wait
+    /// loop, and the one idle sleep, every blocking operation on a mesh
+    /// goes through. `ready` sees the mesh right after each pump and the
+    /// milliseconds waited so far, so a caller's deadline is one more
+    /// reason to yield.
+    ///
+    /// Polls fall on a grid of [`POLL_PERIOD`] that outlives the call, so
+    /// that how long a run of blocked steps takes follows from the number
+    /// of polls and not from when each happened to be scheduled (a 2-rank,
+    /// 338-step solve on localhost: 200 to 260 ms from one minute to the
+    /// next with a plain 1 ms sleep, 171.5 ms with this).
+    pub fn wait_until<T>(&mut self, mut ready: impl FnMut(&mut Mesh, u64) -> Option<T>) -> T {
+        let started = now_ms();
+        let mut sleeps = 0u32;
+        loop {
+            self.pump();
+            if let Some(out) = ready(self, now_ms() - started) {
+                return out;
+            }
+            // Waking to nothing means this rank polled just ahead of its
+            // peers' sends, and whole periods would keep it just ahead of
+            // them, one wasted wake-up per step. Half a period, once,
+            // puts its polls between theirs.
+            let period = POLL_PERIOD / if sleeps == 1 { 2 } else { 1 };
+            sleeps += 1;
+            // Sleep up to the next grid point, not for a fixed gap: a
+            // wake-up that comes late (by 0.1 to 0.5 ms here, depending
+            // on what else the machine does) shortens the sleep after it.
+            // A mesh that has not blocked for a while starts a new grid.
+            let (now, tick) = (clock(), self.next_poll + period);
+            self.next_poll = if tick > now { tick } else { now + period };
+            std::thread::sleep(self.next_poll - now);
+        }
+    }
+
     /// Installs the full address list and pumps until every peer link is
     /// up, or `timeout_ms` elapses.
     pub fn connect(&mut self, addrs: &[SocketAddr], timeout_ms: u64) -> Result<(), MeshError> {
         assert_eq!(addrs.len(), self.num_ranks, "one address per rank");
         self.addrs = addrs.to_vec();
         self.addrs_known = true;
-        let deadline = now_ms() + timeout_ms;
-        loop {
-            self.pump();
-            let missing: Vec<usize> = (0..self.num_ranks)
-                .filter(|&p| p != self.rank && !self.conns[p].is_up())
+        self.wait_until(|m, waited_ms| {
+            let missing: Vec<usize> = (0..m.num_ranks)
+                .filter(|&p| p != m.rank && !m.conns[p].is_up())
                 .collect();
             if missing.is_empty() {
-                return Ok(());
+                Some(Ok(()))
+            } else if waited_ms >= timeout_ms {
+                Some(Err(MeshError::EstablishTimeout { missing }))
+            } else {
+                None
             }
-            if now_ms() >= deadline {
-                return Err(MeshError::EstablishTimeout { missing });
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
+        })
     }
 
     /// Updates peer addresses (recovery: a respawned worker listens on a
@@ -380,10 +426,11 @@ impl Mesh {
         self.pump();
     }
 
-    /// Polls the open exchange once (non-blocking): pumps the transport
-    /// and, if every peer's payload for `step` has arrived, returns all
-    /// ranks' payloads in rank order (own included). `Ok(None)` means
-    /// still waiting. Errors when the failure detector declares a
+    /// Checks the open exchange once, doing no I/O itself (the caller
+    /// pumps — normally by asking from inside [`Mesh::wait_until`]): if
+    /// every peer's payload for `step` has arrived, returns all ranks'
+    /// payloads in rank order (own included). `Ok(None)` means still
+    /// waiting. Errors when the failure detector declares a
     /// missing peer dead ([`MeshError::PeerDead`]) or `deadline_ms`
     /// (measured from [`Mesh::begin_exchange`]) expires
     /// ([`MeshError::DeadlineExpired`]); the exchange stays open so the
@@ -398,7 +445,6 @@ impl Mesh {
             Some(_) => return Err(MeshError::Protocol("exchange open for a different step")),
             None => return Err(MeshError::Protocol("no exchange in progress")),
         };
-        self.pump();
         let now = now_ms();
         let missing: Vec<usize> = (0..self.num_ranks)
             .filter(|&p| p != self.rank && self.inbox[p].front().map(|(s, _)| *s) != Some(step))
@@ -463,21 +509,16 @@ impl Mesh {
         deadline_ms: Option<u64>,
     ) -> Result<Vec<Vec<u8>>, MeshError> {
         self.begin_exchange(step, payload);
-        loop {
-            match self.try_complete_exchange(step, deadline_ms) {
-                Ok(Some(all)) => return Ok(all),
-                Ok(None) => std::thread::sleep(std::time::Duration::from_millis(1)),
-                Err(e) => {
-                    self.exchange = None;
-                    return Err(e);
-                }
-            }
+        let all = self.wait_until(|m, _| m.try_complete_exchange(step, deadline_ms).transpose());
+        if all.is_err() {
+            self.exchange = None;
         }
+        all
     }
 
-    /// Orderly shutdown: lingers (bounded) until every reachable peer
-    /// has acknowledged all of our Data frames and the outboxes are
-    /// drained, then announces `Bye` and flushes it out.
+    /// Orderly shutdown: lingers until every reachable peer has
+    /// acknowledged all of our Data frames and the outboxes are drained,
+    /// then announces `Bye` and flushes it out.
     ///
     /// The linger is load-bearing, not politeness. A rank that finishes
     /// first and simply drops its `Mesh` closes sockets that may still
@@ -487,22 +528,24 @@ impl Mesh {
     /// final step's payload that nothing will ever retransmit (the
     /// sender is gone). Waiting for the cumulative ack proves the peer's
     /// reassembly layer delivered everything we sent.
+    ///
+    /// What ends the linger, per peer: its cumulative ack of our last
+    /// Data frame, or its own `Bye` — either may be the last thing it
+    /// wrote before closing, and frames read ahead of a hang-up count
+    /// (see `read_all`). Between live peers that takes a round trip. The
+    /// two deadlines (2 s for the acks, 250 ms for the `Bye` flush) only
+    /// bound the wait for a peer that crashed or is unreachable.
     pub fn goodbye(&mut self) {
-        let deadline = now_ms() + 2_000;
-        loop {
-            self.pump();
+        self.wait_until(|m, waited_ms| {
             let now = now_ms();
-            let settled = (0..self.num_ranks).all(|p| {
-                p == self.rank
-                    || self.conns[p].closed
-                    || self.partitioned(p, now)
-                    || (self.acks[p].is_empty() && self.conns[p].outbox.is_empty())
+            let settled = (0..m.num_ranks).all(|p| {
+                p == m.rank
+                    || m.conns[p].closed
+                    || m.partitioned(p, now)
+                    || (m.acks[p].is_empty() && m.conns[p].outbox.is_empty())
             });
-            if settled || now >= deadline {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
+            (settled || waited_ms >= 2_000).then_some(())
+        });
         for peer in 0..self.num_ranks {
             if peer != self.rank && self.conns[peer].is_up() {
                 let bye = Frame::control(FrameKind::Bye, self.rank as u16, self.epoch);
@@ -511,17 +554,11 @@ impl Mesh {
         }
         // Push the Byes out; keep reading while we do so the socket is
         // drained at close (an empty receive queue avoids the RST path).
-        let deadline = now_ms() + 250;
-        loop {
-            self.pump();
-            let drained = (0..self.num_ranks).all(|p| {
-                p == self.rank || !self.conns[p].is_up() || self.conns[p].outbox.is_empty()
-            });
-            if drained || now_ms() >= deadline {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
+        self.wait_until(|m, waited_ms| {
+            let drained = (0..m.num_ranks)
+                .all(|p| p == m.rank || !m.conns[p].is_up() || m.conns[p].outbox.is_empty());
+            (drained || waited_ms >= 250).then_some(())
+        });
     }
 
     /// Appends an encoded frame to the peer's outbox (no-op while the
@@ -634,9 +671,8 @@ impl Mesh {
         let mut ready: Vec<(usize, TcpStream, FrameDecoder)> = Vec::new();
         let mut keep: Vec<(TcpStream, FrameDecoder, u64)> = Vec::new();
         for (mut stream, mut dec, t) in std::mem::take(&mut self.pending) {
-            match read_nonblocking(&mut stream, &mut dec) {
-                ReadOutcome::Closed => continue,
-                ReadOutcome::Progress | ReadOutcome::Idle => {}
+            if read_nonblocking(&mut stream, &mut dec) {
+                continue;
             }
             match dec.next_frame() {
                 Err(_) => continue, // corrupt greeting: drop the socket
@@ -681,17 +717,17 @@ impl Mesh {
                 continue;
             }
             let conn = &mut self.conns[peer];
-            let outcome = match &mut conn.state {
+            let hung_up = match &mut conn.state {
                 ConnState::Up(stream) | ConnState::Greeting(stream) => {
                     read_nonblocking(stream, &mut conn.decoder)
                 }
                 ConnState::Down => continue,
             };
-            if matches!(outcome, ReadOutcome::Closed) {
-                conn.drop_stream(now);
-                continue;
-            }
-            // Drain decoded frames.
+            // Frames first, the hang-up after: a peer's last `Ack` and
+            // its `Bye` arrive in the same read as its FIN, and nothing
+            // resends them. (A `Bye` or a protocol violation takes the
+            // link down itself; `drop_stream` empties the decoder, so
+            // nothing behind such a frame is handled.)
             loop {
                 let frame = match self.conns[peer].decoder.next_frame() {
                     Ok(Some(f)) => f,
@@ -703,6 +739,10 @@ impl Mesh {
                     }
                 };
                 self.handle_frame(peer, frame, now);
+            }
+            let conn = &mut self.conns[peer];
+            if hung_up && !matches!(conn.state, ConnState::Down) {
+                conn.drop_stream(now);
             }
         }
     }
@@ -848,32 +888,76 @@ impl Mesh {
     }
 }
 
-enum ReadOutcome {
-    Progress,
-    Idle,
-    Closed,
-}
-
-fn read_nonblocking(stream: &mut TcpStream, decoder: &mut FrameDecoder) -> ReadOutcome {
+/// Feeds `decoder` everything `stream` has ready; true when the peer
+/// hung up (EOF or a socket error), possibly after bytes that were fed.
+fn read_nonblocking(stream: &mut TcpStream, decoder: &mut FrameDecoder) -> bool {
     let mut buf = [0u8; 16 * 1024];
-    let mut progressed = false;
     loop {
         match stream.read(&mut buf) {
-            Ok(0) => return ReadOutcome::Closed,
-            Ok(n) => {
-                decoder.feed(&buf[..n]);
-                progressed = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                break;
-            }
+            Ok(0) => return true,
+            Ok(n) => decoder.feed(&buf[..n]),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return false,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return ReadOutcome::Closed,
+            Err(_) => return true,
         }
     }
-    if progressed {
-        ReadOutcome::Progress
-    } else {
-        ReadOutcome::Idle
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A peer's last `Ack` and its `Bye` reach the reader together with
+    /// its FIN. Both must count: the ack retires our Data frame, the
+    /// `Bye` marks the link closed, and `goodbye` has nothing left to
+    /// linger for.
+    #[test]
+    fn frames_read_ahead_of_a_hang_up_are_handled() {
+        let mut mesh = Mesh::bind(&MeshConfig::localhost(0, 2)).expect("bind");
+        // Rank 1, played by hand over a plain socket.
+        let mut peer = TcpStream::connect(mesh.local_addr()).expect("dial");
+        peer.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .expect("read timeout");
+        peer.write_all(&Frame::handshake(FrameKind::Hello, 1, 0).encode())
+            .expect("hello");
+        let up = mesh.wait_until(|m, waited_ms| {
+            (m.conns[1].is_up() || waited_ms >= 5_000).then(|| m.conns[1].is_up())
+        });
+        assert!(up, "link to the hand-played peer came up");
+        mesh.begin_exchange(0, b"payload".to_vec());
+
+        // Read up to our Data frame (an empty receive queue lets the
+        // close below end in FIN, not RST), then acknowledge it, say
+        // `Bye` and hang up in one go.
+        let mut dec = FrameDecoder::new();
+        let mut buf = [0u8; 4096];
+        let seq = loop {
+            match dec.next_frame().expect("well-formed stream") {
+                Some(f) if f.kind == FrameKind::Data => break f.seq,
+                Some(_) => {}
+                None => {
+                    let n = peer.read(&mut buf).expect("read");
+                    assert!(n > 0, "mesh hung up early");
+                    dec.feed(&buf[..n]);
+                }
+            }
+        };
+        let mut ack = Frame::control(FrameKind::Ack, 1, 0);
+        ack.seq = seq;
+        let mut last_words = ack.encode();
+        last_words.extend(Frame::control(FrameKind::Bye, 1, 0).encode());
+        peer.write_all(&last_words).expect("ack + bye");
+        drop(peer);
+
+        mesh.wait_until(|m, waited_ms| (!m.conns[1].is_up() || waited_ms >= 5_000).then_some(()));
+        assert!(mesh.acks[1].is_empty(), "the final ack was retired");
+        assert!(mesh.conns[1].closed, "the Bye was seen");
+        let t0 = now_ms();
+        mesh.goodbye();
+        let took = now_ms() - t0;
+        assert!(
+            took < 200,
+            "goodbye lingered {took} ms for a peer that left in order"
+        );
     }
 }

@@ -191,14 +191,16 @@ impl ControlPlane {
     }
 }
 
+/// Mesh (re-)establish timeout when handling `Resume`.
+const ESTABLISH_TIMEOUT_MS: u64 = 10_000;
+
 /// Worker runtime knobs.
+#[derive(Default)]
 pub struct WorkerConfig {
     /// Durable checkpoint store (`None` → no durability, no recovery).
     pub store: Option<CheckpointStore>,
     /// Per-step wall-clock budget; expiry degrades to a partial result.
     pub deadline_ms: Option<u64>,
-    /// Mesh (re-)establish timeout when handling `Resume`.
-    pub establish_timeout_ms: u64,
     /// Partition faults to enforce, as `(step, peer, window_ms)`:
     /// entering `step` severs the link to `peer` for `window_ms`.
     pub partitions: Vec<(u64, usize, u64)>,
@@ -207,22 +209,8 @@ pub struct WorkerConfig {
     pub trace: (u64, u64),
 }
 
-impl Default for WorkerConfig {
-    fn default() -> Self {
-        WorkerConfig {
-            store: None,
-            deadline_ms: None,
-            establish_timeout_ms: 10_000,
-            partitions: Vec::new(),
-            trace: (0, 0),
-        }
-    }
-}
-
-/// Outcome of handling one control message.
-enum Handled {
-    /// Nothing structural; keep going.
-    Continue,
+/// A control message that redirects the step loop.
+enum Flow {
     /// A `Resume` was applied; restart the step loop at this step.
     ResumedAt(u64),
     /// `Quit` received.
@@ -256,8 +244,8 @@ pub fn await_resume<P: SpmdProgram>(
     control: &mut ControlPlane,
 ) -> Result<u64, WorkerError> {
     match await_recovery(prog, mesh, cfg, control)? {
-        Handled::ResumedAt(s) => Ok(s),
-        _ => Err(WorkerError::Control("quit before first resume")),
+        Flow::ResumedAt(s) => Ok(s),
+        Flow::Quit => Err(WorkerError::Control("quit before first resume")),
     }
 }
 
@@ -270,20 +258,37 @@ pub fn run_worker_from<P: SpmdProgram>(
     control: &mut ControlPlane,
     start_step: u64,
 ) -> Result<WorkerOutcome, WorkerError> {
+    // Completed, degraded or told to quit, the worker leaves in order;
+    // an error leaves the mesh as it is.
+    let outcome = step_loop(prog, mesh, cfg, control, start_step)?;
+    mesh.goodbye();
+    outcome.ok_or(WorkerError::Control("quit requested"))
+}
+
+/// The step loop proper: `Ok(None)` when the launcher said `Quit`.
+fn step_loop<P: SpmdProgram>(
+    prog: &mut P,
+    mesh: &mut Mesh,
+    cfg: &mut WorkerConfig,
+    control: &mut ControlPlane,
+    start_step: u64,
+) -> Result<Option<WorkerOutcome>, WorkerError> {
+    /// What ended one wait on an open exchange.
+    enum Waited {
+        Control(Flow),
+        Exchange(Result<Vec<Vec<u8>>, MeshError>),
+    }
     let rank = mesh.rank();
     let mut step: u64 = start_step;
     let mut executed: u64 = 0;
     loop {
         match drain_control(prog, mesh, cfg, control)? {
-            Handled::Continue => {}
-            Handled::ResumedAt(s) => {
+            None => {}
+            Some(Flow::ResumedAt(s)) => {
                 step = s;
                 continue;
             }
-            Handled::Quit => {
-                mesh.goodbye();
-                return Err(WorkerError::Control("quit requested"));
-            }
+            Some(Flow::Quit) => return Ok(None),
         }
         if prog.done() {
             break;
@@ -304,106 +309,95 @@ pub fn run_worker_from<P: SpmdProgram>(
             .arg("span", mrbc_obs::fresh_id())
             .arg("parent", cfg.trace.1);
         mesh.begin_exchange(step, payload);
-        let all = loop {
-            match drain_control(prog, mesh, cfg, control)? {
-                Handled::Continue => {}
-                Handled::ResumedAt(s) => {
-                    step = s;
-                    break None;
-                }
-                Handled::Quit => {
-                    mesh.goodbye();
-                    return Err(WorkerError::Control("quit requested"));
-                }
-            }
-            match mesh.try_complete_exchange(step, cfg.deadline_ms) {
-                Ok(Some(all)) => break Some(all),
-                Ok(None) => std::thread::sleep(std::time::Duration::from_millis(1)),
-                Err(MeshError::DeadlineExpired { missing, .. }) => {
-                    drop(span);
-                    mesh.goodbye();
-                    return Ok(WorkerOutcome::Degraded {
-                        completed_step: step,
-                        fingerprint: prog.fingerprint(),
-                        missing,
-                    });
-                }
-                Err(e @ MeshError::PeerDead { .. }) => {
-                    if !control.attached() {
-                        return Err(e.into());
-                    }
-                    (control.notify)(&WorkerEvent::Stalled(step));
-                    mrbc_obs::counter_add("net.worker.stalls", 1);
-                    // Park until the launcher drives recovery.
-                    match await_recovery(prog, mesh, cfg, control)? {
-                        Handled::ResumedAt(s) => {
-                            step = s;
-                            break None;
-                        }
-                        Handled::Quit => {
-                            mesh.goodbye();
-                            return Err(WorkerError::Control("quit requested"));
-                        }
-                        Handled::Continue => {
-                            return Err(WorkerError::Control("recovery ended without resume"))
-                        }
-                    }
-                }
-                Err(e) => return Err(e.into()),
-            }
-        };
-        let Some(all) = all else {
-            continue; // resumed mid-exchange; step already rewound
-        };
+        let waited = mesh.wait_until(|m, _| match drain_control(prog, m, cfg, control) {
+            Ok(None) => m
+                .try_complete_exchange(step, cfg.deadline_ms)
+                .transpose()
+                .map(|all| Ok(Waited::Exchange(all))),
+            Ok(Some(flow)) => Some(Ok(Waited::Control(flow))),
+            Err(e) => Some(Err(e)),
+        })?;
         drop(span);
+        let all = match waited {
+            Waited::Exchange(Ok(all)) => all,
+            Waited::Control(Flow::Quit) => return Ok(None),
+            // Resumed mid-exchange: the step is rewound.
+            Waited::Control(Flow::ResumedAt(s)) => {
+                step = s;
+                continue;
+            }
+            Waited::Exchange(Err(MeshError::DeadlineExpired { missing, .. })) => {
+                return Ok(Some(WorkerOutcome::Degraded {
+                    completed_step: step,
+                    fingerprint: prog.fingerprint(),
+                    missing,
+                }));
+            }
+            Waited::Exchange(Err(e @ MeshError::PeerDead { .. })) => {
+                if !control.attached() {
+                    return Err(e.into());
+                }
+                (control.notify)(&WorkerEvent::Stalled(step));
+                mrbc_obs::counter_add("net.worker.stalls", 1);
+                // Park until the launcher drives recovery.
+                match await_recovery(prog, mesh, cfg, control)? {
+                    Flow::ResumedAt(s) => step = s,
+                    Flow::Quit => return Ok(None),
+                }
+                continue;
+            }
+            Waited::Exchange(Err(e)) => return Err(e.into()),
+        };
         prog.fold(step, &all)?;
         (control.notify)(&WorkerEvent::Step(step));
         mrbc_obs::counter_add("net.worker.steps", 1);
         executed += 1;
         step += 1;
     }
-    // Final checkpoint at the terminal boundary, then an orderly goodbye.
+    // Final checkpoint at the terminal boundary.
     if let Some(store) = &mut cfg.store {
         store.save(step, &prog.snapshot())?;
     }
-    mesh.goodbye();
-    Ok(WorkerOutcome::Completed {
+    Ok(Some(WorkerOutcome::Completed {
         steps: executed,
         fingerprint: prog.fingerprint(),
-    })
+    }))
 }
 
-/// Handles every queued control message; a `Resume` wins over anything
-/// queued before it.
+/// The reply to a `Recover` probe: the newest checkpoint that validates.
+fn report_latest(cfg: &WorkerConfig, control: &mut ControlPlane) {
+    let latest = cfg
+        .store
+        .as_ref()
+        .and_then(|s| s.latest_valid_step().ok().flatten());
+    (control.notify)(&WorkerEvent::CkptLatest(latest));
+}
+
+/// Handles every queued control message (`None`: nothing that
+/// redirects the step loop); a `Resume` wins over anything queued
+/// before it.
 fn drain_control<P: SpmdProgram>(
     prog: &mut P,
     mesh: &mut Mesh,
     cfg: &mut WorkerConfig,
     control: &mut ControlPlane,
-) -> Result<Handled, WorkerError> {
-    let mut outcome = Handled::Continue;
+) -> Result<Option<Flow>, WorkerError> {
+    let mut outcome = None;
     while let Some(msg) = control.poll()? {
         match msg {
-            ControlMsg::Quit => return Ok(Handled::Quit),
+            ControlMsg::Quit => return Ok(Some(Flow::Quit)),
             ControlMsg::Recover => {
-                let latest = cfg
-                    .store
-                    .as_ref()
-                    .and_then(|s| s.latest_valid_step().ok().flatten());
-                (control.notify)(&WorkerEvent::CkptLatest(latest));
+                report_latest(cfg, control);
                 // The resume typically follows immediately; park for it so
                 // the step loop cannot race ahead on stale state.
                 match await_recovery(prog, mesh, cfg, control)? {
-                    Handled::ResumedAt(s) => outcome = Handled::ResumedAt(s),
-                    Handled::Quit => return Ok(Handled::Quit),
-                    Handled::Continue => {
-                        return Err(WorkerError::Control("recovery ended without resume"))
-                    }
+                    Flow::Quit => return Ok(Some(Flow::Quit)),
+                    resumed => outcome = Some(resumed),
                 }
             }
             ControlMsg::Resume { step, epoch, addrs } => {
                 apply_resume(prog, mesh, cfg, step, epoch, &addrs)?;
-                outcome = Handled::ResumedAt(step);
+                outcome = Some(Flow::ResumedAt(step));
             }
             ControlMsg::Trace { trace, parent } => cfg.trace = (trace, parent),
         }
@@ -419,31 +413,23 @@ fn await_recovery<P: SpmdProgram>(
     mesh: &mut Mesh,
     cfg: &mut WorkerConfig,
     control: &mut ControlPlane,
-) -> Result<Handled, WorkerError> {
+) -> Result<Flow, WorkerError> {
     if !control.attached() {
         return Err(WorkerError::Control("cannot recover without a launcher"));
     }
-    loop {
-        match control.poll()? {
-            Some(ControlMsg::Resume { step, epoch, addrs }) => {
-                apply_resume(prog, mesh, cfg, step, epoch, &addrs)?;
-                return Ok(Handled::ResumedAt(step));
+    mesh.wait_until(|m, _| loop {
+        match control.poll() {
+            Ok(Some(ControlMsg::Resume { step, epoch, addrs })) => {
+                let applied = apply_resume(prog, m, cfg, step, epoch, &addrs);
+                return Some(applied.map(|()| Flow::ResumedAt(step)));
             }
-            Some(ControlMsg::Quit) => return Ok(Handled::Quit),
-            Some(ControlMsg::Recover) => {
-                let latest = cfg
-                    .store
-                    .as_ref()
-                    .and_then(|s| s.latest_valid_step().ok().flatten());
-                (control.notify)(&WorkerEvent::CkptLatest(latest));
-            }
-            Some(ControlMsg::Trace { trace, parent }) => cfg.trace = (trace, parent),
-            None => {
-                mesh.pump();
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
+            Ok(Some(ControlMsg::Quit)) => return Some(Ok(Flow::Quit)),
+            Ok(Some(ControlMsg::Recover)) => report_latest(cfg, control),
+            Ok(Some(ControlMsg::Trace { trace, parent })) => cfg.trace = (trace, parent),
+            Ok(None) => return None,
+            Err(e) => return Some(Err(e)),
         }
-    }
+    })
 }
 
 /// Restores the program at the `step` boundary (when a checkpoint is
@@ -483,7 +469,7 @@ fn apply_resume<P: SpmdProgram>(
         return Err(WorkerError::Control("resume step has no local checkpoint"));
     }
     mesh.restart_epoch(epoch, addrs);
-    mesh.connect(addrs, cfg.establish_timeout_ms)?;
+    mesh.connect(addrs, ESTABLISH_TIMEOUT_MS)?;
     Ok(())
 }
 

@@ -32,7 +32,7 @@ const READ_TIMEOUT: Duration = Duration::from_secs(30);
 /// dead, frozen (SIGSTOPped), or partitioned daemon surfaces as a
 /// [`ClientError::Io`] timeout instead of a hang. The retry fields are
 /// consumed by [`RetryClient`] and feed [`mrbc_util::backoff::Backoff`]
-/// directly — pacing stays deterministic for a fixed seed.
+/// directly; its jitter stream has a fixed seed, so pacing repeats.
 #[derive(Clone, Debug)]
 pub struct ClientConfig {
     /// Deadline for establishing the TCP connection.
@@ -47,11 +47,12 @@ pub struct ClientConfig {
     pub backoff_base_ms: u64,
     /// Backoff cap, milliseconds.
     pub backoff_max_ms: u64,
-    /// Backoff jitter width in 1/256ths (see [`Backoff`]).
-    pub backoff_jitter_256ths: u64,
-    /// Seed for the deterministic jitter stream.
-    pub backoff_seed: u64,
 }
+
+/// Backoff jitter width in 1/256ths (see [`Backoff`]).
+const BACKOFF_JITTER_256THS: u64 = 64;
+/// Seed of the deterministic jitter stream: "mrbc".
+const BACKOFF_SEED: u64 = 0x6d72_6263;
 
 impl Default for ClientConfig {
     fn default() -> Self {
@@ -62,8 +63,6 @@ impl Default for ClientConfig {
             max_retries: 5,
             backoff_base_ms: 20,
             backoff_max_ms: 1000,
-            backoff_jitter_256ths: 64,
-            backoff_seed: 0x6d72_6263, // "mrbc"
         }
     }
 }
@@ -379,8 +378,8 @@ impl RetryClient {
         let backoff = Backoff::new(
             cfg.backoff_base_ms,
             cfg.backoff_max_ms,
-            cfg.backoff_jitter_256ths,
-            cfg.backoff_seed,
+            BACKOFF_JITTER_256THS,
+            BACKOFF_SEED,
         );
         RetryClient {
             addrs,
@@ -448,15 +447,10 @@ impl RetryClient {
             attempts_left -= 1;
             self.retries += 1;
             // Pace by whichever is longer: the server's hint or the local
-            // backoff schedule (deterministic for a fixed seed).
+            // backoff schedule (deterministic: the jitter seed is fixed).
             let delay = hint_ms.max(self.backoff.next_delay());
             std::thread::sleep(Duration::from_millis(delay));
         }
-    }
-
-    /// Resets the backoff schedule (e.g. after a run of successes).
-    pub fn reset_backoff(&mut self) {
-        self.backoff.reset();
     }
 }
 
@@ -578,7 +572,6 @@ mod tests {
         let cfg = ClientConfig {
             backoff_base_ms: 1,
             backoff_max_ms: 2,
-            backoff_jitter_256ths: 0,
             ..ClientConfig::default()
         };
         let mut client = RetryClient::new(vec![addr], cfg);
@@ -603,7 +596,6 @@ mod tests {
             max_retries: 2,
             backoff_base_ms: 1,
             backoff_max_ms: 2,
-            backoff_jitter_256ths: 0,
             connect_timeout: Duration::from_millis(200),
             ..ClientConfig::default()
         };

@@ -34,6 +34,7 @@ pub mod proto;
 pub mod sched;
 pub mod server;
 pub mod store;
+pub mod table;
 
 pub use client::{ClientConfig, ClientError, RetryClient, ServeClient, Welcome};
 pub use durable::{DurableLog, DurableRecovery};

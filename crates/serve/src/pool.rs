@@ -62,7 +62,7 @@ use mrbc_util::wal::{WalConfig, WalError};
 use crate::conn::{Conn, Flow, FrameTx, Front, Handler, Reply};
 use crate::durable::DurableLog;
 use crate::proto::{
-    decode_response, encode_request, MutateOp, Request, Response, ServeStats, TraceCtx,
+    decode_response, encode_request, Across, MutateOp, Request, Response, ServeStats, TraceCtx,
 };
 use crate::sched::SchedConfig;
 use crate::server::{start, ServeConfig, Server};
@@ -139,55 +139,46 @@ impl Default for PoolConfig {
     }
 }
 
-/// Pool-level counters (distinct from per-worker [`ServeStats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Client sessions accepted by the front-end.
-    pub sessions: u64,
-    /// Queries routed to workers (excludes Hello/Stats/Shutdown).
-    pub routed: u64,
-    /// `Retry` responses emitted (deadline or no live worker).
-    pub retries_emitted: u64,
-    /// `Partial` responses emitted (lost shard during `SubsetBc`).
-    pub partials_emitted: u64,
-    /// Requests re-routed to a sibling after a worker died mid-flight.
-    pub failovers: u64,
-    /// Workers respawned by the supervisor.
-    pub respawns: u64,
-    /// Mutations replayed into respawned workers during recovery.
-    pub replayed_mutations: u64,
-    /// `churn:` storm mutations driven so far (acknowledged or refused
-    /// by validation — either way the storm step completed).
-    pub churn_driven: u64,
-    /// Total storm size from the `churn:` clause (0 = no churn).
-    pub churn_total: u64,
+crate::table::stat_table! {
+    /// Pool-level counters (distinct from per-worker [`ServeStats`]).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct PoolStats {}
+
+    #[derive(Default)]
+    struct PoolCounters {}
+
+    fields {
+        /// Client sessions accepted by the front-end.
+        sessions,
+        /// Queries routed to workers (excludes Hello/Stats/Shutdown).
+        routed,
+        /// `Retry` responses emitted (deadline or no live worker).
+        retries_emitted,
+        /// `Partial` responses emitted (lost shard during `SubsetBc`).
+        partials_emitted,
+        /// Requests re-routed to a sibling after a worker died mid-flight.
+        failovers,
+        /// Workers respawned by the supervisor.
+        respawns,
+        /// Mutations replayed into respawned workers during recovery.
+        replayed_mutations,
+        /// `churn:` storm mutations driven so far (acknowledged or refused
+        /// by validation — either way the storm step completed).
+        churn_driven,
+        /// Total storm size from the `churn:` clause (0 = no churn).
+        churn_total,
+    }
 }
 
-#[derive(Default)]
-struct PoolCounters {
-    sessions: AtomicU64,
-    routed: AtomicU64,
-    retries_emitted: AtomicU64,
-    partials_emitted: AtomicU64,
-    failovers: AtomicU64,
-    respawns: AtomicU64,
-    replayed_mutations: AtomicU64,
-    churn_driven: AtomicU64,
-    churn_total: AtomicU64,
-}
-
-impl PoolCounters {
-    fn snapshot(&self) -> PoolStats {
-        PoolStats {
-            sessions: self.sessions.load(Ordering::Relaxed),
-            routed: self.routed.load(Ordering::Relaxed),
-            retries_emitted: self.retries_emitted.load(Ordering::Relaxed),
-            partials_emitted: self.partials_emitted.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            respawns: self.respawns.load(Ordering::Relaxed),
-            replayed_mutations: self.replayed_mutations.load(Ordering::Relaxed),
-            churn_driven: self.churn_driven.load(Ordering::Relaxed),
-            churn_total: self.churn_total.load(Ordering::Relaxed),
+impl PoolStats {
+    /// The front-end's own share of a `Stats` answer: the fields no
+    /// worker can know.
+    fn as_serve(&self) -> ServeStats {
+        ServeStats {
+            sessions: self.sessions,
+            failover_attempts: self.failovers,
+            replay_mutations: self.replayed_mutations,
+            ..ServeStats::default()
         }
     }
 }
@@ -513,7 +504,7 @@ impl Pool {
 
     /// Pool-level counters snapshot.
     pub fn pool_stats(&self) -> PoolStats {
-        self.shared.counters.snapshot()
+        self.shared.counters.load()
     }
 
     /// Down-detected → ready-again durations, in milliseconds, one per
@@ -1142,66 +1133,27 @@ fn call_worker(
     None
 }
 
-/// Aggregated pool stats: per-worker counters summed and their phase
-/// histograms merged by name (log-bucketed histograms add bucket-wise),
-/// plus the pool's own tier — session count and the failover/replay
-/// counters only the front-end can know.
+/// Aggregated pool stats: the front-end's own counters, every worker's
+/// snapshot and the persisted pre-restart base (so `query stats` is
+/// cumulative across front-end generations), folded field by field as
+/// [`ServeStats`] declares.
 fn aggregate_stats(shared: &PoolShared) -> Response {
-    let mut total = ServeStats::default();
+    let mut total = shared.counters.load().as_serve();
     let mut answered = false;
     for rank in 0..shared.workers {
         let Some(conn) = shared.conn_of(rank) else {
             continue;
         };
         if let Some(Response::Stats(s)) = call_conn(shared, &conn, &Request::Stats, 2_000) {
-            total.epoch = total.epoch.max(s.epoch);
-            total.queries += s.queries;
-            total.source_queries += s.source_queries;
-            total.batches += s.batches;
-            total.batched_sources += s.batched_sources;
-            total.busy_rejections += s.busy_rejections;
-            total.stale_rejections += s.stale_rejections;
-            total.mutations = total.mutations.max(s.mutations);
-            // Maintenance work is deterministic and replicated: every
-            // worker rebuilds the same sources for the same mutation
-            // stream, so (like `mutations`) one worker's counters
-            // represent the pool — summing would multiply by fan-out.
-            total.sources_reused = total.sources_reused.max(s.sources_reused);
-            total.sources_rebuilt = total.sources_rebuilt.max(s.sources_rebuilt);
-            total.fallback_full = total.fallback_full.max(s.fallback_full);
-            total.queue_depth += s.queue_depth;
-            total.merge_hists(&s);
+            total.fold(&s, Across::Workers);
             answered = true;
         }
     }
     if !answered {
         return shared.retry();
     }
-    let c = &shared.counters;
-    total.sessions = c.sessions.load(Ordering::Relaxed);
-    total.failover_attempts = c.failovers.load(Ordering::Relaxed);
-    total.replay_mutations = c.replayed_mutations.load(Ordering::Relaxed);
-    // Fold in the persisted pre-restart base so `query stats` reports
-    // cumulative counters across front-end generations, not just since
-    // the last respawn. Monotonic-gauge fields (epoch, mutations) take
-    // max; flow counters add; queue_depth is instantaneous so the base
-    // contributes nothing.
     if let Ok(base) = shared.stats_base.lock() {
-        total.epoch = total.epoch.max(base.epoch);
-        total.queries += base.queries;
-        total.source_queries += base.source_queries;
-        total.batches += base.batches;
-        total.batched_sources += base.batched_sources;
-        total.busy_rejections += base.busy_rejections;
-        total.stale_rejections += base.stale_rejections;
-        total.mutations = total.mutations.max(base.mutations);
-        total.sources_reused = total.sources_reused.max(base.sources_reused);
-        total.sources_rebuilt = total.sources_rebuilt.max(base.sources_rebuilt);
-        total.fallback_full = total.fallback_full.max(base.fallback_full);
-        total.sessions += base.sessions;
-        total.failover_attempts += base.failover_attempts;
-        total.replay_mutations += base.replay_mutations;
-        total.merge_hists(&base);
+        total.fold(&base, Across::Restarts);
     }
     Response::Stats(total)
 }

@@ -186,53 +186,105 @@ impl Request {
     }
 }
 
-/// Scheduler and store counters reported by [`Response::Stats`].
-///
-/// A single daemon fills the scheduler fields and its per-phase latency
-/// histograms; the pool front-end sums worker snapshots (histograms
-/// merge by bucket addition) and adds the supervision counters
-/// (`failover_attempts` / `replay_mutations`), which are always 0 in a
-/// worker's own snapshot.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ServeStats {
-    /// Current graph epoch.
-    pub epoch: u64,
-    /// Queue-admitted query requests (excludes Hello/Stats/Shutdown).
-    pub queries: u64,
-    /// Source-scoped queries executed (PathInfo + SubsetBc).
-    pub source_queries: u64,
-    /// Worker dispatches that contained ≥ 1 source-scoped query.
-    pub batches: u64,
-    /// Distinct sources computed across all batches.
-    pub batched_sources: u64,
-    /// Requests refused with `Busy` (queue at capacity).
-    pub busy_rejections: u64,
-    /// Requests refused with `Stale` (epoch pin mismatch).
-    pub stale_rejections: u64,
-    /// Mutations that changed the graph (epoch bumps).
-    pub mutations: u64,
-    /// Client sessions accepted since startup.
-    pub sessions: u64,
-    /// Jobs waiting in the scheduler queue at snapshot time (summed
-    /// across workers by the pool).
-    pub queue_depth: u64,
-    /// In-flight requests re-dispatched to another worker after a
-    /// connection died.
-    pub failover_attempts: u64,
-    /// Mutations replayed into respawned workers to rebuild their
-    /// graph state (total ops across all respawns).
-    pub replay_mutations: u64,
-    /// Per-source artifacts the incremental maintenance engine reused
-    /// across epoch bumps (summed over applied mutations).
-    pub sources_reused: u64,
-    /// Per-source artifacts the maintenance engine rebuilt.
-    pub sources_rebuilt: u64,
-    /// Mutations that tripped the engine's full-rebuild fallback
-    /// (affected fraction over threshold).
-    pub fallback_full: u64,
-    /// Per-phase latency histograms (`serve.queue_us`, `serve.exec_us`,
-    /// `serve.total_us`), mergeable across workers; sorted by name.
-    pub hists: Vec<(String, Histogram)>,
+/// How one [`ServeStats`] field combines when two snapshots fold.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fold {
+    /// Replicated or monotonic: every holder reports the same stream,
+    /// so the largest reading stands for all of them.
+    Max,
+    /// Each holder counted its own share.
+    Sum,
+    /// The folded-in snapshot has nothing to say about this field.
+    Keep,
+}
+
+/// Which snapshots [`ServeStats::fold`] is combining.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Across {
+    /// A worker's snapshot into the pool front-end's.
+    Workers = 0,
+    /// The totals an earlier front-end generation persisted, into this
+    /// generation's.
+    Restarts = 1,
+}
+
+/// What a [`ServeStats`] field's declaration says beyond name and doc:
+/// its label in `mrbc query <addr> stats`, its line in that listing (the
+/// derived rows of [`ServeStats::rows`] take the numbers left free), and
+/// how it folds across `[workers, restarts]` (indexed by [`Across`]).
+pub type StatRule = (&'static str, u8, [Fold; 2]);
+
+use Fold::{Keep, Max, Sum};
+
+crate::table::stat_table! {
+    /// Scheduler and store counters reported by [`Response::Stats`].
+    ///
+    /// This is the one declaration of the schema: the wire codec, the
+    /// scheduler's atomics ([`Counters`]), [`ServeStats::fold`], the
+    /// `query stats` listing and README's `Stats` rows all come from the
+    /// field list below, in this (wire) order. A single daemon fills the
+    /// scheduler fields and its per-phase latency histograms; the pool
+    /// front-end folds worker snapshots into its own — per-source
+    /// contributions compose independently, which is what lets a fixed
+    /// rule per field stand for the whole pool.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct ServeStats {
+        /// Per-phase latency histograms (`serve.queue_us`, `serve.exec_us`,
+        /// `serve.total_us`), mergeable across workers; sorted by name.
+        pub hists: Vec<(String, Histogram)>,
+    }
+
+    /// Monotonic serving counters, readable from any thread: one cell
+    /// per [`ServeStats`] field. `epoch` and `queue_depth` are read off
+    /// the store and the queue at snapshot time, and the front-end's own
+    /// fields stay 0 in a worker; those cells are never written.
+    #[derive(Debug, Default)]
+    pub struct Counters {
+        /// Per-phase latency histograms. Always on — the log-bucketed
+        /// record path is a handful of integer ops under a short lock, so
+        /// quantiles are available from `Stats` even without `--trace`.
+        pub phases: std::sync::Mutex<crate::sched::PhaseHists>,
+    }
+
+    fields: StatRule {
+        /// Current graph epoch.
+        epoch = ("epoch", 0, [Max, Max]),
+        /// Queue-admitted query requests (excludes Hello/Stats/Shutdown).
+        queries = ("queries", 2, [Sum, Sum]),
+        /// Source-scoped queries executed (PathInfo + SubsetBc).
+        source_queries = ("source queries", 3, [Sum, Sum]),
+        /// Worker dispatches that contained ≥ 1 source-scoped query.
+        batches = ("batches", 4, [Sum, Sum]),
+        /// Distinct sources computed across all batches.
+        batched_sources = ("batched sources", 5, [Sum, Sum]),
+        /// Requests refused with `Busy` (queue at capacity).
+        busy_rejections = ("busy rejections", 7, [Sum, Sum]),
+        /// Requests refused with `Stale` (epoch pin mismatch).
+        stale_rejections = ("stale rejections", 8, [Sum, Sum]),
+        /// Mutations that changed the graph (epoch bumps); every worker
+        /// applies the same stream.
+        mutations = ("mutations", 9, [Max, Max]),
+        /// Client sessions accepted since startup (a pool reports its
+        /// front-end's).
+        sessions = ("sessions", 1, [Keep, Sum]),
+        /// Jobs waiting in the scheduler queue at snapshot time.
+        queue_depth = ("queue depth", 10, [Sum, Keep]),
+        /// In-flight requests the pool front-end re-dispatched to another
+        /// worker after a connection died.
+        failover_attempts = ("failover attempts", 11, [Keep, Sum]),
+        /// Mutations the pool front-end replayed into respawned workers to
+        /// rebuild their graph state (total ops across all respawns).
+        replay_mutations = ("replayed mutations", 12, [Keep, Sum]),
+        /// Per-source artifacts the incremental maintenance engine reused
+        /// across epoch bumps (summed over applied mutations; maintenance
+        /// is deterministic, so every worker of a pool counts the same).
+        sources_reused = ("sources reused", 13, [Max, Max]),
+        /// Per-source artifacts the maintenance engine rebuilt.
+        sources_rebuilt = ("sources rebuilt", 14, [Max, Max]),
+        /// Mutations that tripped the engine's full-rebuild fallback
+        /// (affected fraction over threshold).
+        fallback_full = ("full fallbacks", 16, [Max, Max]),
+    }
 }
 
 impl ServeStats {
@@ -276,6 +328,35 @@ impl ServeStats {
         }
         self.hists.sort_by(|a, b| a.0.cmp(&b.0));
     }
+
+    /// Folds `other` into this snapshot, each field by its declared rule
+    /// for `across`; histograms merge by name either way.
+    pub fn fold(&mut self, other: &ServeStats, across: Across) {
+        for f in Self::FIELDS {
+            let theirs = (f.get)(other);
+            let mine = (f.slot)(self);
+            match f.rule.2[across as usize] {
+                Fold::Max => *mine = (*mine).max(theirs),
+                Fold::Sum => *mine += theirs,
+                Fold::Keep => {}
+            }
+        }
+        self.merge_hists(other);
+    }
+
+    /// The `query stats` listing as `(label, value)` lines: every field
+    /// on its declared row, the two derived ratios on theirs.
+    pub fn rows(&self) -> Vec<(&'static str, String)> {
+        let mut rows: Vec<(u8, &'static str, String)> = Self::FIELDS
+            .iter()
+            .map(|f| (f.rule.1, f.rule.0, (f.get)(self).to_string()))
+            .collect();
+        let ratio = |x: f64| format!("{x:.2}");
+        rows.push((6, "coalescing factor", ratio(self.coalescing_factor())));
+        rows.push((15, "reuse ratio", ratio(self.reuse_ratio())));
+        rows.sort_by_key(|r| r.0);
+        rows.into_iter().map(|(_, label, v)| (label, v)).collect()
+    }
 }
 
 /// Encodes a [`ServeStats`] snapshot (the body of [`Response::Stats`];
@@ -283,21 +364,9 @@ impl ServeStats {
 /// counters survive a front-end restart — a layout change here needs a
 /// `SNAPSHOT_VERSION` bump in `durable.rs`).
 pub fn encode_stats(w: &mut WireWriter, s: &ServeStats) {
-    w.u64(s.epoch);
-    w.u64(s.queries);
-    w.u64(s.source_queries);
-    w.u64(s.batches);
-    w.u64(s.batched_sources);
-    w.u64(s.busy_rejections);
-    w.u64(s.stale_rejections);
-    w.u64(s.mutations);
-    w.u64(s.sessions);
-    w.u64(s.queue_depth);
-    w.u64(s.failover_attempts);
-    w.u64(s.replay_mutations);
-    w.u64(s.sources_reused);
-    w.u64(s.sources_rebuilt);
-    w.u64(s.fallback_full);
+    for f in ServeStats::FIELDS {
+        w.u64((f.get)(s));
+    }
     w.u32(s.hists.len() as u32);
     for (name, h) in &s.hists {
         w.bytes(name.as_bytes());
@@ -316,24 +385,10 @@ pub fn encode_stats(w: &mut WireWriter, s: &ServeStats) {
 
 /// Decodes a [`ServeStats`] snapshot written by [`encode_stats`].
 pub fn decode_stats(r: &mut WireReader<'_>) -> Result<ServeStats, WireError> {
-    let mut s = ServeStats {
-        epoch: r.u64()?,
-        queries: r.u64()?,
-        source_queries: r.u64()?,
-        batches: r.u64()?,
-        batched_sources: r.u64()?,
-        busy_rejections: r.u64()?,
-        stale_rejections: r.u64()?,
-        mutations: r.u64()?,
-        sessions: r.u64()?,
-        queue_depth: r.u64()?,
-        failover_attempts: r.u64()?,
-        replay_mutations: r.u64()?,
-        sources_reused: r.u64()?,
-        sources_rebuilt: r.u64()?,
-        fallback_full: r.u64()?,
-        hists: Vec::new(),
-    };
+    let mut s = ServeStats::default();
+    for f in ServeStats::FIELDS {
+        *(f.slot)(&mut s) = r.u64()?;
+    }
     let nhists = r.u32()? as usize;
     if nhists > r.remaining() {
         return Err(WireError::Invalid("histogram count exceeds body"));
@@ -816,6 +871,198 @@ pub fn decode_response(body: &[u8]) -> Result<(u64, Response), WireError> {
 mod tests {
     use super::*;
 
+    /// A snapshot with every field set, each to a value of its own.
+    fn full_stats() -> ServeStats {
+        let mut h = Histogram::default();
+        h.record(120);
+        h.record(90_000);
+        ServeStats {
+            epoch: 5,
+            queries: 10,
+            source_queries: 8,
+            batches: 2,
+            batched_sources: 6,
+            busy_rejections: 1,
+            stale_rejections: 3,
+            mutations: 4,
+            sessions: 9,
+            queue_depth: 7,
+            failover_attempts: 11,
+            replay_mutations: 12,
+            sources_reused: 120,
+            sources_rebuilt: 13,
+            fallback_full: 14,
+            hists: vec![
+                ("serve.exec_us".to_string(), Histogram::default()),
+                ("serve.total_us".to_string(), h),
+            ],
+        }
+    }
+
+    /// `encode_stats(full_stats())` as the hand-written v5 codec wrote it
+    /// (captured at the commit before the field table): 15 u64s in wire
+    /// order, then the histograms.
+    const FULL_STATS_V5: &str = "\
+        05000000000000000a000000000000000800000000000000020000000000000006000000000000000100\
+        00000000000003000000000000000400000000000000090000000000000007000000000000000b000000\
+        000000000c0000000000000078000000000000000d000000000000000e00000000000000020000000d00\
+        000073657276652e657865635f7573000000000000000000000000000000000000000000000000000000\
+        0000000000000000000e00000073657276652e746f74616c5f7573020000000000000008600100000000\
+        007800000000000000905f01000000000002000000270000000100000000000000720000000100000000\
+        000000";
+
+    #[test]
+    fn stats_wire_bytes_are_pinned() {
+        let mut w = WireWriter::new();
+        encode_stats(&mut w, &full_stats());
+        let bytes = w.into_bytes();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, FULL_STATS_V5);
+        assert_eq!(SERVE_VERSION, 5, "new bytes need a new version");
+        // decode → encode is the identity on them.
+        let back = decode_stats(&mut WireReader::new(&bytes)).expect("decode");
+        assert_eq!(back, full_stats());
+        let mut again = WireWriter::new();
+        encode_stats(&mut again, &back);
+        assert_eq!(again.into_bytes(), bytes);
+    }
+
+    /// Two worker snapshots folded into the front-end's own, then the
+    /// persisted base: every field against the rule it declares.
+    #[test]
+    fn fold_follows_every_declared_rule() {
+        let hist = |us: u64| {
+            let mut h = Histogram::default();
+            h.record(us);
+            vec![("serve.total_us".to_string(), h)]
+        };
+        let own = ServeStats {
+            sessions: 3,
+            failover_attempts: 2,
+            replay_mutations: 5,
+            ..ServeStats::default()
+        };
+        let w0 = ServeStats {
+            epoch: 4,
+            queries: 10,
+            source_queries: 6,
+            batches: 3,
+            batched_sources: 5,
+            busy_rejections: 1,
+            stale_rejections: 2,
+            mutations: 3,
+            sessions: 1, // the front-end's link, not a client
+            queue_depth: 2,
+            failover_attempts: 9, // not a worker's to report: ignored
+            replay_mutations: 9,
+            sources_reused: 40,
+            sources_rebuilt: 8,
+            fallback_full: 1,
+            hists: hist(100),
+        };
+        let w1 = ServeStats {
+            epoch: 3, // lagging one broadcast behind
+            queries: 7,
+            source_queries: 4,
+            batches: 2,
+            batched_sources: 4,
+            busy_rejections: 0,
+            stale_rejections: 1,
+            mutations: 2,
+            sessions: 1,
+            queue_depth: 1,
+            failover_attempts: 0,
+            replay_mutations: 0,
+            sources_reused: 30,
+            sources_rebuilt: 6,
+            fallback_full: 0,
+            hists: hist(900),
+        };
+        let mut total = own;
+        total.fold(&w0, Across::Workers);
+        total.fold(&w1, Across::Workers);
+        let pool = ServeStats {
+            epoch: 4,
+            queries: 17,
+            source_queries: 10,
+            batches: 5,
+            batched_sources: 9,
+            busy_rejections: 1,
+            stale_rejections: 3,
+            mutations: 3,
+            sessions: 3,
+            queue_depth: 3,
+            failover_attempts: 2,
+            replay_mutations: 5,
+            sources_reused: 40,
+            sources_rebuilt: 8,
+            fallback_full: 1,
+            hists: total.hists.clone(),
+        };
+        assert_eq!(total, pool);
+        assert_eq!(total.hist("serve.total_us").map(Histogram::count), Some(2));
+
+        let base = ServeStats {
+            epoch: 9, // a base ahead of freshly respawned workers
+            queries: 100,
+            source_queries: 50,
+            batches: 20,
+            batched_sources: 30,
+            busy_rejections: 4,
+            stale_rejections: 5,
+            mutations: 8,
+            sessions: 12,
+            queue_depth: 6, // a reading from before the restart: stale
+            failover_attempts: 1,
+            replay_mutations: 7,
+            sources_reused: 10,
+            sources_rebuilt: 90,
+            fallback_full: 2,
+            hists: hist(50),
+        };
+        total.fold(&base, Across::Restarts);
+        let cumulative = ServeStats {
+            epoch: 9,
+            queries: 117,
+            source_queries: 60,
+            batches: 25,
+            batched_sources: 39,
+            busy_rejections: 5,
+            stale_rejections: 8,
+            mutations: 8,
+            sessions: 15,
+            queue_depth: 3,
+            failover_attempts: 3,
+            replay_mutations: 12,
+            sources_reused: 40,
+            sources_rebuilt: 90,
+            fallback_full: 2,
+            hists: total.hists.clone(),
+        };
+        assert_eq!(total, cumulative);
+        assert_eq!(total.hist("serve.total_us").map(Histogram::count), Some(3));
+    }
+
+    /// README's `Stats` rows are the table's: name, kind (a field that
+    /// keeps nothing across a restart is an instantaneous reading), doc
+    /// comment. Paste the printed block over the stale rows.
+    #[test]
+    fn readme_lists_every_stats_field() {
+        let mut rows = String::new();
+        for f in ServeStats::FIELDS {
+            let kind = match f.rule.2[Across::Restarts as usize] {
+                Fold::Keep => "gauge",
+                Fold::Max | Fold::Sum => "counter",
+            };
+            rows += &format!("| `{}` | {kind} (Stats) | {} |\n", f.name, f.doc.trim());
+        }
+        let readme = include_str!("../../../README.md");
+        assert!(
+            readme.contains(&rows),
+            "README.md's Stats rows should read:\n{rows}"
+        );
+    }
+
     #[test]
     fn every_request_roundtrips() {
         let reqs = [
@@ -908,32 +1155,7 @@ mod tests {
                 epoch: 5,
                 applied: true,
             },
-            Response::Stats(ServeStats {
-                epoch: 5,
-                queries: 10,
-                source_queries: 8,
-                batches: 2,
-                batched_sources: 6,
-                busy_rejections: 1,
-                stale_rejections: 2,
-                mutations: 4,
-                sessions: 3,
-                queue_depth: 7,
-                failover_attempts: 1,
-                replay_mutations: 4,
-                sources_reused: 120,
-                sources_rebuilt: 8,
-                fallback_full: 1,
-                hists: {
-                    let mut h = Histogram::default();
-                    h.record(120);
-                    h.record(90_000);
-                    vec![
-                        ("serve.exec_us".to_string(), Histogram::default()),
-                        ("serve.total_us".to_string(), h),
-                    ]
-                },
-            }),
+            Response::Stats(full_stats()),
             Response::Busy {
                 queued: 64,
                 capacity: 64,

@@ -32,14 +32,14 @@
 //!   barrier preserves exactly that.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::Sender;
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use mrbc_obs::{self as obs, Histogram};
 
-use crate::proto::{Request, ServeStats, TraceCtx};
+use crate::proto::{Counters, Request, ServeStats, TraceCtx};
 
 /// How long after its first job's admission a dispatch stays open for
 /// other sessions' queries (µs).
@@ -89,39 +89,6 @@ pub struct Job {
     pub reply: Sender<Vec<u8>>,
 }
 
-/// Monotonic serving counters, readable from any thread.
-#[derive(Debug, Default)]
-pub struct Counters {
-    /// Queue-admitted requests.
-    pub queries: AtomicU64,
-    /// Source-scoped queries executed.
-    pub source_queries: AtomicU64,
-    /// Dispatches containing ≥ 1 source-scoped query.
-    pub batches: AtomicU64,
-    /// Distinct sources computed across all batches.
-    pub batched_sources: AtomicU64,
-    /// `Busy` refusals.
-    pub busy_rejections: AtomicU64,
-    /// `Stale` refusals.
-    pub stale_rejections: AtomicU64,
-    /// Applied (epoch-bumping) mutations.
-    pub mutations: AtomicU64,
-    /// Per-source artifacts reused across epoch bumps by the
-    /// incremental maintenance engine.
-    pub sources_reused: AtomicU64,
-    /// Per-source artifacts rebuilt by the maintenance engine.
-    pub sources_rebuilt: AtomicU64,
-    /// Mutations where the affected fraction tripped the engine's
-    /// full-rebuild fallback.
-    pub fallback_full: AtomicU64,
-    /// Accepted client sessions.
-    pub sessions: AtomicU64,
-    /// Per-phase latency histograms. Always on — the log-bucketed
-    /// record path is a handful of integer ops under a short lock, so
-    /// quantiles are available from `Stats` even without `--trace`.
-    pub phases: Mutex<PhaseHists>,
-}
-
 /// The three serving-phase histograms exported via `Stats`.
 #[derive(Debug, Default)]
 pub struct PhaseHists {
@@ -143,9 +110,7 @@ impl Counters {
     }
 
     /// Snapshot into the wire-level stats struct. `epoch` and
-    /// `queue_depth` are instantaneous readings supplied by the caller;
-    /// the pool-tier counters (`failover_attempts`, ...) stay zero here
-    /// and are filled in by the front-end when it aggregates.
+    /// `queue_depth` are instantaneous readings supplied by the caller.
     pub fn snapshot(&self, epoch: u64, queue_depth: u64) -> ServeStats {
         let hists = {
             let h = self.phases.lock().unwrap_or_else(|e| e.into_inner());
@@ -157,21 +122,9 @@ impl Counters {
         };
         ServeStats {
             epoch,
-            queries: self.queries.load(Ordering::Relaxed),
-            source_queries: self.source_queries.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_sources: self.batched_sources.load(Ordering::Relaxed),
-            busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
-            stale_rejections: self.stale_rejections.load(Ordering::Relaxed),
-            mutations: self.mutations.load(Ordering::Relaxed),
-            sources_reused: self.sources_reused.load(Ordering::Relaxed),
-            sources_rebuilt: self.sources_rebuilt.load(Ordering::Relaxed),
-            fallback_full: self.fallback_full.load(Ordering::Relaxed),
-            sessions: self.sessions.load(Ordering::Relaxed),
             queue_depth,
-            failover_attempts: 0,
-            replay_mutations: 0,
             hists,
+            ..self.load()
         }
     }
 }

@@ -143,9 +143,26 @@ pub fn humanize_secs(secs: f64) -> String {
     }
 }
 
+/// The `p`-quantile (`0.0..=1.0`) of an ascending-sorted sample, by
+/// rounding to the nearest rank; the default value of an empty one.
+pub fn percentile<T: Copy + Default>(sorted: &[T], p: f64) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    sorted[((sorted.len() as f64 - 1.0) * p).round() as usize]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percentile_rounds_to_the_nearest_rank() {
+        assert_eq!(percentile::<u64>(&[], 0.5), 0);
+        assert_eq!(percentile(&[7u64], 0.99), 7);
+        assert_eq!(percentile(&[1u64, 2, 3, 4], 0.5), 3);
+        assert_eq!(percentile(&[1.0, 2.0, 3.0], 0.99), 3.0);
+    }
 
     #[test]
     fn running_stats_basic() {
