@@ -9,12 +9,13 @@
 //! (the paper's `ℓ_v^{(r)}`); the σ value transmitted reflects messages
 //! received up to and including round `r` (CONGEST processes receives
 //! before sends). Since `d` is non-decreasing along the list, `d_i + i`
-//! is strictly increasing, so at most one entry matches any round and the
-//! match is found by an ordered scan of the distance blocks.
+//! is strictly increasing, so at most one entry matches any round.
 //!
 //! `L_v` is represented as the paper's optimized structure (Section 4.3):
-//! a flat map from distance to a dense bitvector over source indices,
-//! giving ordered scheduling queries instead of a sorted pair list.
+//! a flat map from distance to a dense bitvector over source indices.
+//! It lives in the `SendSchedule` this engine shares with `dist::mrbc`,
+//! whose per-vertex cursor answers "what does `v` send in round `r`" in
+//! `O(1)` instead of by an ordered scan of the distance blocks.
 //!
 //! # Algorithm 4 — `APSP-Finalizer`
 //!
@@ -36,9 +37,9 @@
 //! `A_sv` are distinct per source, at most one message per round leaves
 //! each vertex — the forward pipelining replayed in reverse.
 
+use crate::schedule::SendSchedule;
 use mrbc_congest::{Engine, Outbox, RunOutcome, RunStats, Target, VertexProgram};
 use mrbc_graph::{CsrGraph, VertexId, INF_DIST};
-use mrbc_util::{DenseBitset, FlatMap};
 
 /// How the forward phase terminates (Theorem 1's three cases plus the
 /// practical Lemma 8 mode).
@@ -322,10 +323,9 @@ struct Forward {
     preds: Vec<Vec<Vec<VertexId>>>,
     /// Send timestamps `τ_sv` (u32::MAX = not sent).
     tau: Vec<Vec<u32>>,
-    /// The list `L_v` as distance → bitvector over source indices.
-    schedule: Vec<FlatMap<u32, DenseBitset>>,
-    /// Entries present in `L_v` but not yet sent.
-    pending: Vec<u32>,
+    /// The list `L_v` as distance → bitvector over source indices, with
+    /// the cursor that says which entry is sent next and when.
+    schedule: SendSchedule,
     fin: Option<FinState>,
     precision: SigmaPrecision,
 }
@@ -346,8 +346,7 @@ impl Forward {
             sigma: vec![vec![0.0; k]; n],
             preds: vec![vec![Vec::new(); k]; n],
             tau: vec![vec![u32::MAX; k]; n],
-            schedule: (0..n).map(|_| FlatMap::new()).collect(),
-            pending: vec![0; n],
+            schedule: SendSchedule::new(n, k),
             fin: (mode == TerminationMode::Finalizer).then(|| FinState::new(n)),
             precision,
         };
@@ -356,37 +355,9 @@ impl Forward {
             let v = s as usize;
             fwd.dist[v][j] = 0;
             fwd.sigma[v][j] = 1.0;
-            fwd.schedule[v]
-                .get_or_insert_with(0, || DenseBitset::new(k))
-                .set(j);
-            fwd.pending[v] += 1;
+            fwd.schedule.insert(v, j as u32, 0);
         }
         fwd
-    }
-
-    /// The unique `(j, d)` scheduled for `round` in `L_v` (beginning-of-
-    /// round state), if any: scan distance blocks in order; the 1-based
-    /// index of entry `(d, j)` is `(entries at smaller distances) +
-    /// (rank of j within its block) + 1`, and `d + index` is strictly
-    /// increasing along the list.
-    fn scheduled_send(&self, v: usize, round: u32) -> Option<(u32, u32)> {
-        let mut below: u32 = 0;
-        for (d, bits) in self.schedule[v].iter() {
-            let cnt = bits.count_ones() as u32;
-            let lo = d + below + 1;
-            if round < lo {
-                return None;
-            }
-            let hi = d + below + cnt;
-            if round <= hi {
-                let rank = (round - lo) as usize;
-                // lint: allow(unwrap): rank < cnt == bits.count_ones() by the block bounds above
-                let j = bits.select(rank).expect("rank within block") as u32;
-                return Some((j, *d));
-            }
-            below += cnt;
-        }
-        None
     }
 
     /// Steps 11–17: merge a received `(d_su + 1, s, σ_su)` into `L_v`.
@@ -395,9 +366,10 @@ impl Forward {
         let cur = self.dist[v][ji];
         if cur == INF_DIST {
             // Steps 12–13: new source entry.
-            self.set_entry(v, j, d_new, sigma_u);
+            self.dist[v][ji] = d_new;
+            self.sigma[v][ji] = sigma_u;
+            self.schedule.insert(v, j, d_new);
             self.preds[v][ji].push(from);
-            self.pending[v] += 1;
         } else if cur == d_new {
             // Steps 14–15: additional shortest paths.
             debug_assert_eq!(
@@ -414,37 +386,13 @@ impl Forward {
                 u32::MAX,
                 "distance improved after send (Lemma 4 violated)"
             );
-            self.remove_entry(v, j, cur);
-            self.set_entry(v, j, d_new, sigma_u);
+            self.dist[v][ji] = d_new;
+            self.sigma[v][ji] = sigma_u;
+            self.schedule.improve(v, j, cur, d_new);
             self.preds[v][ji].clear();
             self.preds[v][ji].push(from);
         }
         // cur < d_new: stale message, ignored.
-    }
-
-    fn set_entry(&mut self, v: usize, j: u32, d: u32, sigma: f64) {
-        self.dist[v][j as usize] = d;
-        self.sigma[v][j as usize] = sigma;
-        let k = self.k;
-        self.schedule[v]
-            .get_or_insert_with(d, || DenseBitset::new(k))
-            .set(j as usize);
-    }
-
-    fn remove_entry(&mut self, v: usize, j: u32, d: u32) {
-        let bits = self.schedule[v]
-            .get_mut(&d)
-            // lint: allow(unwrap): callers remove only entries they just looked up
-            .expect("entry to remove must exist");
-        bits.clear(j as usize);
-        if bits.none() {
-            self.schedule[v].remove(&d);
-        }
-    }
-
-    /// Count of finite-distance entries in `L_v` (the `|L_v^r| = n` check).
-    fn list_len(&self, v: usize) -> usize {
-        self.schedule[v].iter().map(|(_, b)| b.count_ones()).sum()
     }
 
     /// Algorithm 4 actions for vertex `v` in `round`, after receives.
@@ -456,7 +404,10 @@ impl Forward {
                 return;
             }
             match fin.known_n[v] {
-                Some(nv) => self.list_len(v) as u64 == nv && self.pending[v] == 0,
+                // The `|L_v^r| = n` check, on a fully sent list.
+                Some(nv) => {
+                    u64::from(self.schedule.labels(v)) == nv && self.schedule.pending(v) == 0
+                }
                 None => false,
             }
         };
@@ -596,7 +547,7 @@ impl VertexProgram for Forward {
 
         // Step 8: send the unique entry scheduled for this round, with the
         // σ value reflecting all receives processed so far.
-        if let Some((j, d)) = self.scheduled_send(vi, round) {
+        if let Some((j, d)) = self.schedule.due(vi, round) {
             let ji = j as usize;
             debug_assert_eq!(
                 self.dist[vi][ji], d,
@@ -604,7 +555,7 @@ impl VertexProgram for Forward {
             );
             debug_assert_eq!(self.tau[vi][ji], u32::MAX, "double send for one source");
             self.tau[vi][ji] = round;
-            self.pending[vi] -= 1;
+            self.schedule.mark_sent(vi);
             out.send(
                 Target::OutNeighbors,
                 FwdMsg::Apsp {
@@ -635,7 +586,7 @@ impl VertexProgram for Forward {
                 // lint: allow(unwrap): Finalizer mode always constructs fin
                 !self.fin.as_ref().expect("finalizer mode").halted[v as usize]
             }
-            _ => self.scheduled_send(v as usize, round).is_some(),
+            _ => self.schedule.due(v as usize, round).is_some(),
         }
     }
 
@@ -644,7 +595,7 @@ impl VertexProgram for Forward {
         match self.mode {
             // lint: allow(unwrap): Finalizer mode always constructs fin
             TerminationMode::Finalizer => self.fin.as_ref().expect("finalizer mode").halted[vi],
-            _ => self.pending[vi] == 0,
+            _ => self.schedule.pending(vi) == 0,
         }
     }
 

@@ -4,7 +4,11 @@
 //! * **Data structures** — per vertex and source the labels live in a
 //!   dense array `A_v` (distance, σ, δ grouped for locality) and the send
 //!   schedule in the flat map `M_v : distance → bitvector over sources`,
-//!   exactly the structures of Section 4.3.
+//!   exactly the structures of Section 4.3. `M_v` sits in the
+//!   `SendSchedule` shared with the CONGEST engine, whose forward
+//!   calendar files every vertex under the round its next label fires, so
+//!   a round's flag set costs the flags it holds rather than a walk over
+//!   all `n` vertices.
 //! * **Delayed synchronization** — a `(v, s)` label is synchronized
 //!   exactly once per phase, in the round in which Algorithm 3/5 proves
 //!   it final, instead of every round it changes.
@@ -17,18 +21,21 @@
 //! synchronizes the labels whose send condition fires (reduce mirrors →
 //! master, sum σ / δ partials, broadcast the reconciled value to every
 //! mirror), then every host pushes the finalized labels along its local
-//! edges, updating neighbor proxies locally. Per-host partial updates are
-//! applied in parallel with Rayon; the authoritative pipelining schedule
-//! is kept per global vertex, which is exactly the CONGEST semantics the
+//! edges, updating neighbor proxies locally. The per-host kernels go
+//! through rayon's `par_iter_mut`, but the workspace's offline `rayon`
+//! shim runs those iterators sequentially, so hosts execute one after
+//! another on one thread. The authoritative pipelining schedule is kept
+//! per global vertex, which is exactly the CONGEST semantics the
 //! correctness lemmas are stated for (each host's flag is a subset of the
 //! global flag; Gluon synchronizes the union).
 
 use super::{finish_phase, DistBcOutcome, MRBC_ITEM_BYTES};
+use crate::schedule::SendSchedule;
 use mrbc_dgalois::comm::{Exchange, PhaseDir, RoundComm};
 use mrbc_dgalois::{BspStats, DistGraph, ReliableLink};
 use mrbc_faults::{FaultSession, RecoveryStats};
 use mrbc_graph::{CsrGraph, VertexId, INF_DIST};
-use mrbc_util::{DenseBitset, FlatMap};
+use mrbc_util::DenseBitset;
 use rayon::prelude::*;
 
 /// Tuning knobs for [`mrbc_bc_with_options`].
@@ -209,8 +216,8 @@ pub(crate) struct Batch<'a> {
     pub(crate) sigma_g: Vec<f64>,
     pub(crate) delta_g: Vec<f64>,
     pub(crate) tau: Vec<u32>,
-    /// The schedule `M_v` per global vertex.
-    pub(crate) schedule: Vec<FlatMap<u32, DenseBitset>>,
+    /// The schedule `M_v` per global vertex, with its forward calendar.
+    pub(crate) schedule: SendSchedule,
     pub(crate) pending_total: u64,
     /// Forward-phase termination round `R`.
     pub(crate) r_term: u32,
@@ -224,7 +231,7 @@ pub(crate) struct Batch<'a> {
 
 /// Forward push kernel for one host: relax the flagged labels along the
 /// host's local out-edges, updating its proxy partials. Shared verbatim
-/// by the in-process Rayon path and the SPMD `local_step`.
+/// by the in-process path and the SPMD `local_step`.
 pub(crate) fn fwd_push_host(
     dg: &DistGraph,
     h: usize,
@@ -268,7 +275,7 @@ pub(crate) fn fwd_push_host(
 
 /// Backward push kernel for one host: push `(1 + δ)/σ` to shortest-path
 /// predecessors along the host's local in-edges. Shared by the
-/// in-process Rayon path and the SPMD `local_step`.
+/// in-process path and the SPMD `local_step`.
 #[allow(clippy::too_many_arguments)] // kernel boundary: three global views + per-host state
 pub(crate) fn bwd_push_host(
     dg: &DistGraph,
@@ -334,7 +341,7 @@ impl<'a> Batch<'a> {
             sigma_g: vec![0.0; n * k],
             delta_g: vec![0.0; n * k],
             tau: vec![u32::MAX; n * k],
-            schedule: (0..n).map(|_| FlatMap::new()).collect(),
+            schedule: SendSchedule::new(n, k),
             pending_total: 0,
             r_term: 0,
             hosts,
@@ -345,9 +352,7 @@ impl<'a> Batch<'a> {
             let v = s as usize;
             b.dist_g[v * k + j] = 0;
             b.sigma_g[v * k + j] = 1.0;
-            b.schedule[v]
-                .get_or_insert_with(0, || DenseBitset::new(k))
-                .set(j);
+            b.schedule.insert(v, j as u32, 0);
             b.pending_total += 1;
             // The source's own proxy on its owner starts with (0, 1).
             let own = dg.owner(s) as usize;
@@ -362,45 +367,17 @@ impl<'a> Batch<'a> {
         b
     }
 
-    /// The unique `(j, d)` of `M_v` scheduled for `round`, if any
-    /// (identical logic to the CONGEST implementation).
-    pub(crate) fn scheduled_send(&self, v: usize, round: u32) -> Option<(u32, u32)> {
-        let mut below: u32 = 0;
-        for (d, bits) in self.schedule[v].iter() {
-            let cnt = bits.count_ones() as u32;
-            let lo = d + below + 1;
-            if round < lo {
-                return None;
-            }
-            if round <= d + below + cnt {
-                // lint: allow(unwrap): rank < cnt == bits.count_ones() by the bound just checked
-                let j = bits.select((round - lo) as usize).expect("rank in block") as u32;
-                return Some((j, *d));
-            }
-            below += cnt;
-        }
-        None
-    }
-
-    /// The flag set for forward `round`: every `(v, j, d)` whose send
-    /// condition `r = d + ℓ_v^r(d, s)` fires. Pure; deterministic order
-    /// (ascending `v`, at most one flag per vertex per round).
-    pub(crate) fn forward_flags(&self, round: u32) -> Vec<(u32, u32, u32)> {
-        (0..self.g.num_vertices())
-            .into_par_iter()
-            .filter_map(|v| self.scheduled_send(v, round).map(|(j, d)| (v as u32, j, d)))
-            .collect()
-    }
-
-    /// Marks the round's flags as sent: stamps `τ` and retires them from
-    /// the pending count. Replicated-state mutation (every SPMD replica
-    /// runs it identically in `begin_step`).
+    /// Marks the round's flags as sent: stamps `τ`, retires them from the
+    /// pending count and advances each vertex's calendar entry.
+    /// Replicated-state mutation (every SPMD replica runs it identically
+    /// in `begin_step`).
     pub(crate) fn mark_flags(&mut self, flags: &[(u32, u32, u32)], round: u32) {
         for &(v, j, _) in flags {
             let idx = v as usize * self.k + j as usize;
             debug_assert_eq!(self.tau[idx], u32::MAX);
             self.tau[idx] = round;
             self.pending_total -= 1;
+            self.schedule.mark_sent(v as usize);
         }
     }
 
@@ -418,8 +395,9 @@ impl<'a> Batch<'a> {
             }
             let mut comm = RoundComm::new(self.dg.num_hosts);
 
-            // Flag set: labels whose send condition fires this round.
-            let flags = self.forward_flags(round);
+            // Flag set: labels whose send condition r = d + ℓ_v^r(d, s)
+            // fires this round, read off the calendar.
+            let flags = self.schedule.flags(round);
             self.mark_flags(&flags, round);
             if mrbc_obs::verbose_enabled() {
                 mrbc_obs::progress(&format!(
@@ -526,26 +504,16 @@ impl<'a> Batch<'a> {
         if cur == INF_DIST {
             self.dist_g[idx] = d_new;
             self.sigma_g[idx] = sig;
-            self.schedule[v]
-                .get_or_insert_with(d_new, || DenseBitset::new(k))
-                .set(j);
+            self.schedule.insert(v, j as u32, d_new);
             self.pending_total += 1;
         } else if cur == d_new {
             debug_assert_eq!(self.tau[idx], u32::MAX, "σ after send (Lemma 5)");
             self.sigma_g[idx] += sig;
         } else if cur > d_new {
             debug_assert_eq!(self.tau[idx], u32::MAX, "improvement after send");
-            // lint: allow(unwrap): cur came from this vertex's own schedule entry
-            let bits = self.schedule[v].get_mut(&cur).expect("entry exists");
-            bits.clear(j);
-            if bits.none() {
-                self.schedule[v].remove(&cur);
-            }
             self.dist_g[idx] = d_new;
             self.sigma_g[idx] = sig;
-            self.schedule[v]
-                .get_or_insert_with(d_new, || DenseBitset::new(k))
-                .set(j);
+            self.schedule.improve(v, j as u32, cur, d_new);
         }
     }
 
@@ -820,6 +788,7 @@ mod tests {
     use crate::brandes;
     use mrbc_dgalois::{partition, PartitionPolicy};
     use mrbc_graph::generators;
+    use proptest::prelude::*;
 
     fn assert_bc_close(got: &[f64], want: &[f64]) {
         for (i, (g, w)) in got.iter().zip(want).enumerate() {
@@ -958,6 +927,63 @@ mod tests {
         let out = mrbc_bc(&g, &dg, &[], 4);
         assert!(out.bc.iter().all(|&b| b == 0.0));
         assert_eq!(out.stats.num_rounds(), 0);
+    }
+
+    /// Runs one batch's forward phase as the SPMD driver decomposes it
+    /// (flags, mark, per-host sync + push, merge in host order) and checks
+    /// the calendar's flag set against the full `M_v` scan every round.
+    fn forward_matches_scan(
+        g: &CsrGraph,
+        dg: &DistGraph,
+        batch: &[VertexId],
+    ) -> proptest::TestCaseResult {
+        let mut b = Batch::new(g, dg, batch, true);
+        let mut round = 0;
+        let mut sent = 0u64;
+        while b.pending_total > 0 {
+            round += 1;
+            prop_assert!(round <= 2 * g.num_vertices() as u32 + b.k as u32 + 2);
+            let flags = b.schedule.flags(round);
+            prop_assert_eq!(&flags, &b.schedule.scan_flags(round), "round {}", round);
+            sent += flags.len() as u64;
+            b.mark_flags(&flags, round);
+            let pushes: Vec<FwdPushes> = (0..dg.num_hosts)
+                .map(|h| {
+                    b.apply_sync_to_host(h, &flags, true);
+                    fwd_push_host(dg, h, b.k, &b.sigma_g, &mut b.hosts[h], &flags)
+                })
+                .collect();
+            for (gu, j, d_new, sig) in pushes.into_iter().flat_map(|(p, _)| p) {
+                b.merge_global(gu as usize, j as usize, d_new, sig);
+            }
+        }
+        let reachable = b.dist_g.iter().filter(|&&d| d != INF_DIST).count() as u64;
+        prop_assert_eq!(sent, reachable);
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn prop_calendar_flags_equal_the_full_scan(
+            n in 2usize..24,
+            raw in proptest::collection::vec((0u32..24, 0u32..24), 0..80),
+            picks in proptest::collection::vec(0u32..24, 1..8),
+        ) {
+            let g = mrbc_graph::GraphBuilder::new(n)
+                .edges(raw.into_iter().map(|(u, v)| (u % n as u32, v % n as u32)))
+                .build();
+            let mut sources: Vec<u32> = picks.into_iter().map(|s| s % n as u32).collect();
+            sources.sort_unstable();
+            sources.dedup();
+            for hosts in [1, 2, 4] {
+                let dg = partition(&g, hosts, PartitionPolicy::CartesianVertexCut);
+                for batch in [1, 3, sources.len()] {
+                    for chunk in sources.chunks(batch) {
+                        forward_matches_scan(&g, &dg, chunk)?;
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! fires, stamping τ; backward: the agenda bucket, folding parked δ).
 //! `local_step(h)` applies the sync broadcast to host `h`'s proxies and
 //! runs the push kernel for `h`'s local edges — the exact
-//! [`fwd_push_host`] / [`bwd_push_host`] kernels the in-process Rayon path
+//! [`fwd_push_host`] / [`bwd_push_host`] kernels the in-process path
 //! uses. `fold` merges every host's pushes in canonical host order, so the
 //! `f64` evolution is **bit-identical** to the single-process run — that
 //! is the property the chaos test pins: SIGKILL a worker mid-forward,
@@ -25,7 +25,9 @@
 //! [`mrbc_bc`](super::mrbc::mrbc_bc) exactly.
 //!
 //! Snapshots are only taken between steps (before a `begin_step`), so the
-//! in-flight flag set is never serialized. The engine always runs the
+//! in-flight flag set is never serialized. Nor is the forward calendar
+//! (per-vertex cursors and round lists): it is derived state, and
+//! `restore` rebuilds it from `M_v` and τ. The engine always runs the
 //! paper's delayed-synchronization mode (the eager ablation exists only
 //! in-process, where traffic accounting is the point).
 
@@ -35,7 +37,7 @@ use mrbc_dgalois::DistGraph;
 use mrbc_graph::{CsrGraph, VertexId};
 use mrbc_util::crc::{crc32, digest64};
 use mrbc_util::wire::{WireError, WireReader, WireWriter};
-use mrbc_util::DenseBitset;
+use mrbc_util::{DenseBitset, FlatMap};
 
 /// Snapshot magic: `"MSPD"` little-endian.
 const SNAP_MAGIC: u32 = 0x4450_534D;
@@ -222,7 +224,7 @@ impl SpmdProgram for MrbcSpmd<'_> {
         let Some(run) = self.run.as_mut() else { return };
         match run.phase {
             Phase::Forward { round } => {
-                run.flags = run.batch.forward_flags(round);
+                run.flags = run.batch.schedule.flags(round);
                 run.batch.mark_flags(&run.flags, round);
             }
             Phase::Backward { round } => {
@@ -392,8 +394,9 @@ impl SpmdProgram for MrbcSpmd<'_> {
             w.u64(b.pending_total);
             w.u32(b.r_term);
             for v in 0..n {
-                w.u32(b.schedule[v].len() as u32);
-                for (d, bits) in b.schedule[v].iter() {
+                let map = b.schedule.map(v);
+                w.u32(map.len() as u32);
+                for (d, bits) in map.iter() {
                     w.u32(*d);
                     put_bitset(&mut w, bits);
                 }
@@ -482,8 +485,9 @@ impl SpmdProgram for MrbcSpmd<'_> {
             b.tau = get_u32s(&mut r, n * k)?;
             b.pending_total = r.u64()?;
             b.r_term = r.u32()?;
-            for v in 0..n {
-                b.schedule[v].clear();
+            let mut maps = Vec::with_capacity(n);
+            for _ in 0..n {
+                let mut map = FlatMap::new();
                 let entries = r.u32()? as usize;
                 for _ in 0..entries {
                     let d = r.u32()?;
@@ -491,9 +495,14 @@ impl SpmdProgram for MrbcSpmd<'_> {
                     if bits.len() != k {
                         return Err(WireError::Invalid("schedule bitset width mismatch"));
                     }
-                    b.schedule[v].insert(d, bits);
+                    map.insert(d, bits);
                 }
+                maps.push(map);
             }
+            // The calendar is derived state: rebuilt from M_v and τ.
+            b.schedule
+                .restore(maps, &b.tau)
+                .map_err(WireError::Invalid)?;
             for (h, hs) in b.hosts.iter_mut().enumerate() {
                 let p = r.u32()? as usize;
                 if p != self.dg.hosts[h].num_proxies() {
@@ -624,6 +633,15 @@ mod tests {
         assert_eq!(prog.num_batches(), 3);
     }
 
+    /// Steps `prog` through `steps` whole SPMD steps over `hosts` hosts.
+    fn run_steps(prog: &mut MrbcSpmd<'_>, hosts: usize, steps: u64) {
+        for step in 0..steps {
+            prog.begin_step(step);
+            let payloads: Vec<Vec<u8>> = (0..hosts).map(|h| prog.local_step(step, h)).collect();
+            prog.fold(step, &payloads).expect("fold");
+        }
+    }
+
     #[test]
     fn snapshot_restore_at_every_step_boundary_is_bit_identical() {
         let g = generators::grid_road_network(generators::RoadNetworkConfig::new(3, 8), 5);
@@ -637,19 +655,72 @@ mod tests {
         // forward rounds, backward rounds, and batch transitions.
         for cut in 0..=total {
             let mut head = MrbcSpmd::new(&g, &dg, &sources, 3);
-            let mut step = 0u64;
-            while !head.done() && step < cut {
-                head.begin_step(step);
-                let payloads: Vec<Vec<u8>> = (0..2).map(|h| head.local_step(step, h)).collect();
-                head.fold(step, &payloads).expect("fold");
-                step += 1;
-            }
+            run_steps(&mut head, 2, cut);
             let snap = head.snapshot();
             let mut tail = MrbcSpmd::new(&g, &dg, &sources, 3);
             tail.restore(&snap).expect("restore");
             run_local(&mut tail, 1_000_000).expect("resume");
             assert_eq!(tail.bc(), full.bc(), "diverged after cut at step {cut}");
             assert_eq!(tail.fingerprint(), full.fingerprint());
+        }
+    }
+
+    #[test]
+    fn mid_forward_snapshot_bytes_are_pinned() {
+        // Captured before the forward calendar existed: the calendar is
+        // derived state, so the snapshot format and bytes must not move.
+        const SMALL: [&str; 17] = [
+            "4d5350440100000005000000020000000200000002000000e2172bcf0000000000000000000000000000000000000000",
+            "000000000000000000000000000000000000000000000000000100030000000200000000000000ffffffff01000000ff",
+            "ffffff0200000000000000ffffffff01000000ffffffff02000000000000000000f03f00000000000000000000000000",
+            "00f03f0000000000000000000000000000f03f000000000000f03f0000000000000000000000000000f03f0000000000",
+            "000000000000000000f03f00000000000000000000000000000000000000000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000001000000ff",
+            "ffffff02000000ffffffffffffffff01000000ffffffff02000000ffffffffffffffff02000000000000000000000001",
+            "000000000000000200000001000000000000000100000001000000020000000100000000000000020000000000000002",
+            "000000010000000100000002000000020000000100000000000000010000000100000002000000010000000100000001",
+            "000000020000000200000001000000010000000400000000000000ffffffff01000000ffffffff0200000000000000ff",
+            "ffffff01000000000000000000f03f0000000000000000000000000000f03f0000000000000000000000000000f03f00",
+            "0000000000f03f0000000000000000000000000000f03f00000000000000000000000000000000000000000000000000",
+            "000000000000000000000000000000000000000000000000000000000000000000000000000000080000000300000000",
+            "000000020000000500000003000000ffffffffffffffffffffffff01000000ffffffff02000000000000000000000000",
+            "000000000000000000000000000000000000000000f03f0000000000000000000000000000f03f000000000000000000",
+            "000000000000000000000000000000000000000000000000000000000000000000000000000000060000000100000003",
+            "000000000000000000000000000000",
+        ];
+        let g = generators::cycle(5);
+        let dg = partition(&g, 2, PartitionPolicy::BlockedEdgeCut);
+        let mut prog = MrbcSpmd::new(&g, &dg, &[0, 2], 2);
+        run_steps(&mut prog, 2, 2);
+        assert_eq!(prog.describe(2), "batch 1/1 forward round 3");
+        let snap = prog.snapshot();
+        let hex: String = snap.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, SMALL.concat());
+        // A restored replica snapshots to the same bytes and finishes
+        // with the same scores.
+        let mut back = MrbcSpmd::new(&g, &dg, &[0, 2], 2);
+        back.restore(&snap).expect("restore");
+        assert_eq!(back.snapshot(), snap);
+        run_local(&mut prog, 1_000).expect("run");
+        run_local(&mut back, 1_000).expect("run");
+        assert_eq!(back.bc(), prog.bc());
+
+        let g = generators::grid_road_network(generators::RoadNetworkConfig::new(3, 8), 5);
+        let dg = partition(&g, 2, PartitionPolicy::BlockedEdgeCut);
+        let sources: Vec<u32> = (0..6).collect();
+        for (cut, len, digest) in [
+            (3, 9_527, 0x553f_0264_fa51_a529),
+            (7, 10_343, 0x3f56_4729_ace7_d1ff),
+            (12, 11_219, 0x6f75_300e_c478_6406),
+        ] {
+            let mut prog = MrbcSpmd::new(&g, &dg, &sources, 6);
+            run_steps(&mut prog, 2, cut);
+            assert_eq!(
+                prog.describe(cut),
+                format!("batch 1/1 forward round {}", cut + 1)
+            );
+            let snap = prog.snapshot();
+            assert_eq!((snap.len(), digest64(&snap)), (len, digest), "cut {cut}");
         }
     }
 

@@ -27,6 +27,7 @@ pub mod dist;
 mod driver;
 pub mod postprocess;
 pub mod probes;
+mod schedule;
 pub mod shared;
 pub mod tune;
 pub mod weighted;

@@ -69,8 +69,9 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Finalizes into CSR form. Panics if any endpoint is out of range.
-    pub fn build(mut self) -> CsrGraph {
+    /// Range check, then the self-loop policy; shared by [`Self::build`]
+    /// and the test-only reference build.
+    fn checked_edges(mut self) -> Vec<(VertexId, VertexId)> {
         let n = self.num_vertices;
         for &(u, v) in &self.edges {
             assert!(
@@ -81,18 +82,68 @@ impl GraphBuilder {
         if !self.keep_self_loops {
             self.edges.retain(|&(u, v)| u != v);
         }
-        // Sort + dedup yields sorted adjacency lists for free.
-        self.edges.sort_unstable();
-        self.edges.dedup();
+        self.edges
+    }
 
+    /// Finalizes into CSR form. Panics if any endpoint is out of range.
+    ///
+    /// A counting sort: count out-degrees, scatter the targets into their
+    /// rows, then sort and deduplicate each row in place, compacting the
+    /// offsets. Rows come out sorted and duplicate-free, so the CSR is the
+    /// same canonical one a global sort of the edge list would give.
+    pub fn build(self) -> CsrGraph {
+        let n = self.num_vertices;
+        let edges = self.checked_edges();
+        // offsets[u] ends as the end of row u, then the scatter walks it
+        // back to the start.
         let mut offsets = vec![0usize; n + 1];
-        for &(u, _) in &self.edges {
+        for &(u, _) in &edges {
+            offsets[u as usize] += 1;
+        }
+        let mut end = 0;
+        for o in &mut offsets {
+            end += *o;
+            *o = end;
+        }
+        let mut targets = vec![0 as VertexId; edges.len()];
+        for &(u, v) in &edges {
+            offsets[u as usize] -= 1;
+            targets[offsets[u as usize]] = v;
+        }
+        drop(edges);
+        let mut kept = 0;
+        for u in 0..n {
+            let (lo, hi) = (offsets[u], offsets[u + 1]);
+            targets[lo..hi].sort_unstable();
+            offsets[u] = kept;
+            for i in lo..hi {
+                if i == lo || targets[i] != targets[i - 1] {
+                    targets[kept] = targets[i];
+                    kept += 1;
+                }
+            }
+        }
+        offsets[n] = kept;
+        targets.truncate(kept);
+        CsrGraph::from_raw(offsets, targets)
+    }
+
+    /// Reference for [`Self::build`]: a global sort and dedup of the edge
+    /// list, which the counting sort must match exactly.
+    #[cfg(test)]
+    fn build_by_global_sort(self) -> CsrGraph {
+        let n = self.num_vertices;
+        let mut edges = self.checked_edges();
+        edges.sort_unstable();
+        edges.dedup();
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, _) in &edges {
             offsets[u as usize + 1] += 1;
         }
         for i in 0..n {
             offsets[i + 1] += offsets[i];
         }
-        let targets = self.edges.iter().map(|&(_, v)| v).collect();
+        let targets = edges.iter().map(|&(_, v)| v).collect();
         CsrGraph::from_raw(offsets, targets)
     }
 }
@@ -131,6 +182,29 @@ mod tests {
         GraphBuilder::new(2).edge(0, 5).build();
     }
 
+    #[test]
+    fn counting_sort_build_matches_the_global_sort_on_generated_graphs() {
+        use crate::generators::{self, RmatConfig, RoadNetworkConfig, WebCrawlConfig};
+        use rand::{seq::SliceRandom, SeedableRng};
+        let graphs = [
+            generators::rmat(RmatConfig::new(9, 8), 3),
+            generators::grid_road_network(RoadNetworkConfig::new(8, 64), 5),
+            generators::web_crawl(WebCrawlConfig::new(600), 7),
+        ];
+        for (i, g) in graphs.iter().enumerate() {
+            // Every edge twice plus a self-loop per vertex, shuffled: the
+            // build has to sort, deduplicate and filter for real.
+            let n = g.num_vertices();
+            let mut raw: Vec<(u32, u32)> = g.edges().chain(g.edges()).collect();
+            raw.extend((0..n as u32).map(|v| (v, v)));
+            raw.shuffle(&mut rand::rngs::StdRng::seed_from_u64(i as u64));
+            let builder = GraphBuilder::new(n).edges(raw);
+            let want = builder.clone().build_by_global_sort();
+            assert_eq!(builder.build(), want, "generator {i}");
+            assert_eq!(&want, g, "generator {i}");
+        }
+    }
+
     proptest! {
         #[test]
         fn prop_build_matches_reference(
@@ -140,6 +214,8 @@ mod tests {
             let edges: Vec<(u32, u32)> =
                 raw.into_iter().map(|(u, v)| (u % n as u32, v % n as u32)).collect();
             let g = GraphBuilder::new(n).edges(edges.iter().copied()).build();
+            let reference = GraphBuilder::new(n).edges(edges.iter().copied()).build_by_global_sort();
+            prop_assert_eq!(&g, &reference);
             let want: BTreeSet<(u32, u32)> =
                 edges.into_iter().filter(|&(u, v)| u != v).collect();
             let got: BTreeSet<(u32, u32)> = g.edges().collect();
