@@ -162,8 +162,11 @@ pub fn cmd_worker(p: &ParsedArgs) -> Result<String, CmdError> {
     }
 
     // Control plane: launcher lines arrive on stdin (reader thread →
-    // channel), events leave on stdout, flushed per line.
+    // channel, then a wake for the mesh the worker blocks in), events
+    // leave on stdout, flushed per line. The last wake, after `tx` is
+    // gone, lets the worker see a launcher that hung up.
     let (tx, rx) = std::sync::mpsc::channel();
+    let waker = mesh.waker();
     std::thread::spawn(move || {
         let stdin = std::io::stdin();
         for line in stdin.lock().lines() {
@@ -172,8 +175,11 @@ pub fn cmd_worker(p: &ParsedArgs) -> Result<String, CmdError> {
                 if tx.send(msg).is_err() {
                     return;
                 }
+                waker.wake();
             }
         }
+        drop(tx);
+        waker.wake();
     });
     let mut control = ControlPlane {
         rx: Some(rx),

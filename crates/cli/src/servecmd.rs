@@ -12,10 +12,7 @@
 
 use std::io::BufRead;
 use std::process::Command;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 use crate::args::ParsedArgs;
 use crate::commands::{load, CmdError};
@@ -23,7 +20,7 @@ use mrbc_core::BcConfig;
 use mrbc_obs as obs;
 use mrbc_serve::{
     start_pool, ClientConfig, MutateOp, PoolConfig, Request, Response, RetryClient, SchedConfig,
-    ServeClient, ServeConfig, ServeStats, TraceCtx, WorkerSpawn,
+    ServeClient, ServeConfig, ServeStats, ShutdownHandle, TraceCtx, WorkerSpawn,
 };
 
 /// Arms the flight recorder when `--flight-dir DIR` was given: every
@@ -95,49 +92,34 @@ pub fn cmd_serve(p: &ParsedArgs) -> Result<String, CmdError> {
     use std::io::Write as _;
     drop(std::io::stdout().flush());
 
-    let quit = watch_stdin_for_quit();
-
-    while !server.is_shutting_down() {
-        if quit.load(Ordering::SeqCst) {
-            server.trigger_shutdown();
-            break;
-        }
-        thread::sleep(Duration::from_millis(20));
-    }
+    watch_stdin_for_quit(server.shutdown_handle());
+    server.wait();
     let stats = server.stats();
-    server.shutdown();
     Ok(format!(
         "daemon exited cleanly: {} sessions, {} queries, {} mutations, final epoch {}\n",
         stats.sessions, stats.queries, stats.mutations, stats.epoch
     ))
 }
 
-/// Watches stdin for a `QUIT` line on a detached thread. Detached on
-/// purpose: if stdin never yields QUIT the thread parks on a read until
-/// process exit, and joining it would hang a protocol-initiated
-/// shutdown. EOF / closed stdin keeps the daemon serving.
-fn watch_stdin_for_quit() -> Arc<AtomicBool> {
-    let quit = Arc::new(AtomicBool::new(false));
-    {
-        let quit = Arc::clone(&quit);
-        drop(
-            thread::Builder::new()
-                .name("serve-stdin".into())
-                .spawn(move || {
-                    for line in std::io::stdin().lock().lines() {
-                        match line {
-                            Ok(l) if l.trim() == "QUIT" => {
-                                quit.store(true, Ordering::SeqCst);
-                                return;
-                            }
-                            Ok(_) => {}
-                            Err(_) => return,
-                        }
+/// Watches stdin for a `QUIT` line on a detached thread, which then
+/// begins shutdown through `quit`. Detached on purpose: if stdin never
+/// yields QUIT the thread parks on a read until process exit, and
+/// joining it would hang a protocol-initiated shutdown. EOF / closed
+/// stdin keeps the daemon serving.
+fn watch_stdin_for_quit(quit: ShutdownHandle) {
+    drop(
+        thread::Builder::new()
+            .name("serve-stdin".into())
+            .spawn(move || {
+                for line in std::io::stdin().lock().lines() {
+                    match line {
+                        Ok(l) if l.trim() == "QUIT" => return quit.trigger(),
+                        Ok(_) => {}
+                        Err(_) => return,
                     }
-                }),
-        );
-    }
-    quit
+                }
+            }),
+    );
 }
 
 /// `mrbc serve pool <graph> [--workers W] [--port P] [--addr A]
@@ -285,17 +267,10 @@ fn cmd_pool(p: &ParsedArgs) -> Result<String, CmdError> {
     use std::io::Write as _;
     drop(std::io::stdout().flush());
 
-    let quit = watch_stdin_for_quit();
-    while !pool.is_shutting_down() {
-        if quit.load(Ordering::SeqCst) {
-            pool.trigger_shutdown();
-            break;
-        }
-        thread::sleep(Duration::from_millis(20));
-    }
+    watch_stdin_for_quit(pool.shutdown_handle());
+    pool.wait();
     let stats = pool.pool_stats();
     let recoveries = pool.recoveries_ms();
-    pool.shutdown();
     Ok(format!(
         "pool exited cleanly: {} workers, {} sessions, {} routed, \
          {} failovers, {} respawns, {} retries emitted, {} partials emitted, \

@@ -119,7 +119,7 @@ impl HeartbeatDetector {
     }
 
     /// True when a heartbeat round is due at `now_ms`; advances the beat
-    /// clock when it is (call once per pump, send on `true`).
+    /// clock when it is (call once per mesh wake-up, send on `true`).
     pub fn beat_due(&mut self, now_ms: u64) -> bool {
         if now_ms.saturating_sub(self.last_beat_ms) >= self.cfg.heartbeat_every_ms {
             self.last_beat_ms = now_ms;
@@ -127,6 +127,17 @@ impl HeartbeatDetector {
         } else {
             false
         }
+    }
+
+    /// When the next heartbeat round falls due.
+    pub fn next_beat_ms(&self) -> u64 {
+        self.last_beat_ms + self.cfg.heartbeat_every_ms
+    }
+
+    /// The first instant at which `peer`, silent from now on, reads
+    /// [`PeerStatus::Dead`]; `None` once it is dead.
+    pub fn dead_at_ms(&self, peer: usize) -> Option<u64> {
+        (!self.dead[peer]).then(|| self.last_heard_ms[peer] + self.cfg.dead_after_ms + 1)
     }
 
     /// Re-admits `peer` after recovery: clears the sticky dead marker and
@@ -193,6 +204,19 @@ mod tests {
         d.heard_from(0, 100);
         d.heard_from(0, 50);
         assert_eq!(d.status(0, 140), PeerStatus::Alive);
+    }
+
+    #[test]
+    fn due_times_match_the_verdicts() {
+        let mut d = HeartbeatDetector::new(1, cfg(), 0);
+        assert_eq!(d.next_beat_ms(), 10);
+        assert!(!d.beat_due(d.next_beat_ms() - 1));
+        assert!(d.beat_due(d.next_beat_ms()));
+        d.heard_from(0, 40);
+        let dead_at = d.dead_at_ms(0).expect("alive");
+        assert_eq!(d.status(0, dead_at - 1), PeerStatus::Suspect);
+        assert_eq!(d.status(0, dead_at), PeerStatus::Dead);
+        assert_eq!(d.dead_at_ms(0), None);
     }
 
     #[test]

@@ -22,11 +22,14 @@
 //! before any data flows.
 //!
 //! The `[len][crc][body]` envelope itself (length bounds, checksum
-//! validation, handshake preamble) lives in [`mrbc_util::framing`],
-//! shared with the `mrbc-serve` query protocol; this module only defines
-//! the mesh-specific body layout.
+//! validation, handshake preamble, the blocking read loop) lives in
+//! [`mrbc_util::framing`], shared with the `mrbc-serve` query protocol;
+//! this module only defines the mesh-specific body layout.
 
-use mrbc_util::framing::{self, EnvelopeDecoder};
+use std::io::Read;
+use std::ops::ControlFlow;
+
+use mrbc_util::framing;
 use mrbc_util::wire::{WireError, WireReader, WireWriter};
 
 /// Protocol magic carried in every handshake payload: `"MRBC"`.
@@ -38,7 +41,7 @@ pub const PROTOCOL_VERSION: u32 = 1;
 pub const MAX_FRAME_BYTES: usize = framing::MAX_ENVELOPE_BYTES;
 
 /// Fixed frame-header length (bytes) ahead of the payload: kind + from +
-/// epoch + step + seq. The envelope decoder rejects anything shorter.
+/// epoch + step + seq. The envelope read loop rejects anything shorter.
 const HEADER_BYTES: usize = 23;
 
 /// Frame discriminator.
@@ -152,76 +155,68 @@ impl Frame {
         body.extend_from_slice(&self.payload);
         framing::seal(&body)
     }
-}
 
-/// Incremental frame decoder over a byte stream: feed raw TCP bytes,
-/// pull whole validated frames. Envelope parsing (length bounds, CRC)
-/// is delegated to the shared [`EnvelopeDecoder`].
-#[derive(Debug)]
-pub struct FrameDecoder {
-    envelope: EnvelopeDecoder,
-}
-
-impl Default for FrameDecoder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl FrameDecoder {
-    /// Empty decoder.
-    pub fn new() -> Self {
-        FrameDecoder {
-            envelope: EnvelopeDecoder::with_min_body(HEADER_BYTES),
-        }
-    }
-
-    /// Appends raw bytes read from the socket.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        self.envelope.feed(bytes);
-    }
-
-    /// Bytes currently buffered (for diagnostics).
-    pub fn buffered(&self) -> usize {
-        self.envelope.buffered()
-    }
-
-    /// Tries to decode the next complete frame. `Ok(None)` means more
-    /// bytes are needed; an error means the stream is corrupt and the
-    /// connection must be dropped (re-synchronizing a byte stream after
-    /// a bad length prefix is not possible).
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        let Some(body) = self.envelope.next_body()? else {
-            return Ok(None);
-        };
-        let mut r = WireReader::new(&body);
+    /// Decodes one envelope body ([`read_frames`] runs it on a stream).
+    fn decode(body: &[u8]) -> Result<Frame, WireError> {
+        let mut r = WireReader::new(body);
         let kind = FrameKind::from_u8(r.u8()?)?;
         let from = r.u16()?;
         let epoch = r.u32()?;
         let step = r.u64()?;
         let seq = r.u64()?;
         let payload = r.rest().to_vec();
-        Ok(Some(Frame {
+        Ok(Frame {
             kind,
             from,
             epoch,
             step,
             seq,
             payload,
-        }))
+        })
     }
+}
+
+/// Reads frames from `src` through the shared envelope
+/// [`read_loop`](framing::read_loop) until EOF, a read error, a corrupt
+/// frame or a [`ControlFlow::Break`] from `on_frame`. A byte stream
+/// cannot be re-synchronized, so a corrupt frame ends it.
+pub fn read_frames(src: &mut impl Read, mut on_frame: impl FnMut(Frame) -> ControlFlow<()>) {
+    framing::read_loop(src, HEADER_BYTES, |body| match Frame::decode(&body) {
+        Ok(frame) => on_frame(frame),
+        Err(_) => ControlFlow::Break(()),
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn roundtrip(f: &Frame) -> Frame {
-        let mut d = FrameDecoder::new();
-        d.feed(&f.encode());
-        let got = d.next_frame().unwrap().unwrap();
-        assert_eq!(d.buffered(), 0);
+    fn frames_in(src: &mut impl Read) -> Vec<Frame> {
+        let mut got = Vec::new();
+        read_frames(src, |f| {
+            got.push(f);
+            ControlFlow::Continue(())
+        });
         got
+    }
+
+    fn roundtrip(f: &Frame) -> Frame {
+        let mut got = frames_in(&mut &f.encode()[..]);
+        assert_eq!(got.len(), 1);
+        got.remove(0)
+    }
+
+    /// Hands out one byte per `read`, like a slow socket.
+    struct Dribble(Vec<u8>);
+
+    impl Read for Dribble {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.0.is_empty() || buf.is_empty() {
+                return Ok(0);
+            }
+            buf[0] = self.0.remove(0);
+            Ok(1)
+        }
     }
 
     #[test]
@@ -239,6 +234,53 @@ mod tests {
         assert_eq!(roundtrip(&hb), hb);
     }
 
+    /// One frame of each kind, byte for byte: peers of different builds
+    /// must keep reading each other, so the wire may not move unnoticed.
+    #[test]
+    fn encoded_frames_match_golden_bytes() {
+        let mut ack = Frame::control(FrameKind::Ack, 2, 7);
+        ack.seq = 9;
+        let data = Frame {
+            kind: FrameKind::Data,
+            from: 3,
+            epoch: 7,
+            step: 42,
+            seq: 1234567,
+            payload: vec![1, 2, 3, 4, 5],
+        };
+        let golden = [
+            (
+                Frame::handshake(FrameKind::Hello, 1, 2),
+                "2500000047549b0800010002000000000000000000000000000000000000004d524243010000000100",
+            ),
+            (
+                Frame::handshake(FrameKind::Welcome, 0, 2),
+                "250000005ff0a8d601000002000000000000000000000000000000000000004d524243010000000000",
+            ),
+            (
+                data,
+                "20000000cbd10ab1020300070000002a0000000000000087d61200000000000102030405",
+            ),
+            (
+                ack,
+                "1b00000041691ed40302000700000000000000000000000900000000000000",
+            ),
+            (
+                Frame::control(FrameKind::Heartbeat, 1, 7),
+                "1b000000844790840401000700000000000000000000000000000000000000",
+            ),
+            (
+                Frame::control(FrameKind::Bye, 3, 7),
+                "1b000000d064b3310503000700000000000000000000000000000000000000",
+            ),
+        ];
+        for (frame, hex) in golden {
+            let got: String = frame.encode().iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(got, hex, "{:?}", frame.kind);
+            assert_eq!(roundtrip(&frame), frame);
+        }
+    }
+
     #[test]
     fn decoder_handles_split_and_batched_input() {
         let a = Frame {
@@ -252,16 +294,9 @@ mod tests {
         let b = Frame::control(FrameKind::Ack, 2, 0);
         let mut bytes = a.encode();
         bytes.extend_from_slice(&b.encode());
-        let mut d = FrameDecoder::new();
-        // Dribble one byte at a time; both frames must come out intact.
-        let mut got = Vec::new();
-        for byte in bytes {
-            d.feed(&[byte]);
-            while let Some(f) = d.next_frame().unwrap() {
-                got.push(f);
-            }
-        }
-        assert_eq!(got, vec![a, b]);
+        // Both at once, then one byte at a time: both frames come out intact.
+        assert_eq!(frames_in(&mut &bytes[..]), vec![a.clone(), b.clone()]);
+        assert_eq!(frames_in(&mut Dribble(bytes)), vec![a, b]);
     }
 
     #[test]
@@ -277,16 +312,16 @@ mod tests {
         let mut bytes = f.encode();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
-        let mut d = FrameDecoder::new();
-        d.feed(&bytes);
-        assert!(d.next_frame().is_err());
+        bytes.extend(f.encode());
+        assert!(
+            frames_in(&mut &bytes[..]).is_empty(),
+            "nothing after a corrupt frame"
+        );
     }
 
     #[test]
     fn insane_length_prefix_is_rejected_without_allocating() {
-        let mut d = FrameDecoder::new();
-        d.feed(&u32::MAX.to_le_bytes());
-        assert!(d.next_frame().is_err());
+        assert!(frames_in(&mut &u32::MAX.to_le_bytes()[..]).is_empty());
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!
 //! The layering, bottom-up:
 //!
-//! * [`frame`] — length-prefixed, CRC-sealed frames and the incremental
-//!   stream decoder; versioned `Hello`/`Welcome` handshake.
+//! * [`frame`] — the mesh's frame body inside the shared CRC-sealed
+//!   envelope, and the blocking frame reader; versioned
+//!   `Hello`/`Welcome` handshake.
 //! * [`detector`] — the pure Alive → Suspect → Dead heartbeat state
 //!   machine (time enters as explicit timestamps).
 //! * [`mesh`] — the full mesh of reliable connections between ranks,
@@ -37,9 +38,9 @@ pub mod worker;
 
 pub use checkpoint::{CheckpointError, CheckpointStore};
 pub use detector::{DetectorConfig, HeartbeatDetector, PeerStatus};
-pub use frame::{Frame, FrameDecoder, FrameKind};
+pub use frame::{Frame, FrameKind};
 pub use launch::{launch, LaunchConfig, LaunchError, LaunchReport, RankOutcome};
-pub use mesh::{Mesh, MeshConfig, MeshError, MeshStats};
+pub use mesh::{Mesh, MeshConfig, MeshError, MeshStats, Waker};
 pub use worker::{
     await_resume, run_worker, run_worker_from, ControlMsg, ControlPlane, WorkerConfig, WorkerError,
     WorkerEvent, WorkerOutcome,

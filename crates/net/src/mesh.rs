@@ -20,24 +20,34 @@
 //! BSP allgather then consumes exactly one in-order payload per peer per
 //! step.
 //!
-//! The mesh is single-threaded: sockets are non-blocking and a `pump`
-//! drains readable bytes, flushes pending writes, emits heartbeats, and
-//! redials broken connections. Whatever blocks on the mesh — connect,
-//! allgather, goodbye, a worker's step and stall loops — does so in
-//! [`Mesh::wait_until`], which pumps on every turn, so the transport
-//! makes progress even while the program is blocked on recovery.
+//! **Threads and waiting.** Every open socket has one reader thread: it
+//! blocks in `read`, decodes frames ([`read_frames`]) and sends each
+//! one, then the socket's end, to the mesh's one event channel, tagged
+//! with the socket's generation so that events from a dropped socket
+//! are recognisably stale. Because one socket's events share one FIFO
+//! channel, "frames before the hang-up" holds by construction.
+//! Everything else happens on the thread that owns the [`Mesh`]: it
+//! alone writes, straight to the blocking socket, and whatever blocks on
+//! the mesh — connect, allgather, goodbye, a worker's step and stall
+//! loops — does so in [`Mesh::wait_until`], which sleeps on the channel
+//! until a frame arrives, a [`Waker`] fires or the next deadline falls
+//! due. Nothing polls, except the listener while a link that a peer
+//! dials is down.
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Write;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::ops::ControlFlow;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use mrbc_dgalois::reliability::{AckTracker, PairSeqs, Reassembly};
 use mrbc_util::backoff::Backoff;
 
 use crate::detector::{DetectorConfig, HeartbeatDetector, PeerStatus};
-use crate::frame::{Frame, FrameDecoder, FrameKind};
+use crate::frame::{read_frames, Frame, FrameKind};
 
 /// Time since the process-wide transport clock epoch.
 ///
@@ -62,8 +72,20 @@ pub fn now_ms() -> u64 {
     clock().as_millis() as u64
 }
 
-/// How often a blocked mesh polls its sockets (see [`Mesh::wait_until`]).
-const POLL_PERIOD: Duration = Duration::from_millis(1);
+/// How long one socket write may block before the link counts as
+/// broken. Every peer's reader drains its socket, so only a hung peer
+/// makes a write wait.
+const WRITE_DEADLINE: Duration = Duration::from_secs(1);
+
+/// How often the listener is checked while a link that a peer dials is
+/// down: a dial is the one thing that does not arrive as an event.
+const ACCEPT_POLL_MS: u64 = 1;
+
+/// A dial whose `Welcome` has not come back by then is dropped.
+const GREETING_TIMEOUT_MS: u64 = 3_000;
+
+/// An accepted socket that has not said `Hello` by then is dropped.
+const HELLO_TIMEOUT_MS: u64 = 5_000;
 
 /// Transport failure surfaced to the worker loop.
 #[derive(Debug)]
@@ -162,21 +184,94 @@ pub struct MeshStats {
     pub epoch_discards: u64,
     /// Sends suppressed / connections cut by an enforced partition.
     pub partition_cuts: u64,
+    /// Wake-ups in [`Mesh::wait_until`] that found neither an event nor
+    /// a due deadline: listener checks while a link is down.
+    pub idle_wakes: u64,
+}
+
+/// What reaches the mesh's event channel. Socket events carry the
+/// socket's generation.
+enum Event {
+    /// A frame read from socket `gen`.
+    Frame(u64, Frame),
+    /// Socket `gen` hit EOF, an error or a corrupt frame; nothing follows.
+    End(u64),
+    /// A [`Waker`] fired.
+    Wake,
+}
+
+/// Wakes a mesh blocked in [`Mesh::wait_until`] from another thread, so
+/// that it checks its condition again — a control plane that has just
+/// queued a message for the mesh's owner uses it.
+#[derive(Clone)]
+pub struct Waker(Sender<Event>);
+
+impl Waker {
+    /// Wakes the mesh; a no-op once it is gone.
+    pub fn wake(&self) {
+        drop(self.0.send(Event::Wake));
+    }
+}
+
+/// One open socket: the mesh thread writes it, a reader thread reads
+/// it. Dropping the link shuts the socket down, which ends the reader,
+/// and joins the reader.
+struct Link {
+    gen: u64,
+    stream: TcpStream,
+    reader: Option<JoinHandle<()>>,
+}
+
+impl Link {
+    fn open(stream: TcpStream, gen: u64, events: &Sender<Event>) -> std::io::Result<Link> {
+        stream.set_nodelay(true)?;
+        stream.set_write_timeout(Some(WRITE_DEADLINE))?;
+        let mut read_half = stream.try_clone()?;
+        let events = events.clone();
+        let reader = thread::Builder::new()
+            .name("mesh-rx".into())
+            .spawn(move || {
+                read_frames(&mut read_half, |frame| {
+                    match events.send(Event::Frame(gen, frame)) {
+                        Ok(()) => ControlFlow::Continue(()),
+                        Err(_) => ControlFlow::Break(()),
+                    }
+                });
+                drop(events.send(Event::End(gen)));
+            })?;
+        Ok(Link {
+            gen,
+            stream,
+            reader: Some(reader),
+        })
+    }
+
+    /// Writes one whole frame, blocking up to [`WRITE_DEADLINE`].
+    fn send(&mut self, frame: &Frame) -> std::io::Result<()> {
+        self.stream.write_all(&frame.encode())
+    }
+}
+
+impl Drop for Link {
+    fn drop(&mut self) {
+        drop(self.stream.shutdown(Shutdown::Both));
+        if let Some(reader) = self.reader.take() {
+            drop(reader.join());
+        }
+    }
 }
 
 enum ConnState {
     /// No socket; `retry_at_ms` gates the next dial attempt.
     Down,
     /// Dialer side: TCP connected, `Hello` sent, awaiting `Welcome`.
-    Greeting(TcpStream),
+    Greeting(Link),
     /// Fully established.
-    Up(TcpStream),
+    Up(Link),
 }
 
 struct Conn {
     state: ConnState,
-    decoder: FrameDecoder,
-    outbox: VecDeque<u8>,
     backoff: Backoff,
     retry_at_ms: u64,
     /// When the dialer entered `Greeting` (stuck handshakes time out).
@@ -189,8 +284,6 @@ impl Conn {
     fn new(seed: u64) -> Self {
         Conn {
             state: ConnState::Down,
-            decoder: FrameDecoder::new(),
-            outbox: VecDeque::new(),
             backoff: Backoff::new(10, 500, 64, seed),
             retry_at_ms: 0,
             greeting_since_ms: 0,
@@ -202,10 +295,16 @@ impl Conn {
         matches!(self.state, ConnState::Up(_))
     }
 
+    /// The generation of the open socket, if any.
+    fn gen(&self) -> Option<u64> {
+        match &self.state {
+            ConnState::Greeting(link) | ConnState::Up(link) => Some(link.gen),
+            ConnState::Down => None,
+        }
+    }
+
     fn drop_stream(&mut self, now: u64) {
         self.state = ConnState::Down;
-        self.decoder = FrameDecoder::new();
-        self.outbox.clear();
         self.retry_at_ms = now + self.backoff.next_delay();
     }
 }
@@ -223,8 +322,15 @@ pub struct Mesh {
     /// real addresses — dialing the placeholder list would be nonsense.
     addrs_known: bool,
     conns: Vec<Conn>,
-    /// Accepted sockets whose `Hello` has not arrived yet.
-    pending: Vec<(TcpStream, FrameDecoder, u64)>,
+    /// Accepted sockets whose `Hello` has not arrived yet, with when
+    /// they were accepted.
+    pending: Vec<(Link, u64)>,
+    /// Every reader's and every [`Waker`]'s events, in arrival order.
+    events: Receiver<Event>,
+    /// Cloned into each reader and waker; holding it keeps `events` open.
+    event_tx: Sender<Event>,
+    /// The last socket generation handed out.
+    last_gen: u64,
     seqs: PairSeqs,
     acks: Vec<AckTracker<(u64, Vec<u8>)>>,
     reasm: Vec<Reassembly<(u64, Vec<u8>)>>,
@@ -234,8 +340,6 @@ pub struct Mesh {
     partition_until_ms: Vec<u64>,
     /// In-flight allgather, if any.
     exchange: Option<ExchangeState>,
-    /// When [`Mesh::wait_until`] polls next, or last did (transport clock).
-    next_poll: Duration,
     /// Transport counters.
     pub stats: MeshStats,
 }
@@ -257,6 +361,7 @@ impl Mesh {
         let local_addr = listener.local_addr()?;
         let n = cfg.num_ranks;
         let now = now_ms();
+        let (event_tx, events) = mpsc::channel();
         Ok(Mesh {
             rank: cfg.rank,
             num_ranks: n,
@@ -269,6 +374,9 @@ impl Mesh {
                 .map(|p| Conn::new((cfg.rank as u64) << 32 | p as u64))
                 .collect(),
             pending: Vec::new(),
+            events,
+            event_tx,
+            last_gen: 0,
             seqs: PairSeqs::new(n),
             acks: (0..n).map(|_| AckTracker::new()).collect(),
             reasm: (0..n).map(|_| Reassembly::new()).collect(),
@@ -276,7 +384,6 @@ impl Mesh {
             detector: HeartbeatDetector::new(n, cfg.detector, now),
             partition_until_ms: vec![0; n],
             exchange: None,
-            next_poll: Duration::ZERO,
             stats: MeshStats::default(),
         })
     }
@@ -297,54 +404,66 @@ impl Mesh {
         self.epoch
     }
 
-    /// Pumps the transport until `ready` yields a value: the one wait
-    /// loop, and the one idle sleep, every blocking operation on a mesh
-    /// goes through. `ready` sees the mesh right after each pump and the
-    /// milliseconds waited so far, so a caller's deadline is one more
-    /// reason to yield.
+    /// A handle that wakes this mesh out of [`Mesh::wait_until`].
+    pub fn waker(&self) -> Waker {
+        Waker(self.event_tx.clone())
+    }
+
+    /// Drives the transport until `ready` yields a value: the one wait
+    /// loop every blocking operation on a mesh goes through. `ready` sees
+    /// the mesh after the transport's timed duties ran, and whether
+    /// `budget_ms` (counted from the call) has run out.
     ///
-    /// Polls fall on a grid of [`POLL_PERIOD`] that outlives the call, so
-    /// that how long a run of blocked steps takes follows from the number
-    /// of polls and not from when each happened to be scheduled (a 2-rank,
-    /// 338-step solve on localhost: 200 to 260 ms from one minute to the
-    /// next with a plain 1 ms sleep, 171.5 ms with this).
-    pub fn wait_until<T>(&mut self, mut ready: impl FnMut(&mut Mesh, u64) -> Option<T>) -> T {
-        let started = now_ms();
-        let mut sleeps = 0u32;
+    /// Between checks the mesh blocks on its event channel until a frame
+    /// or a hang-up arrives, a [`Waker`] fires, or the next deadline
+    /// falls due: a heartbeat, a redial, a handshake timeout, a silent
+    /// peer's dead verdict, or the budget. So a step costs what its
+    /// frames cost, and an expiry is seen when it happens.
+    pub fn wait_until<T>(
+        &mut self,
+        budget_ms: Option<u64>,
+        mut ready: impl FnMut(&mut Mesh, bool) -> Option<T>,
+    ) -> T {
+        let budget_end = budget_ms.map_or(u64::MAX, |ms| now_ms().saturating_add(ms));
         loop {
-            self.pump();
-            if let Some(out) = ready(self, now_ms() - started) {
+            self.tick(now_ms());
+            if let Some(out) = ready(self, now_ms() >= budget_end) {
                 return out;
             }
-            // Waking to nothing means this rank polled just ahead of its
-            // peers' sends, and whole periods would keep it just ahead of
-            // them, one wasted wake-up per step. Half a period, once,
-            // puts its polls between theirs.
-            let period = POLL_PERIOD / if sleeps == 1 { 2 } else { 1 };
-            sleeps += 1;
-            // Sleep up to the next grid point, not for a fixed gap: a
-            // wake-up that comes late (by 0.1 to 0.5 ms here, depending
-            // on what else the machine does) shortens the sleep after it.
-            // A mesh that has not blocked for a while starts a new grid.
-            let (now, tick) = (clock(), self.next_poll + period);
-            self.next_poll = if tick > now { tick } else { now + period };
-            std::thread::sleep(self.next_poll - now);
+            let now = now_ms();
+            let due = self.next_due_ms(now).min(budget_end);
+            let wake_ms = if self.awaiting_dials() {
+                due.min(now + ACCEPT_POLL_MS)
+            } else {
+                due
+            };
+            let timeout = Duration::from_millis(wake_ms).saturating_sub(clock());
+            match self.events.recv_timeout(timeout) {
+                Ok(event) => {
+                    self.handle(event);
+                    while let Ok(event) = self.events.try_recv() {
+                        self.handle(event);
+                    }
+                }
+                Err(_) if now_ms() < due => self.stats.idle_wakes += 1,
+                Err(_) => {}
+            }
         }
     }
 
-    /// Installs the full address list and pumps until every peer link is
+    /// Installs the full address list and waits until every peer link is
     /// up, or `timeout_ms` elapses.
     pub fn connect(&mut self, addrs: &[SocketAddr], timeout_ms: u64) -> Result<(), MeshError> {
         assert_eq!(addrs.len(), self.num_ranks, "one address per rank");
         self.addrs = addrs.to_vec();
         self.addrs_known = true;
-        self.wait_until(|m, waited_ms| {
+        self.wait_until(Some(timeout_ms), |m, expired| {
             let missing: Vec<usize> = (0..m.num_ranks)
                 .filter(|&p| p != m.rank && !m.conns[p].is_up())
                 .collect();
             if missing.is_empty() {
                 Some(Ok(()))
-            } else if waited_ms >= timeout_ms {
+            } else if expired {
                 Some(Err(MeshError::EstablishTimeout { missing }))
             } else {
                 None
@@ -397,7 +516,7 @@ impl Mesh {
 
     /// Starts the allgather exchange for `step`: stamps one reliability
     /// sequence number per peer, retains the payload for idempotent
-    /// resend, and queues the Data frames. Complete the exchange with
+    /// resend, and sends the Data frames. Complete the exchange with
     /// [`Mesh::try_complete_exchange`] (or use [`Mesh::allgather`]).
     pub fn begin_exchange(&mut self, step: u64, payload: Vec<u8>) {
         debug_assert!(self.exchange.is_none(), "previous exchange still open");
@@ -415,7 +534,7 @@ impl Mesh {
                 seq,
                 payload: payload.clone(),
             };
-            self.enqueue(peer, &frame);
+            self.send(peer, &frame);
         }
         self.exchange = Some(ExchangeState {
             step,
@@ -423,11 +542,10 @@ impl Mesh {
             started_ms: now_ms(),
         });
         mrbc_obs::counter_add("net.allgather.calls", 1);
-        self.pump();
     }
 
     /// Checks the open exchange once, doing no I/O itself (the caller
-    /// pumps — normally by asking from inside [`Mesh::wait_until`]): if
+    /// waits — normally by asking from inside [`Mesh::wait_until`]): if
     /// every peer's payload for `step` has arrived, returns all ranks'
     /// payloads in rank order (own included). `Ok(None)` means still
     /// waiting. Errors when the failure detector declares a
@@ -509,7 +627,9 @@ impl Mesh {
         deadline_ms: Option<u64>,
     ) -> Result<Vec<Vec<u8>>, MeshError> {
         self.begin_exchange(step, payload);
-        let all = self.wait_until(|m, _| m.try_complete_exchange(step, deadline_ms).transpose());
+        let all = self.wait_until(deadline_ms, |m, _| {
+            m.try_complete_exchange(step, deadline_ms).transpose()
+        });
         if all.is_err() {
             self.exchange = None;
         }
@@ -517,62 +637,59 @@ impl Mesh {
     }
 
     /// Orderly shutdown: lingers until every reachable peer has
-    /// acknowledged all of our Data frames and the outboxes are drained,
-    /// then announces `Bye` and flushes it out.
+    /// acknowledged all of our Data frames, announces `Bye`, then lingers
+    /// until each peer has hung up.
     ///
-    /// The linger is load-bearing, not politeness. A rank that finishes
+    /// The lingers are load-bearing, not politeness. A rank that finishes
     /// first and simply drops its `Mesh` closes sockets that may still
     /// hold unread inbound bytes (a heartbeat, a late ack) — that close
     /// aborts the connection with RST, and an RST discards
     /// *delivered-but-unread* bytes on the peer's side, destroying the
     /// final step's payload that nothing will ever retransmit (the
     /// sender is gone). Waiting for the cumulative ack proves the peer's
-    /// reassembly layer delivered everything we sent.
+    /// reassembly layer delivered everything we sent; waiting for its
+    /// hang-up proves it read our `Bye` and leaves nothing unread here.
     ///
-    /// What ends the linger, per peer: its cumulative ack of our last
-    /// Data frame, or its own `Bye` — either may be the last thing it
-    /// wrote before closing, and frames read ahead of a hang-up count
-    /// (see `read_all`). Between live peers that takes a round trip. The
-    /// two deadlines (2 s for the acks, 250 ms for the `Bye` flush) only
-    /// bound the wait for a peer that crashed or is unreachable.
+    /// What ends the first linger, per peer: its cumulative ack of our
+    /// last Data frame, or its own `Bye` — either may be the last thing
+    /// it wrote before closing, and frames read ahead of a hang-up count.
+    /// Between live peers each linger takes a round trip. The two
+    /// deadlines (2 s for the acks, 250 ms for the hang-ups) only bound
+    /// the wait for a peer that crashed or is unreachable.
     pub fn goodbye(&mut self) {
-        self.wait_until(|m, waited_ms| {
+        self.wait_until(Some(2_000), |m, expired| {
             let now = now_ms();
             let settled = (0..m.num_ranks).all(|p| {
-                p == m.rank
-                    || m.conns[p].closed
-                    || m.partitioned(p, now)
-                    || (m.acks[p].is_empty() && m.conns[p].outbox.is_empty())
+                p == m.rank || m.conns[p].closed || m.partitioned(p, now) || m.acks[p].is_empty()
             });
-            (settled || waited_ms >= 2_000).then_some(())
+            (settled || expired).then_some(())
         });
         for peer in 0..self.num_ranks {
             if peer != self.rank && self.conns[peer].is_up() {
                 let bye = Frame::control(FrameKind::Bye, self.rank as u16, self.epoch);
-                self.enqueue(peer, &bye);
+                self.send(peer, &bye);
             }
         }
-        // Push the Byes out; keep reading while we do so the socket is
-        // drained at close (an empty receive queue avoids the RST path).
-        self.wait_until(|m, waited_ms| {
-            let drained = (0..m.num_ranks)
-                .all(|p| p == m.rank || !m.conns[p].is_up() || m.conns[p].outbox.is_empty());
-            (drained || waited_ms >= 250).then_some(())
+        self.wait_until(Some(250), |m, expired| {
+            let hung_up = (0..m.num_ranks).all(|p| p == m.rank || !m.conns[p].is_up());
+            (hung_up || expired).then_some(())
         });
     }
 
-    /// Appends an encoded frame to the peer's outbox (no-op while the
-    /// link is down or partitioned — Data frames are retained in the ack
-    /// tracker and replayed on reconnect).
-    fn enqueue(&mut self, peer: usize, frame: &Frame) {
+    /// Writes `frame` to `peer` (no-op while the link is down or
+    /// partitioned — Data frames are retained in the ack tracker and
+    /// replayed on reconnect). A failed write drops the link.
+    fn send(&mut self, peer: usize, frame: &Frame) {
         let now = now_ms();
         if self.partitioned(peer, now) {
             self.stats.partition_cuts += 1;
             return;
         }
-        if self.conns[peer].is_up() {
-            let bytes = frame.encode();
-            self.conns[peer].outbox.extend(bytes);
+        let conn = &mut self.conns[peer];
+        if let ConnState::Up(link) = &mut conn.state {
+            if link.send(frame).is_err() {
+                conn.drop_stream(now);
+            }
         }
     }
 
@@ -594,23 +711,20 @@ impl Mesh {
                 seq,
                 payload,
             };
-            self.enqueue(peer, &frame);
+            self.send(peer, &frame);
         }
         self.stats.resends += n;
         mrbc_obs::counter_add("net.resends", n);
         if let Some(cum) = self.reasm[peer].cumulative_ack() {
             let mut ack = Frame::control(FrameKind::Ack, self.rank as u16, self.epoch);
             ack.seq = cum;
-            self.enqueue(peer, &ack);
+            self.send(peer, &ack);
         }
     }
 
     /// Bookkeeping shared by both promotion paths (acceptor's Hello,
-    /// dialer's Welcome). The caller has already installed the stream,
-    /// decoder, and any handshake bytes in the outbox — this must NOT
-    /// reset either: the decoder may hold frames that arrived in the
-    /// same segment as the handshake, and dropping them would lose data
-    /// that nothing retransmits until the next reconnect.
+    /// dialer's Welcome), once the link is `Up` and the acceptor's
+    /// `Welcome` is written: the replay goes out behind it.
     fn after_link_up(&mut self, peer: usize, now: u64) {
         self.conns[peer].backoff.reset();
         self.stats.reconnects += 1;
@@ -619,18 +733,15 @@ impl Mesh {
         self.replay_to(peer);
     }
 
-    /// Drives the transport: accepts, handshakes, reads, dispatches,
-    /// heartbeats, redials, flushes. Never blocks.
-    pub fn pump(&mut self) {
-        let now = now_ms();
+    /// The transport's timed duties: take new dials, send a due
+    /// heartbeat round, give up on stuck handshakes, redial.
+    fn tick(&mut self, now: u64) {
         self.accept_new(now);
-        self.greet_pending(now);
-        self.read_all(now);
         if self.detector.beat_due(now) {
             for peer in 0..self.num_ranks {
                 if peer != self.rank && self.conns[peer].is_up() && !self.partitioned(peer, now) {
                     let hb = Frame::control(FrameKind::Heartbeat, self.rank as u16, self.epoch);
-                    self.enqueue(peer, &hb);
+                    self.send(peer, &hb);
                     self.stats.heartbeats_tx += 1;
                 }
             }
@@ -638,112 +749,108 @@ impl Mesh {
         // A dial whose Welcome never arrives must not wedge the link.
         for conn in &mut self.conns {
             if matches!(conn.state, ConnState::Greeting(_))
-                && now.saturating_sub(conn.greeting_since_ms) > 3_000
+                && now.saturating_sub(conn.greeting_since_ms) > GREETING_TIMEOUT_MS
             {
                 conn.drop_stream(now);
             }
         }
         self.redial(now);
-        self.flush_all(now);
+    }
+
+    /// When [`Mesh::tick`] next has something to do, or a silent peer
+    /// turns dead.
+    fn next_due_ms(&self, now: u64) -> u64 {
+        let mut due = self.detector.next_beat_ms();
+        for (p, conn) in self.conns.iter().enumerate() {
+            if p == self.rank {
+                continue;
+            }
+            match conn.state {
+                ConnState::Down if p < self.rank && self.addrs_known && !conn.closed => {
+                    due = due.min(conn.retry_at_ms.max(self.partition_until_ms[p]));
+                }
+                ConnState::Greeting(_) => {
+                    due = due.min(conn.greeting_since_ms + GREETING_TIMEOUT_MS + 1);
+                }
+                _ => {}
+            }
+            // A verdict already past is seen by whoever asks next.
+            if let Some(t) = self.detector.dead_at_ms(p).filter(|&t| t > now) {
+                due = due.min(t);
+            }
+        }
+        for (_, accepted_ms) in &self.pending {
+            due = due.min(accepted_ms + HELLO_TIMEOUT_MS);
+        }
+        due
+    }
+
+    /// True while a link that a peer dials (a higher rank's) is down, so
+    /// a dial may be waiting in the listener.
+    fn awaiting_dials(&self) -> bool {
+        self.conns[self.rank + 1..]
+            .iter()
+            .any(|c| !c.closed && !c.is_up())
+    }
+
+    fn fresh_gen(&mut self) -> u64 {
+        self.last_gen += 1;
+        self.last_gen
     }
 
     fn accept_new(&mut self, now: u64) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                        continue;
-                    }
-                    self.pending.push((stream, FrameDecoder::new(), now));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(_) => break,
+        // An accepted socket does not inherit the listener's
+        // non-blocking mode on Linux: its reader blocks.
+        while let Ok((stream, _)) = self.listener.accept() {
+            let gen = self.fresh_gen();
+            if let Ok(link) = Link::open(stream, gen, &self.event_tx) {
+                self.pending.push((link, now));
             }
         }
-        // Expire pending sockets that never said Hello.
         self.pending
-            .retain(|(_, _, t)| now.saturating_sub(*t) < 5_000);
+            .retain(|(_, accepted_ms)| now.saturating_sub(*accepted_ms) < HELLO_TIMEOUT_MS);
     }
 
-    /// Reads pending accepted sockets until their `Hello` identifies the
-    /// peer, then installs the connection and answers `Welcome`.
-    fn greet_pending(&mut self, now: u64) {
-        let mut ready: Vec<(usize, TcpStream, FrameDecoder)> = Vec::new();
-        let mut keep: Vec<(TcpStream, FrameDecoder, u64)> = Vec::new();
-        for (mut stream, mut dec, t) in std::mem::take(&mut self.pending) {
-            if read_nonblocking(&mut stream, &mut dec) {
-                continue;
-            }
-            match dec.next_frame() {
-                Err(_) => continue, // corrupt greeting: drop the socket
-                Ok(None) => keep.push((stream, dec, t)),
-                Ok(Some(frame)) => {
-                    if frame.kind != FrameKind::Hello {
-                        continue;
-                    }
-                    let Ok(rank) = frame.handshake_rank() else {
-                        continue;
-                    };
-                    let peer = rank as usize;
-                    // Only ranks above ours dial us; anything else is a
-                    // protocol violation and the socket is dropped.
-                    if peer >= self.num_ranks || peer <= self.rank {
-                        continue;
-                    }
-                    if self.partitioned(peer, now) {
-                        self.stats.partition_cuts += 1;
-                        continue;
-                    }
-                    ready.push((peer, stream, dec));
-                }
-            }
+    fn handle(&mut self, event: Event) {
+        let now = now_ms();
+        let peer_of = |gen| self.conns.iter().position(|c| c.gen() == Some(gen));
+        match event {
+            Event::Wake => {}
+            Event::Frame(gen, frame) => match peer_of(gen) {
+                Some(peer) => self.handle_frame(peer, frame, now),
+                None => self.greet(gen, frame, now),
+            },
+            Event::End(gen) => match peer_of(gen) {
+                Some(peer) => self.conns[peer].drop_stream(now),
+                None => self.pending.retain(|(link, _)| link.gen != gen),
+            },
         }
-        self.pending = keep;
-        for (peer, stream, dec) in ready {
-            // Keep the decoder: bytes after the Hello already belong to
-            // the established link. Welcome goes out before any replay.
-            let welcome = Frame::handshake(FrameKind::Welcome, self.rank as u16, self.epoch);
-            self.conns[peer].state = ConnState::Up(stream);
-            self.conns[peer].decoder = dec;
-            self.conns[peer].outbox.clear();
-            self.conns[peer].outbox.extend(welcome.encode());
+    }
+
+    /// The first frame on accepted socket `gen` (if it is still
+    /// pending): a `Hello` from a rank above ours installs the link and
+    /// answers `Welcome`; anything else drops the socket.
+    fn greet(&mut self, gen: u64, frame: Frame, now: u64) {
+        let Some(i) = self.pending.iter().position(|(link, _)| link.gen == gen) else {
+            return; // a socket already dropped
+        };
+        let (mut link, _) = self.pending.swap_remove(i);
+        let peer = match frame.handshake_rank() {
+            Ok(rank) if frame.kind == FrameKind::Hello => rank as usize,
+            _ => return,
+        };
+        // Only ranks above ours dial us.
+        if peer >= self.num_ranks || peer <= self.rank {
+            return;
+        }
+        if self.partitioned(peer, now) {
+            self.stats.partition_cuts += 1;
+            return;
+        }
+        let welcome = Frame::handshake(FrameKind::Welcome, self.rank as u16, self.epoch);
+        if link.send(&welcome).is_ok() {
+            self.conns[peer].state = ConnState::Up(link);
             self.after_link_up(peer, now);
-        }
-    }
-
-    fn read_all(&mut self, now: u64) {
-        for peer in 0..self.num_ranks {
-            if peer == self.rank {
-                continue;
-            }
-            let conn = &mut self.conns[peer];
-            let hung_up = match &mut conn.state {
-                ConnState::Up(stream) | ConnState::Greeting(stream) => {
-                    read_nonblocking(stream, &mut conn.decoder)
-                }
-                ConnState::Down => continue,
-            };
-            // Frames first, the hang-up after: a peer's last `Ack` and
-            // its `Bye` arrive in the same read as its FIN, and nothing
-            // resends them. (A `Bye` or a protocol violation takes the
-            // link down itself; `drop_stream` empties the decoder, so
-            // nothing behind such a frame is handled.)
-            loop {
-                let frame = match self.conns[peer].decoder.next_frame() {
-                    Ok(Some(f)) => f,
-                    Ok(None) => break,
-                    Err(_) => {
-                        // Corrupt stream: no resynchronization possible.
-                        self.conns[peer].drop_stream(now);
-                        break;
-                    }
-                };
-                self.handle_frame(peer, frame, now);
-            }
-            let conn = &mut self.conns[peer];
-            if hung_up && !matches!(conn.state, ConnState::Down) {
-                conn.drop_stream(now);
-            }
         }
     }
 
@@ -757,18 +864,15 @@ impl Mesh {
         self.detector.heard_from(peer, now);
         match frame.kind {
             FrameKind::Welcome => {
-                // Dialer side: promote Greeting → Up in place — same
-                // stream, same decoder (it may already hold replayed Data
-                // that shared a segment with the Welcome), same outbox
-                // (any unflushed Hello tail must precede the replay).
+                // Dialer side: promote Greeting → Up in place, same link.
                 if frame.handshake_rank().ok() != Some(peer as u16) {
                     self.conns[peer].drop_stream(now);
                     return;
                 }
-                if let ConnState::Greeting(stream) =
+                if let ConnState::Greeting(link) =
                     std::mem::replace(&mut self.conns[peer].state, ConnState::Down)
                 {
-                    self.conns[peer].state = ConnState::Up(stream);
+                    self.conns[peer].state = ConnState::Up(link);
                     self.after_link_up(peer, now);
                 }
             }
@@ -793,7 +897,7 @@ impl Mesh {
                 if let Some(cum) = self.reasm[peer].cumulative_ack() {
                     let mut ack = Frame::control(FrameKind::Ack, self.rank as u16, self.epoch);
                     ack.seq = cum;
-                    self.enqueue(peer, &ack);
+                    self.send(peer, &ack);
                 }
             }
             FrameKind::Ack => {
@@ -824,81 +928,19 @@ impl Mesh {
             {
                 continue;
             }
-            let addr = self.addrs[peer];
-            match TcpStream::connect_timeout(&addr, std::time::Duration::from_millis(250)) {
-                Ok(stream) => {
-                    if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                        self.conns[peer].drop_stream(now);
-                        continue;
-                    }
-                    let hello = Frame::handshake(FrameKind::Hello, self.rank as u16, self.epoch);
-                    self.conns[peer].state = ConnState::Greeting(stream);
-                    self.conns[peer].decoder = FrameDecoder::new();
-                    self.conns[peer].outbox.clear();
-                    self.conns[peer].outbox.extend(hello.encode());
+            let gen = self.fresh_gen();
+            let hello = Frame::handshake(FrameKind::Hello, self.rank as u16, self.epoch);
+            let events = &self.event_tx;
+            let dialed = TcpStream::connect_timeout(&self.addrs[peer], Duration::from_millis(250))
+                .and_then(|stream| Link::open(stream, gen, events))
+                .and_then(|mut link| link.send(&hello).map(|()| link));
+            match dialed {
+                Ok(link) => {
+                    self.conns[peer].state = ConnState::Greeting(link);
                     self.conns[peer].greeting_since_ms = now;
                 }
-                Err(_) => {
-                    let delay = self.conns[peer].backoff.next_delay();
-                    self.conns[peer].retry_at_ms = now + delay;
-                }
+                Err(_) => self.conns[peer].drop_stream(now),
             }
-        }
-    }
-
-    fn flush_all(&mut self, now: u64) {
-        for peer in 0..self.num_ranks {
-            if peer == self.rank {
-                continue;
-            }
-            let conn = &mut self.conns[peer];
-            if conn.outbox.is_empty() {
-                continue;
-            }
-            let stream = match &mut conn.state {
-                ConnState::Up(s) | ConnState::Greeting(s) => s,
-                ConnState::Down => continue,
-            };
-            let mut broken = false;
-            loop {
-                let (head, _) = conn.outbox.as_slices();
-                if head.is_empty() {
-                    break;
-                }
-                match stream.write(head) {
-                    Ok(0) => {
-                        broken = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.outbox.drain(..n);
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        broken = true;
-                        break;
-                    }
-                }
-            }
-            if broken {
-                conn.drop_stream(now);
-            }
-        }
-    }
-}
-
-/// Feeds `decoder` everything `stream` has ready; true when the peer
-/// hung up (EOF or a socket error), possibly after bytes that were fed.
-fn read_nonblocking(stream: &mut TcpStream, decoder: &mut FrameDecoder) -> bool {
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        match stream.read(&mut buf) {
-            Ok(0) => return true,
-            Ok(n) => decoder.feed(&buf[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return false,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return true,
         }
     }
 }
@@ -920,8 +962,8 @@ mod tests {
             .expect("read timeout");
         peer.write_all(&Frame::handshake(FrameKind::Hello, 1, 0).encode())
             .expect("hello");
-        let up = mesh.wait_until(|m, waited_ms| {
-            (m.conns[1].is_up() || waited_ms >= 5_000).then(|| m.conns[1].is_up())
+        let up = mesh.wait_until(Some(5_000), |m, expired| {
+            (m.conns[1].is_up() || expired).then(|| m.conns[1].is_up())
         });
         assert!(up, "link to the hand-played peer came up");
         mesh.begin_exchange(0, b"payload".to_vec());
@@ -929,19 +971,15 @@ mod tests {
         // Read up to our Data frame (an empty receive queue lets the
         // close below end in FIN, not RST), then acknowledge it, say
         // `Bye` and hang up in one go.
-        let mut dec = FrameDecoder::new();
-        let mut buf = [0u8; 4096];
-        let seq = loop {
-            match dec.next_frame().expect("well-formed stream") {
-                Some(f) if f.kind == FrameKind::Data => break f.seq,
-                Some(_) => {}
-                None => {
-                    let n = peer.read(&mut buf).expect("read");
-                    assert!(n > 0, "mesh hung up early");
-                    dec.feed(&buf[..n]);
-                }
+        let mut seq = None;
+        read_frames(&mut peer, |f| {
+            if f.kind != FrameKind::Data {
+                return ControlFlow::Continue(());
             }
-        };
+            seq = Some(f.seq);
+            ControlFlow::Break(())
+        });
+        let seq = seq.expect("mesh hung up early");
         let mut ack = Frame::control(FrameKind::Ack, 1, 0);
         ack.seq = seq;
         let mut last_words = ack.encode();
@@ -949,7 +987,9 @@ mod tests {
         peer.write_all(&last_words).expect("ack + bye");
         drop(peer);
 
-        mesh.wait_until(|m, waited_ms| (!m.conns[1].is_up() || waited_ms >= 5_000).then_some(()));
+        mesh.wait_until(Some(5_000), |m, expired| {
+            (!m.conns[1].is_up() || expired).then_some(())
+        });
         assert!(mesh.acks[1].is_empty(), "the final ack was retired");
         assert!(mesh.conns[1].closed, "the Bye was seen");
         let t0 = now_ms();

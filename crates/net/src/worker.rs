@@ -159,7 +159,9 @@ impl From<mrbc_util::wire::WireError> for WorkerError {
 /// stream and an event sink. With no receiver attached the worker runs
 /// fire-and-forget: transport failures become errors instead of stalls.
 pub struct ControlPlane {
-    /// Inbound control messages (`None` → headless run).
+    /// Inbound control messages (`None` → headless run). The sender
+    /// wakes the worker's mesh ([`Mesh::waker`]) after each message, and
+    /// once more when it hangs up; a blocked worker notices nothing else.
     pub rx: Option<Receiver<ControlMsg>>,
     /// Event sink (launcher stdout lines, test probes, …).
     pub notify: Box<dyn FnMut(&WorkerEvent) + Send>,
@@ -309,13 +311,15 @@ fn step_loop<P: SpmdProgram>(
             .arg("span", mrbc_obs::fresh_id())
             .arg("parent", cfg.trace.1);
         mesh.begin_exchange(step, payload);
-        let waited = mesh.wait_until(|m, _| match drain_control(prog, m, cfg, control) {
-            Ok(None) => m
-                .try_complete_exchange(step, cfg.deadline_ms)
-                .transpose()
-                .map(|all| Ok(Waited::Exchange(all))),
-            Ok(Some(flow)) => Some(Ok(Waited::Control(flow))),
-            Err(e) => Some(Err(e)),
+        let waited = mesh.wait_until(cfg.deadline_ms, |m, _| {
+            match drain_control(prog, m, cfg, control) {
+                Ok(None) => m
+                    .try_complete_exchange(step, cfg.deadline_ms)
+                    .transpose()
+                    .map(|all| Ok(Waited::Exchange(all))),
+                Ok(Some(flow)) => Some(Ok(Waited::Control(flow))),
+                Err(e) => Some(Err(e)),
+            }
         })?;
         drop(span);
         let all = match waited {
@@ -405,9 +409,10 @@ fn drain_control<P: SpmdProgram>(
     Ok(outcome)
 }
 
-/// Blocks (pumping the transport) until the launcher sends `Resume` or
-/// `Quit`. Replies to further `Recover` probes with the newest
-/// checkpoint boundary.
+/// Blocks (the transport keeps running) until the launcher sends
+/// `Resume` or `Quit`. Replies to further `Recover` probes with the
+/// newest checkpoint boundary. Only the control plane's
+/// [`Waker`](crate::mesh::Waker) ends the wait promptly.
 fn await_recovery<P: SpmdProgram>(
     prog: &mut P,
     mesh: &mut Mesh,
@@ -417,7 +422,7 @@ fn await_recovery<P: SpmdProgram>(
     if !control.attached() {
         return Err(WorkerError::Control("cannot recover without a launcher"));
     }
-    mesh.wait_until(|m, _| loop {
+    mesh.wait_until(None, |m, _| loop {
         match control.poll() {
             Ok(Some(ControlMsg::Resume { step, epoch, addrs })) => {
                 let applied = apply_resume(prog, m, cfg, step, epoch, &addrs);
@@ -538,6 +543,43 @@ mod tests {
             bytes[last] ^= 0xff;
             std::fs::write(&path, bytes).expect("write ckpt");
         }
+    }
+
+    /// A parked worker blocks in its mesh with no deadline for 30 s; it
+    /// acts on `Quit` at once only because the sender wakes the mesh.
+    #[test]
+    fn a_parked_worker_acts_on_quit_at_once() {
+        let mut mcfg = MeshConfig::localhost(0, 1);
+        mcfg.detector = crate::DetectorConfig {
+            heartbeat_every_ms: 30_000,
+            suspect_after_ms: 60_000,
+            dead_after_ms: 120_000,
+        };
+        let mut mesh = Mesh::bind(&mcfg).expect("bind mesh");
+        let waker = mesh.waker();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (events_tx, events) = std::sync::mpsc::channel();
+        let parked = std::thread::spawn(move || {
+            let mut control = ControlPlane {
+                rx: Some(rx),
+                notify: Box::new(move |ev| drop(events_tx.send(ev.clone()))),
+            };
+            let mut cfg = WorkerConfig::default();
+            let out = await_resume(&mut NullProg, &mut mesh, &mut cfg, &mut control);
+            (out, crate::mesh::now_ms())
+        });
+        // A `Recover` probe is answered from inside the wait; once the
+        // answer is out, the worker is back to waiting.
+        tx.send(ControlMsg::Recover).expect("recover");
+        waker.wake();
+        let answer = events.recv().expect("probe answered");
+        assert_eq!(answer, WorkerEvent::CkptLatest(None));
+        let sent = crate::mesh::now_ms();
+        tx.send(ControlMsg::Quit).expect("quit");
+        waker.wake();
+        let (out, acted) = parked.join().expect("worker thread");
+        assert!(matches!(out, Err(WorkerError::Control(_))), "{out:?}");
+        assert!(acted - sent < 500, "Quit took {} ms", acted - sent);
     }
 
     #[test]

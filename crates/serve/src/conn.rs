@@ -4,7 +4,9 @@
 //! Every TCP connection this crate owns — a client session on a daemon
 //! or on the pool front-end, a pool→worker link — is a [`Conn`]: a
 //! **reader** that blocks in `read` and hands each `[len][crc][body]`
-//! envelope body to a callback, and a **writer** thread that blocks on
+//! envelope body to a callback (the shared
+//! [`read_loop`](mrbc_util::framing::read_loop), which the mesh's
+//! sockets run too), and a **writer** thread that blocks on
 //! an `mpsc` queue of sealed frames and alone writes the socket. Any
 //! holder of a [`FrameTx`] clone can answer without touching the socket,
 //! so no socket I/O happens under a lock, frames never interleave, and a
@@ -22,15 +24,16 @@
 //! the `hangup:session=N` fault clause; a [`Handler`] supplies the rest.
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use mrbc_obs as obs;
-use mrbc_util::framing::{self, EnvelopeDecoder};
+use mrbc_util::framing;
 
 use crate::proto::{decode_request, encode_response, Request, Response, TraceCtx};
 
@@ -56,14 +59,6 @@ const WAKE_RETRY: Duration = Duration::from_millis(250);
 /// Seals `resp` as the answer to request `id`, ready for a [`FrameTx`].
 pub fn response_frame(id: u64, resp: &Response) -> Vec<u8> {
     framing::seal(&encode_response(id, resp))
-}
-
-/// What a reader does after its callback has seen a body.
-pub enum Flow {
-    /// Keep reading.
-    Continue,
-    /// Stop reading; frames already queued are still written.
-    Close,
 }
 
 /// The shared half of a connection: any thread may queue frames on it
@@ -139,48 +134,22 @@ impl Reader {
         self.unsent.clone()
     }
 
-    /// Reads until EOF, a socket error, an unsyncable stream or
-    /// [`Flow::Close`], handing each checksum-valid body (and the
+    /// Reads until EOF, a socket error, an unsyncable stream or a
+    /// [`ControlFlow::Break`], handing each checksum-valid body (and the
     /// connection's queue, for replies) to `on_body`. Then calls
     /// `on_close`, which must close or drop the [`Conn`], and waits for
-    /// the writer to drain what is still queued.
+    /// the writer to drain what is still queued (frames queued before a
+    /// `Break` are still written).
     pub fn run(
         mut self,
-        mut on_body: impl FnMut(Vec<u8>, &FrameTx) -> Flow,
+        mut on_body: impl FnMut(Vec<u8>, &FrameTx) -> ControlFlow<()>,
         on_close: impl FnOnce(),
     ) {
         let tx = &self.tx;
-        read_loop(&mut self.sock, |body| on_body(body, tx));
+        framing::read_loop(&mut self.sock, 1, |body| on_body(body, tx));
         on_close();
         drop((self.tx, self.unsent));
         drop(self.writer.join());
-    }
-}
-
-/// The reader loop: socket bytes → envelope bodies → `on_body`.
-fn read_loop(sock: &mut TcpStream, mut on_body: impl FnMut(Vec<u8>) -> Flow) {
-    let mut dec = EnvelopeDecoder::new();
-    let mut buf = [0u8; 4096];
-    loop {
-        match sock.read(&mut buf) {
-            Ok(0) => return, // peer closed, or `Conn::close`
-            Ok(n) => dec.feed(&buf[..n]),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return,
-        }
-        loop {
-            match dec.next_body() {
-                Ok(Some(body)) => {
-                    if let Flow::Close = on_body(body) {
-                        return;
-                    }
-                }
-                Ok(None) => break,
-                // A byte stream cannot be re-synchronized after a bad
-                // length prefix or checksum: drop the connection.
-                Err(_) => return,
-            }
-        }
     }
 }
 
@@ -324,15 +293,16 @@ impl Front {
         self.local_addr
     }
 
-    /// True once shutdown has begun.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.stop.load(Ordering::SeqCst)
-    }
-
     /// Begins shutdown without waiting: tells the handler, severs every
     /// session and wakes the blocked `accept`. Idempotent.
     pub fn trigger_shutdown(&self) {
         self.shared.trigger_shutdown();
+    }
+
+    /// A handle that begins shutdown from any thread, e.g. one watching
+    /// stdin while the owner blocks in [`Front::wait`].
+    pub fn shutdown_handle(&self) -> ShutdownHandle {
+        ShutdownHandle(Arc::clone(&self.shared))
     }
 
     /// Blocks until the listener and every session thread have exited.
@@ -340,6 +310,17 @@ impl Front {
         if let Some(h) = self.listener.take() {
             drop(h.join());
         }
+    }
+}
+
+/// Begins a [`Front`]'s shutdown; see [`Front::shutdown_handle`].
+#[derive(Clone)]
+pub struct ShutdownHandle(Arc<FrontShared>);
+
+impl ShutdownHandle {
+    /// [`Front::trigger_shutdown`], from wherever the handle went.
+    pub fn trigger(&self) {
+        self.0.trigger_shutdown();
     }
 }
 
@@ -404,12 +385,12 @@ fn session(stream: TcpStream, shared: &Arc<FrontShared>, index: u64) {
             // Every request is answered by exactly one frame, so this
             // waits while the peer is `MAX_UNSENT` answers behind.
             if unsent.send(()).is_err() {
-                return Flow::Close;
+                return ControlFlow::Break(());
             }
             // An injected hangup severs it after its first response.
             match serve_request(shared, index, &mut greeted, &body, tx) {
-                Flow::Continue if !sever => Flow::Continue,
-                _ => Flow::Close,
+                ControlFlow::Continue(()) if !sever => ControlFlow::Continue(()),
+                _ => ControlFlow::Break(()),
             }
         },
         || {
@@ -426,12 +407,12 @@ fn serve_request(
     greeted: &mut bool,
     body: &[u8],
     tx: &FrameTx,
-) -> Flow {
+) -> ControlFlow<()> {
     // A failed send means the writer is gone; the next read notices.
     let send = |id: u64, resp: &Response| drop(tx.send(response_frame(id, resp)));
     let refuse = |id: u64, message: String| {
         send(id, &Response::Error { message });
-        Flow::Close
+        ControlFlow::Break(())
     };
     let (id, ctx, req) = match decode_request(body) {
         Ok(triple) => triple,
@@ -448,18 +429,18 @@ fn serve_request(
         // session before its writer has sent the `Bye`.
         drop(shared.live().remove(&index));
         shared.trigger_shutdown();
-        return Flow::Close;
+        return ControlFlow::Break(());
     }
     match shared.handler.handle(index, id, ctx, req, tx) {
         Reply::Now(resp) => {
             send(id, &resp);
             *greeted |= is_hello;
-            Flow::Continue
+            ControlFlow::Continue(())
         }
         Reply::Refuse(resp) => {
             send(id, &resp);
-            Flow::Close
+            ControlFlow::Break(())
         }
-        Reply::Queued => Flow::Continue,
+        Reply::Queued => ControlFlow::Continue(()),
     }
 }

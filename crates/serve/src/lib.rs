@@ -37,6 +37,7 @@ pub mod store;
 pub mod table;
 
 pub use client::{ClientConfig, ClientError, RetryClient, ServeClient, Welcome};
+pub use conn::ShutdownHandle;
 pub use durable::{DurableLog, DurableRecovery};
 pub use pool::{start_pool, Pool, PoolConfig, PoolStats, WorkerSpawn};
 pub use proto::{MutateOp, Request, Response, ServeStats, TraceCtx};

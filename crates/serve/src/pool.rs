@@ -43,6 +43,7 @@
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -59,7 +60,7 @@ use mrbc_obs as obs;
 use mrbc_util::framing;
 use mrbc_util::wal::{WalConfig, WalError};
 
-use crate::conn::{Conn, Flow, FrameTx, Front, Handler, Reply};
+use crate::conn::{Conn, FrameTx, Front, Handler, Reply, ShutdownHandle};
 use crate::durable::DurableLog;
 use crate::proto::{
     decode_response, encode_request, Across, MutateOp, Request, Response, ServeStats, TraceCtx,
@@ -545,6 +546,11 @@ impl Pool {
         self.front.trigger_shutdown();
     }
 
+    /// A handle that requests shutdown from another thread.
+    pub fn shutdown_handle(&self) -> ShutdownHandle {
+        self.front.shutdown_handle()
+    }
+
     /// Blocks until the front-end and supervisor threads exit.
     pub fn wait(&mut self) {
         self.front.wait();
@@ -674,9 +680,14 @@ fn connect_worker(
 
 /// One response body from worker `rank`: liveness evidence, an epoch
 /// observation, and the answer some waiter is blocked on.
-fn worker_replied(shared: &PoolShared, conn: &WorkerConn, rank: usize, body: &[u8]) -> Flow {
+fn worker_replied(
+    shared: &PoolShared,
+    conn: &WorkerConn,
+    rank: usize,
+    body: &[u8],
+) -> ControlFlow<()> {
     let Ok((id, resp)) = decode_response(body) else {
-        return Flow::Close;
+        return ControlFlow::Break(());
     };
     if let Ok(mut d) = shared.detector.lock() {
         d.heard_from(rank, now_ms());
@@ -692,7 +703,7 @@ fn worker_replied(shared: &PoolShared, conn: &WorkerConn, rank: usize, body: &[u
         drop(tx.send(WorkerReply::Answer(resp)));
     }
     // No waiter: a probe, or a request whose waiter gave up. Drop it.
-    Flow::Continue
+    ControlFlow::Continue(())
 }
 
 /// Sends `req` on `conn` (untraced — pool housekeeping traffic) and

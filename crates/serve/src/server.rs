@@ -33,7 +33,7 @@ use mrbc_faults::FaultPlan;
 use mrbc_graph::CsrGraph;
 use mrbc_obs as obs;
 
-use crate::conn::{self, FrameTx, Front, Handler, Reply};
+use crate::conn::{self, FrameTx, Front, Handler, Reply, ShutdownHandle};
 use crate::proto::{Request, Response, ServeStats, TraceCtx};
 use crate::sched::{Job, SchedConfig, Scheduler};
 use crate::store::EpochStore;
@@ -191,16 +191,15 @@ impl Server {
         self.shared.stats()
     }
 
-    /// True once shutdown has been requested (by [`Self::trigger_shutdown`]
-    /// or a client's `Shutdown` request).
-    pub fn is_shutting_down(&self) -> bool {
-        self.front.is_shutting_down()
-    }
-
     /// Requests shutdown without blocking: the listener, every session
     /// and the worker are woken and wind down.
     pub fn trigger_shutdown(&self) {
         self.front.trigger_shutdown();
+    }
+
+    /// A handle that requests shutdown from another thread.
+    pub fn shutdown_handle(&self) -> ShutdownHandle {
+        self.front.shutdown_handle()
     }
 
     /// Blocks until every serving thread has exited. Call after

@@ -10,7 +10,11 @@
 //!
 //! The body's *content* stays protocol-specific (the mesh has a 23-byte
 //! frame header, the query service a tagged request/response encoding);
-//! only the envelope and the handshake preamble are shared.
+//! only the envelope, the handshake preamble and the blocking
+//! [`read_loop`] that turns a socket into bodies are shared.
+
+use std::io::{ErrorKind, Read};
+use std::ops::ControlFlow;
 
 use crate::crc::crc32;
 use crate::wire::{WireError, WireReader, WireWriter};
@@ -99,6 +103,43 @@ impl EnvelopeDecoder {
     }
 }
 
+/// The one envelope read loop: reads `src` until EOF, a read error, a
+/// corrupt envelope or a [`ControlFlow::Break`] from `on_body`, handing
+/// each checksum-valid body to `on_body` in stream order. Bodies shorter
+/// than `min_body` count as corrupt (see
+/// [`EnvelopeDecoder::with_min_body`]). Every TCP connection in the
+/// workspace runs this on a thread that blocks in `read`; a socket
+/// `shutdown` from another thread ends it.
+pub fn read_loop<R: Read>(
+    src: &mut R,
+    min_body: usize,
+    mut on_body: impl FnMut(Vec<u8>) -> ControlFlow<()>,
+) {
+    let mut dec = EnvelopeDecoder::with_min_body(min_body);
+    let mut buf = [0u8; 16 * 1024];
+    loop {
+        match src.read(&mut buf) {
+            Ok(0) => return,
+            Ok(n) => dec.feed(&buf[..n]),
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return,
+        }
+        loop {
+            match dec.next_body() {
+                Ok(Some(body)) => {
+                    if on_body(body).is_break() {
+                        return;
+                    }
+                }
+                Ok(None) => break,
+                // A byte stream cannot be re-synchronized after a bad
+                // length prefix or checksum.
+                Err(_) => return,
+            }
+        }
+    }
+}
+
 /// Writes a handshake preamble (protocol magic + version) into `w`.
 pub fn write_preamble(w: &mut WireWriter, magic: u32, version: u32) {
     w.u32(magic);
@@ -178,6 +219,55 @@ mod tests {
         let mut lax = EnvelopeDecoder::new();
         lax.feed(&short);
         assert_eq!(lax.next_body().unwrap().unwrap(), vec![1, 2, 3]);
+    }
+
+    /// Hands out at most one byte per `read`, like a slow socket.
+    struct Dribble<'a>(&'a [u8]);
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.0.len().min(buf.len()).min(1);
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    fn bodies_read_from(src: &mut impl Read, min_body: usize) -> Vec<Vec<u8>> {
+        let mut got = Vec::new();
+        read_loop(src, min_body, |body| {
+            got.push(body);
+            ControlFlow::Continue(())
+        });
+        got
+    }
+
+    #[test]
+    fn read_loop_hands_over_every_body_in_order_until_eof() {
+        let bodies: [&[u8]; 3] = [b"first", &[9u8; 300], b"last"];
+        let bytes: Vec<u8> = bodies.iter().flat_map(|b| seal(b)).collect();
+        assert_eq!(bodies_read_from(&mut &bytes[..], 1), bodies);
+        assert_eq!(bodies_read_from(&mut Dribble(&bytes), 1), bodies);
+    }
+
+    #[test]
+    fn read_loop_stops_at_a_corrupt_envelope_or_a_break() {
+        let mut bytes = seal(b"good");
+        let bad_at = bytes.len();
+        bytes.extend(seal(b"flipped"));
+        bytes.extend(seal(b"never seen"));
+        bytes[bad_at + 8] ^= 0x01;
+        assert_eq!(bodies_read_from(&mut &bytes[..], 1), vec![b"good".to_vec()]);
+        // Too short for the policy: corrupt as well.
+        assert!(bodies_read_from(&mut &seal(b"abc")[..], 4).is_empty());
+
+        let two: Vec<u8> = [seal(b"a"), seal(b"b")].concat();
+        let mut seen = 0;
+        read_loop(&mut &two[..], 1, |_| {
+            seen += 1;
+            ControlFlow::Break(())
+        });
+        assert_eq!(seen, 1);
     }
 
     #[test]
