@@ -34,10 +34,10 @@
 //! link stalls the global barrier — rounds cannot advance while it holds.)
 //!
 //! `kill:worker=` and `pause:worker=` target the supervised serve-worker
-//! pool (`mrbc-serve`): the supervisor delivers a real `SIGKILL` once the
-//! router has dispatched the given number of queries to that worker, or a
-//! real `SIGSTOP`/`SIGCONT` window — the shared vocabulary between the
-//! chaos harness and the pool integration tests.
+//! pool (`mrbc-serve`): the router delivers a real `SIGKILL` as it sends
+//! that worker the given number of queries, or a real `SIGSTOP` whose
+//! `SIGCONT` the supervisor sends when the window ends — the shared
+//! vocabulary between the chaos harness and the pool integration tests.
 //!
 //! `torn` and `fsyncfail` target the pool front-end's write-ahead log
 //! (`mrbc-serve` with `--wal-dir`): `torn:wal@rec=N` makes the Nth append
@@ -99,9 +99,8 @@ pub struct KillFault {
     pub round: u32,
 }
 
-/// A real serve-worker kill: the pool supervisor delivers `SIGKILL` to
-/// pool worker `rank` once the router has dispatched `query` requests to
-/// it. The chaos harness and the pool integration tests share this clause
+/// A real serve-worker kill: the pool router delivers `SIGKILL` to pool
+/// worker `rank` as it sends it its `query`th request. The chaos harness and the pool integration tests share this clause
 /// so "worker dies mid-query" means the same thing everywhere.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WorkerKillFault {
@@ -111,8 +110,9 @@ pub struct WorkerKillFault {
     pub query: u64,
 }
 
-/// A real serve-worker freeze: the pool supervisor `SIGSTOP`s worker
-/// `rank` for `ms` wall-clock milliseconds, then `SIGCONT`s it. Unlike a
+/// A real serve-worker freeze: the pool router `SIGSTOP`s worker `rank`
+/// at its first request, and the supervisor `SIGCONT`s it `ms`
+/// wall-clock milliseconds later. Unlike a
 /// kill, the worker keeps its state; the clause exercises the straggler
 /// path (hedging, heartbeat suspicion) rather than the respawn path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -171,9 +171,10 @@ pub struct FaultPlan {
     /// Real process kills (executed by the `mrbc-net` launcher).
     pub kills: Vec<KillFault>,
     /// Real serve-worker kills (executed by the `mrbc-serve` pool
-    /// supervisor; fires by dispatched-query count, not round).
+    /// router; fires by dispatched-query count, not round).
     pub worker_kills: Vec<WorkerKillFault>,
-    /// Real serve-worker SIGSTOP windows (executed by the pool supervisor).
+    /// Real serve-worker SIGSTOP windows (executed by the pool router and
+    /// supervisor).
     pub worker_pauses: Vec<WorkerPauseFault>,
     /// Real wall-clock network partitions (executed by the TCP mesh).
     pub partitions: Vec<PartitionFault>,
@@ -334,7 +335,7 @@ impl FromStr for FaultPlan {
                 }
                 "kill" => {
                     if body.trim_start().starts_with("worker=") {
-                        // kill:worker=R@query=N — pool supervisor kill.
+                        // kill:worker=R@query=N — pool router kill.
                         let (rank_kv, query_kv) = body.split_once('@').ok_or_else(|| {
                             err(format!("kill clause {body:?}: expected worker=R@query=N"))
                         })?;

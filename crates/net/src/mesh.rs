@@ -72,6 +72,11 @@ pub fn now_ms() -> u64 {
     clock().as_millis() as u64
 }
 
+/// How long until [`now_ms`] reads `deadline_ms`; zero once it has.
+pub fn time_until(deadline_ms: u64) -> Duration {
+    Duration::from_millis(deadline_ms).saturating_sub(clock())
+}
+
 /// How long one socket write may block before the link counts as
 /// broken. Every peer's reader drains its socket, so only a hung peer
 /// makes a write wait.
@@ -437,8 +442,7 @@ impl Mesh {
             } else {
                 due
             };
-            let timeout = Duration::from_millis(wake_ms).saturating_sub(clock());
-            match self.events.recv_timeout(timeout) {
+            match self.events.recv_timeout(time_until(wake_ms)) {
                 Ok(event) => {
                     self.handle(event);
                     while let Ok(event) = self.events.try_recv() {

@@ -19,26 +19,33 @@
 //! Supervision reuses the [`mrbc_net::detector`] heartbeat machinery:
 //! the supervisor thread probes each worker on the detector's beat
 //! schedule; any response is liveness evidence. A worker is declared
-//! down on either hard evidence (its TCP connection died) or silence
-//! (the detector's `Dead` verdict, which catches `SIGSTOP`-style
-//! freezes). Down workers are killed for certain, respawned, re-driven
-//! through the `Hello` handshake, and brought to the current epoch by
-//! replaying the mutation log; in-flight requests they held fail over
-//! to a sibling, and requests that exhaust every sibling or the
-//! dispatch deadline surface as [`Response::Retry`] — **never a hang**.
-//! (DESIGN.md §12 draws the per-worker failover state machine.)
+//! down on either hard evidence (its TCP connection died or its process
+//! exited) or silence (the detector's `Dead` verdict, which catches
+//! `SIGSTOP`-style freezes). Down workers are killed for certain,
+//! respawned, re-driven through the `Hello` handshake, and brought to
+//! the current epoch by replaying the mutation log; in-flight requests
+//! they held fail over to a sibling, and requests that exhaust every
+//! sibling or the dispatch deadline surface as [`Response::Retry`] —
+//! **never a hang**. (DESIGN.md §12 draws the per-worker failover state
+//! machine.)
 //!
-//! Chaos clauses from the shared fault DSL are executed here for real:
-//! `kill:worker=R@query=N` SIGKILLs worker `R` once the router has
-//! dispatched `N` queries to it, and `pause:worker=R:ms=D` freezes it
-//! with `SIGSTOP`/`SIGCONT` (process backends only).
+//! Chaos clauses from the shared fault DSL are executed here for real,
+//! by the router as it dispatches: `kill:worker=R@query=N` SIGKILLs
+//! worker `R` with the `N`th query dispatched to it, and
+//! `pause:worker=R:ms=D` freezes it with `SIGSTOP` at its first one
+//! (process backends only); the supervisor sends the `SIGCONT`.
 //!
 //! Every socket is a [`crate::conn::Conn`]. Client sessions run on the
 //! same [`Front`] the single daemon uses; the [`Handler`] here calls
 //! [`route`] on the session's reader thread, which blocks (bounded by
 //! the dispatch deadline) and so keeps a session's answers in request
 //! order. A [`WorkerConn`] is the same connection with a callback that
-//! resolves the pending-reply map. Only the supervisor runs on a timer.
+//! resolves the pending-reply map. Nothing polls: the supervisor blocks
+//! on one event channel — a worker link ended, a worker process exited,
+//! a mutation was logged, the router froze a worker, shutdown began —
+//! until an event arrives or its next deadline (heartbeat, a silent
+//! worker's dead verdict, a `SIGCONT`, a respawn retry) falls due, and
+//! handles events in arrival order.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader};
@@ -55,8 +62,9 @@ use mrbc_core::BcConfig;
 use mrbc_faults::{ChurnFault, FaultPlan};
 use mrbc_graph::CsrGraph;
 use mrbc_net::detector::{DetectorConfig, HeartbeatDetector, PeerStatus};
-use mrbc_net::mesh::now_ms;
+use mrbc_net::mesh::{now_ms, time_until};
 use mrbc_obs as obs;
+use mrbc_util::backoff::Backoff;
 use mrbc_util::framing;
 use mrbc_util::wal::{WalConfig, WalError};
 
@@ -68,12 +76,13 @@ use crate::proto::{
 use crate::sched::SchedConfig;
 use crate::server::{start, ServeConfig, Server};
 
-/// Supervisor period: heartbeat, chaos and liveness checks.
-const SUPERVISE_EVERY: Duration = Duration::from_millis(5);
 /// Deadline for a respawned worker to print its readiness line.
 const SPAWN_READY_MS: u64 = 30_000;
 /// Deadline for the worker-side `Hello` handshake and log replay steps.
 const HANDSHAKE_MS: u64 = 30_000;
+/// Bring-up retry pacing for a worker whose respawn failed: first
+/// delay and cap, ms.
+const RESPAWN_RETRY_MS: (u64, u64) = (10, 2_000);
 
 /// How the pool obtains its worker backends.
 pub enum WorkerSpawn {
@@ -109,7 +118,7 @@ pub struct PoolConfig {
     /// The `after_ms` hint carried by emitted `Retry` responses.
     pub retry_after_ms: u32,
     /// Chaos clauses (`kill:worker=`, `pause:worker=`, `torn:wal@rec=`,
-    /// `fsyncfail:ms=`) executed by the supervisor and the WAL.
+    /// `fsyncfail:ms=`) executed by the router and the WAL.
     pub faults: Option<FaultPlan>,
     /// Write-ahead-log directory. When set, every acknowledged mutation
     /// is fsync-covered before its `Mutated` reply leaves the front-end,
@@ -168,6 +177,9 @@ crate::table::stat_table! {
         churn_driven,
         /// Total storm size from the `churn:` clause (0 = no churn).
         churn_total,
+        /// Supervisor wake-ups that found neither an event nor a due
+        /// deadline.
+        idle_wakes,
     }
 }
 
@@ -199,6 +211,8 @@ struct WorkerConn {
     conn: Conn,
     pending: Mutex<HashMap<u64, mpsc::Sender<WorkerReply>>>,
     reader: Mutex<Option<JoinHandle<()>>>,
+    /// The worker's generation, for [`Event::LinkDown`].
+    gen: u64,
 }
 
 impl WorkerConn {
@@ -220,16 +234,17 @@ impl WorkerConn {
         sent
     }
 
-    /// Severs the connection (its reader and writer both wake and exit)
-    /// and fails every in-flight request so its waiter can fail over
-    /// instead of sleeping out its deadline.
-    fn drain_dead(&self) {
+    /// Severs the connection (its reader and writer both wake and exit),
+    /// fails every in-flight request so its waiter can fail over
+    /// instead of sleeping out its deadline, and tells the supervisor.
+    fn drain_dead(&self, shared: &PoolShared) {
         self.conn.close();
         if let Ok(mut p) = self.pending.lock() {
             for (_, tx) in p.drain() {
                 drop(tx.send(WorkerReply::ConnDead));
             }
         }
+        drop(shared.events.send(Event::LinkDown(self.gen)));
     }
 }
 
@@ -255,47 +270,14 @@ impl Backend {
             Backend::InProc(mut server) => server.shutdown(),
         }
     }
-
-    /// Waits up to `timeout_ms` for a child process to exit on its own
-    /// (after a protocol goodbye), so the worker's `--trace` /
-    /// `--flight-dir` exports finish before any hard kill. Returns true
-    /// once the backend is gone.
-    fn wait_graceful(&mut self, timeout_ms: u64) -> bool {
-        let Backend::Child(child) = self else {
-            return false;
-        };
-        let deadline = now_ms() + timeout_ms;
-        loop {
-            match child.try_wait() {
-                Ok(Some(_)) => {
-                    *self = Backend::Down;
-                    return true;
-                }
-                Ok(None) => {}
-                Err(_) => return false,
-            }
-            if now_ms() >= deadline {
-                return false;
-            }
-            thread::sleep(Duration::from_millis(10));
-        }
-    }
-
-    /// The OS pid, for signal-based chaos clauses.
-    fn pid(&self) -> Option<u32> {
-        match self {
-            Backend::Child(c) => Some(c.id()),
-            _ => None,
-        }
-    }
 }
 
 /// Per-worker supervision state.
 struct WorkerSlot {
     conn: Mutex<Option<Arc<WorkerConn>>>,
     backend: Mutex<Backend>,
-    /// Queries the router has dispatched to this worker (drives the
-    /// `kill:worker=R@query=N` trigger).
+    /// Queries the router has sent to this worker (drives the
+    /// `kill:worker=` and `pause:worker=` triggers).
     dispatched: AtomicU64,
 }
 
@@ -305,6 +287,10 @@ struct PoolShared {
     retry_after_ms: u32,
     slots: Vec<WorkerSlot>,
     detector: Mutex<HeartbeatDetector>,
+    /// The supervisor's event channel.
+    events: mpsc::Sender<Event>,
+    /// The `kill:worker=` / `pause:worker=` clauses the router fires.
+    chaos: FaultPlan,
     shutdown: AtomicBool,
     next_id: AtomicU64,
     /// Highest epoch observed in worker answers (served in `Welcome`).
@@ -333,6 +319,11 @@ struct PoolShared {
     recoveries_ms: Mutex<Vec<u64>>,
 }
 
+/// Counts one more in `cell`; returns the new count.
+fn bump(cell: &AtomicU64) -> u64 {
+    cell.fetch_add(1, Ordering::Relaxed) + 1
+}
+
 impl PoolShared {
     fn fresh_id(&self) -> u64 {
         self.next_id.fetch_add(1, Ordering::Relaxed)
@@ -347,6 +338,54 @@ impl PoolShared {
         (0..self.workers).find(|&r| self.conn_of(r).is_some())
     }
 
+    /// Kills worker `rank`'s backend for certain and severs its link,
+    /// which tells the supervisor before this returns.
+    fn kill(&self, rank: usize) {
+        // The link is taken first: once the backend dies, the supervisor
+        // may publish its successor's at any moment.
+        let slot = &self.slots[rank];
+        let conn = slot.conn.lock().ok().and_then(|c| c.clone());
+        if let Ok(mut backend) = slot.backend.lock() {
+            backend.kill();
+        }
+        // Sever it here even if its reader thread is already at it, so
+        // the report is queued before this returns: a death then always
+        // reaches the supervisor ahead of a later shutdown.
+        if let Some(conn) = conn {
+            conn.drain_dead(self);
+        }
+    }
+
+    /// Worker `rank`'s OS pid, for signals (process backends only).
+    fn pid_of(&self, rank: usize) -> Option<u32> {
+        match &*self.slots[rank].backend.lock().ok()? {
+            Backend::Child(c) => Some(c.id()),
+            _ => None,
+        }
+    }
+
+    /// Fires the chaos clauses due at the `n`th query sent to `rank`: a
+    /// `kill:worker=` clause at its `query=N`, a `pause:worker=` clause
+    /// at the first, so the freeze lands mid-load. Every `n` comes from
+    /// one `fetch_add`, so each clause fires exactly once.
+    fn fire_chaos(&self, rank: usize, n: u64) {
+        for k in &self.chaos.worker_kills {
+            if (k.rank, k.query.max(1)) == (rank, n) {
+                self.kill(rank);
+            }
+        }
+        // In-process workers have no pid to freeze; the clause is a
+        // no-op there (tests use process mode for pause coverage).
+        let pid = if n == 1 { self.pid_of(rank) } else { None };
+        for p in self.chaos.worker_pauses.iter().filter(|p| p.rank == rank) {
+            if let Some(pid) = pid {
+                signal(pid, "-STOP");
+                let until = now_ms() + u64::from(p.ms);
+                drop(self.events.send(Event::Paused(pid, until)));
+            }
+        }
+    }
+
     /// The WAL durability barrier: appends the mutation and blocks until
     /// its covering fsync (a no-op without `--wal-dir`). Every
     /// `Response::Mutated` ack the front-end constructs must be preceded
@@ -359,11 +398,7 @@ impl PoolShared {
     }
 
     fn retry(&self) -> Response {
-        let nth = self
-            .counters
-            .retries_emitted
-            .fetch_add(1, Ordering::Relaxed)
-            + 1;
+        let nth = bump(&self.counters.retries_emitted);
         // A Retry means the routing machinery gave up — exactly the
         // moment the flight recorder's recent history is worth keeping.
         obs::flight::note("pool.retry_emitted", nth, u64::from(self.retry_after_ms));
@@ -421,6 +456,7 @@ pub fn start_pool(spawn: WorkerSpawn, cfg: PoolConfig) -> io::Result<Pool> {
     };
     let generation = durable.as_ref().map_or(0, DurableLog::generation);
 
+    let (events, inbox) = mpsc::channel();
     let shared = Arc::new(PoolShared {
         workers: cfg.workers,
         dispatch_timeout_ms: cfg.dispatch_timeout_ms,
@@ -433,6 +469,8 @@ pub fn start_pool(spawn: WorkerSpawn, cfg: PoolConfig) -> io::Result<Pool> {
             })
             .collect(),
         detector: Mutex::new(HeartbeatDetector::new(cfg.workers, cfg.detector, now_ms())),
+        events,
+        chaos: cfg.faults.clone().unwrap_or_default(),
         shutdown: AtomicBool::new(false),
         next_id: AtomicU64::new(1),
         epoch: AtomicU64::new(1),
@@ -447,17 +485,18 @@ pub fn start_pool(spawn: WorkerSpawn, cfg: PoolConfig) -> io::Result<Pool> {
     });
 
     let mut spawner = spawn;
-    for rank in 0..cfg.workers {
-        bring_up_worker(&shared, &mut spawner, rank)
-            .map_err(|e| io::Error::new(e.kind(), format!("worker {rank}: {e}")))?;
-    }
+    let gens = (0..cfg.workers)
+        .map(|rank| {
+            bring_up_worker(&shared, &mut spawner, rank)
+                .map_err(|e| io::Error::new(e.kind(), format!("worker {rank}: {e}")))
+        })
+        .collect::<io::Result<Vec<u64>>>()?;
 
-    let faults = cfg.faults.clone();
     let supervisor = {
         let shared = Arc::clone(&shared);
         thread::Builder::new()
             .name("pool-supervise".into())
-            .spawn(move || supervise_loop(&shared, spawner, faults))?
+            .spawn(move || supervise_loop(&shared, &inbox, spawner, gens))?
     };
     let front = Front::start(listener, "pool", Vec::new(), Arc::clone(&shared) as _)?;
     // The churn clause runs after the workers are up (graph_info is
@@ -519,20 +558,11 @@ impl Pool {
     }
 
     /// Kills worker `rank`'s backend right now (SIGKILL for processes).
-    /// The supervisor notices and respawns it; use from tests and the
-    /// chaos harness to exercise the failover path on demand.
+    /// The supervisor hears of it and respawns it; use from tests and
+    /// the chaos harness to exercise the failover path on demand.
     pub fn kill_worker(&self, rank: usize) {
-        if let Some(slot) = self.shared.slots.get(rank) {
-            if let Ok(mut backend) = slot.backend.lock() {
-                backend.kill();
-            }
-            // Sever the connection too: a SIGKILLed process closes its
-            // sockets anyway; the in-process mode needs the nudge.
-            if let Ok(conn) = slot.conn.lock() {
-                if let Some(conn) = conn.as_ref() {
-                    conn.drain_dead();
-                }
-            }
+        if rank < self.shared.workers {
+            self.shared.kill(rank);
         }
     }
 
@@ -579,8 +609,15 @@ impl Drop for Pool {
 // Worker lifecycle
 // ---------------------------------------------------------------------
 
-/// Spawns the backend for `rank` and returns its query address.
-fn spawn_backend(spawner: &mut WorkerSpawn, rank: usize) -> io::Result<(Backend, String)> {
+/// Spawns generation `gen` of worker `rank` and returns its query
+/// address. A process backend's stdout is drained to EOF, which is
+/// reported as [`Event::Exited`].
+fn spawn_backend(
+    shared: &PoolShared,
+    spawner: &mut WorkerSpawn,
+    rank: usize,
+    gen: u64,
+) -> io::Result<(Backend, String)> {
     match spawner {
         WorkerSpawn::Process(build) => {
             let mut cmd = build(rank);
@@ -594,24 +631,20 @@ fn spawn_backend(spawner: &mut WorkerSpawn, rank: usize) -> io::Result<(Backend,
             // The readiness line is read through a channel so a child
             // that never prints cannot park the supervisor forever.
             let (tx, rx) = mpsc::channel::<String>();
+            let events = shared.events.clone();
             let reader = thread::Builder::new()
                 .name(format!("pool-stdout-{rank}"))
                 .spawn(move || {
-                    let mut lines = BufReader::new(stdout).lines();
-                    for line in &mut lines {
-                        let Ok(line) = line else { return };
-                        if let Some(addr) = line.strip_prefix("SERVE ") {
-                            drop(tx.send(addr.trim().to_string()));
-                            break;
-                        }
+                    let mut lines = BufReader::new(stdout).lines().map_while(Result::ok);
+                    let ready =
+                        lines.find_map(|l| Some(l.strip_prefix("SERVE ")?.trim().to_string()));
+                    if let Some(addr) = ready {
+                        drop(tx.send(addr));
                     }
                     // Keep draining so the child never blocks on a full
-                    // stdout pipe.
-                    for line in lines {
-                        if line.is_err() {
-                            return;
-                        }
-                    }
+                    // stdout pipe; the pipe ends when the child does.
+                    lines.for_each(drop);
+                    drop(events.send(Event::Exited(gen)));
                 })?;
             match rx.recv_timeout(Duration::from_millis(SPAWN_READY_MS)) {
                 Ok(addr) => Ok((Backend::Child(child), addr)),
@@ -648,6 +681,7 @@ fn spawn_backend(spawner: &mut WorkerSpawn, rank: usize) -> io::Result<(Backend,
 fn connect_worker(
     shared: &Arc<PoolShared>,
     rank: usize,
+    gen: u64,
     addr: &str,
 ) -> io::Result<Arc<WorkerConn>> {
     let sockaddr: SocketAddr = addr
@@ -659,6 +693,7 @@ fn connect_worker(
         conn,
         pending: Mutex::new(HashMap::new()),
         reader: Mutex::new(None),
+        gen,
     });
     let handle = {
         let conn = Arc::clone(&conn);
@@ -668,7 +703,7 @@ fn connect_worker(
             .spawn(move || {
                 reader.run(
                     |body, _tx| worker_replied(&shared, &conn, rank, &body),
-                    || conn.drain_dead(),
+                    || conn.drain_dead(&shared),
                 );
             })?
     };
@@ -726,23 +761,25 @@ fn call_conn(
 }
 
 /// Spawn + connect + handshake + mutation-log replay for one rank, then
-/// publish the connection. Holds the mutation-log lock across replay and
-/// publish so broadcasts serialize against recovery (a respawning worker
-/// can neither miss nor double-order a mutation).
+/// publish the connection and return its generation. Holds the
+/// mutation-log lock across replay and publish so broadcasts serialize
+/// against recovery (a respawning worker can neither miss nor
+/// double-order a mutation).
 fn bring_up_worker(
     shared: &Arc<PoolShared>,
     spawner: &mut WorkerSpawn,
     rank: usize,
-) -> io::Result<()> {
+) -> io::Result<u64> {
     // Any failure past the spawn must kill the backend, or a half-born
     // worker process would leak every time the supervisor retries.
-    fn abort(mut backend: Backend, err: io::Error) -> io::Result<()> {
+    fn abort(mut backend: Backend, err: io::Error) -> io::Result<u64> {
         backend.kill();
         Err(err)
     }
 
-    let (backend, addr) = spawn_backend(spawner, rank)?;
-    let conn = match connect_worker(shared, rank, &addr) {
+    let gen = shared.fresh_id();
+    let (backend, addr) = spawn_backend(shared, spawner, rank, gen)?;
+    let conn = match connect_worker(shared, rank, gen, &addr) {
         Ok(c) => c,
         Err(e) => return abort(backend, e),
     };
@@ -767,7 +804,7 @@ fn bring_up_worker(
         ..
     }) = welcome
     else {
-        conn.drain_dead();
+        conn.drain_dead(shared);
         return abort(
             backend,
             io::Error::new(io::ErrorKind::TimedOut, "worker handshake failed"),
@@ -787,7 +824,7 @@ fn bring_up_worker(
         for &(op, u, v) in log.iter() {
             let replayed = call_conn(shared, &conn, &Request::Mutate { op, u, v }, HANDSHAKE_MS);
             let Some(Response::Mutated { epoch, .. }) = replayed else {
-                conn.drain_dead();
+                conn.drain_dead(shared);
                 drop(log);
                 return abort(
                     backend,
@@ -798,10 +835,7 @@ fn bring_up_worker(
             // pre-crash epoch: every worker converges to it, and Welcome
             // must advertise it before the first live query.
             shared.epoch.fetch_max(epoch, Ordering::SeqCst);
-            shared
-                .counters
-                .replayed_mutations
-                .fetch_add(1, Ordering::Relaxed);
+            bump(&shared.counters.replayed_mutations);
         }
         let slot = &shared.slots[rank];
         if let Ok(mut b) = slot.backend.lock() {
@@ -814,7 +848,7 @@ fn bring_up_worker(
     if let Ok(mut d) = shared.detector.lock() {
         d.reset_peer(rank, now_ms());
     }
-    Ok(())
+    Ok(gen)
 }
 
 /// Tears down whatever remains of worker `rank`.
@@ -822,7 +856,7 @@ fn tear_down_worker(shared: &Arc<PoolShared>, rank: usize) {
     let slot = &shared.slots[rank];
     let conn = slot.conn.lock().ok().and_then(|mut c| c.take());
     if let Some(conn) = conn {
-        conn.drain_dead();
+        conn.drain_dead(shared);
         let reader = conn.reader.lock().ok().and_then(|mut r| r.take());
         if let Some(h) = reader {
             drop(h.join());
@@ -837,133 +871,190 @@ fn tear_down_worker(shared: &Arc<PoolShared>, rank: usize) {
 // Supervision
 // ---------------------------------------------------------------------
 
-/// Tracks which one-shot chaos clauses have fired.
-struct ChaosState {
-    kills_fired: Vec<bool>,
-    pauses_fired: Vec<bool>,
+/// What wakes the supervisor. Worker events carry the generation of
+/// the worker they concern — unique across the pool's life — so one
+/// about a worker already torn down is recognisably stale.
+enum Event {
+    /// The link to worker generation `gen` ended.
+    LinkDown(u64),
+    /// Worker generation `gen`'s process exited (its stdout hit EOF).
+    Exited(u64),
+    /// The mutation log has reached this length.
+    Logged(usize),
+    /// The router froze process `pid`; its `SIGCONT` is due at this time.
+    Paused(u32, u64),
+    /// Shutdown began.
+    Shutdown,
 }
 
-fn supervise_loop(shared: &Arc<PoolShared>, mut spawner: WorkerSpawn, faults: Option<FaultPlan>) {
-    let plan = faults.unwrap_or_default();
-    let mut chaos = ChaosState {
-        kills_fired: vec![false; plan.worker_kills.len()],
-        pauses_fired: vec![false; plan.worker_pauses.len()],
-    };
+/// The supervisor's view of one rank.
+struct Watch {
+    /// The generation being watched; `None` while the rank is down.
+    gen: Option<u64>,
+    /// When the rank went down, and when its next bring-up is due.
+    down_at: u64,
+    retry_at: u64,
+    /// Paces bring-up retries after a failed respawn.
+    backoff: Backoff,
+}
+
+/// The supervisor: blocks on the event channel until an event arrives
+/// or the next deadline falls due, and handles events in arrival order,
+/// so a worker death reported before shutdown is handled before it.
+fn supervise_loop(
+    shared: &Arc<PoolShared>,
+    events: &mpsc::Receiver<Event>,
+    mut spawner: WorkerSpawn,
+    gens: Vec<u64>,
+) {
+    let mut watch: Vec<Watch> = (gens.into_iter().zip(0u64..))
+        .map(|(gen, rank)| Watch {
+            gen: Some(gen),
+            down_at: 0,
+            retry_at: 0,
+            backoff: Backoff::new(RESPAWN_RETRY_MS.0, RESPAWN_RETRY_MS.1, 64, rank),
+        })
+        .collect();
+    // Frozen workers' pids and when each is due its `SIGCONT`.
+    let mut paused: Vec<(u32, u64)> = Vec::new();
     // Mutations already covered by the recovered snapshot + log need no
     // immediate re-snapshot; start counting from the recovered history.
     let mut last_snap = shared.mutation_log.lock().map(|l| l.len()).unwrap_or(0);
+    let every = shared.wal_snapshot_every;
 
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        let now = now_ms();
-
-        // Heartbeat probes on the detector's beat schedule: a Stats
-        // request per worker whose answer (any answer) is liveness
-        // evidence. The reply is discarded — the rx side is dropped —
-        // so probes cost one pending-map entry, no waiting.
-        let beat = shared.detector.lock().map(|mut d| d.beat_due(now));
-        if beat.unwrap_or(false) {
-            for rank in 0..shared.workers {
-                if let Some(conn) = shared.conn_of(rank) {
-                    let (tx, _rx) = mpsc::channel();
-                    conn.send(shared.fresh_id(), TraceCtx::NONE, &Request::Stats, tx);
+    loop {
+        let due = run_due(shared, &mut spawner, &mut watch, &mut paused);
+        match events.recv_timeout(time_until(due)) {
+            Ok(Event::LinkDown(gen) | Event::Exited(gen)) => {
+                if let Some(rank) = watch.iter().position(|w| w.gen == Some(gen)) {
+                    mark_down(shared, &mut watch[rank], rank, false);
                 }
             }
-        }
-
-        // Chaos clauses (before liveness, so a kill is noticed on the
-        // same pump).
-        execute_chaos(shared, &plan, &mut chaos);
-
-        // Liveness: hard evidence (dead connection) or detector verdict.
-        for rank in 0..shared.workers {
-            let conn_present = shared.slots[rank]
-                .conn
-                .lock()
-                .map(|c| c.is_some())
-                .unwrap_or(false);
-            if !conn_present {
-                continue; // never brought up (start_pool failed earlier)
+            Ok(Event::Logged(n)) => maybe_snapshot(shared, &mut last_snap, n, every),
+            Ok(Event::Paused(pid, at)) => paused.push((pid, at)),
+            Ok(Event::Shutdown) => break,
+            Err(_) if now_ms() < due => {
+                bump(&shared.counters.idle_wakes);
             }
-            let conn_dead = shared.conn_of(rank).is_none();
-            let verdict = shared
-                .detector
-                .lock()
-                .map(|mut d| d.status(rank, now))
-                .unwrap_or(PeerStatus::Alive);
-            if conn_dead || verdict == PeerStatus::Dead {
-                // A worker going down is a flight-recorder moment: keep
-                // the event ring leading up to the verdict.
-                obs::flight::note(
-                    "pool.worker_dead",
-                    rank as u64,
-                    u64::from(verdict == PeerStatus::Dead),
-                );
-                obs::flight::dump("worker-dead");
-                let t0 = now_ms();
-                tear_down_worker(shared, rank);
-                match bring_up_worker(shared, &mut spawner, rank) {
-                    Ok(()) => {
-                        shared.counters.respawns.fetch_add(1, Ordering::Relaxed);
-                        if let Ok(mut rec) = shared.recoveries_ms.lock() {
-                            rec.push(now_ms().saturating_sub(t0));
-                        }
-                    }
-                    Err(_) => {
-                        // Spawn failed (resource exhaustion?); leave the
-                        // slot down, retry on the next pump. Queries keep
-                        // failing over to siblings meanwhile.
-                    }
-                }
-            }
+            Err(_) => {}
         }
-
-        maybe_snapshot(shared, &mut last_snap, shared.wal_snapshot_every);
-
-        thread::sleep(SUPERVISE_EVERY);
     }
 
     // Final snapshot before tearing the workers down (their stats are
     // still reachable here), so a clean shutdown restarts from a compact
     // log and `query stats` counters carry across the restart.
-    maybe_snapshot(shared, &mut last_snap, 1);
+    let logged = shared.mutation_log.lock().map(|l| l.len()).unwrap_or(0);
+    maybe_snapshot(shared, &mut last_snap, logged, 1);
 
     // Shutdown: stop every worker. Best-effort protocol goodbye first so
-    // process workers exit cleanly, then the hard kill. A worker that
-    // acknowledged the goodbye gets a grace window to flush its
-    // `--trace` / `--flight-dir` exports before tear-down kills it.
-    for rank in 0..shared.workers {
+    // process workers exit cleanly, then the hard kill. A process worker
+    // that acknowledged the goodbye gets a grace window, ended by its
+    // exit event, to flush its `--trace` / `--flight-dir` exports before
+    // tear-down kills it.
+    for (rank, w) in watch.iter().enumerate() {
         let said_bye = shared
             .conn_of(rank)
-            .map(|conn| call_conn(shared, &conn, &Request::Shutdown, 500).is_some())
-            .unwrap_or(false);
-        if said_bye {
-            if let Ok(mut backend) = shared.slots[rank].backend.lock() {
-                backend.wait_graceful(2000);
+            .is_some_and(|conn| call_conn(shared, &conn, &Request::Shutdown, 500).is_some());
+        if said_bye && shared.pid_of(rank).is_some() {
+            let grace_end = now_ms() + 2_000;
+            while let Ok(event) = events.recv_timeout(time_until(grace_end)) {
+                if matches!(event, Event::Exited(gen) if w.gen == Some(gen)) {
+                    break;
+                }
             }
         }
         tear_down_worker(shared, rank);
     }
 }
 
-/// Writes an epoch snapshot once `every` new mutations have accumulated
-/// since the last one (the shutdown path passes `every = 1` to flush any
-/// tail). Stats are aggregated *before* taking the mutation-log lock —
-/// worker stats calls can block for seconds and must not stall the
-/// mutation path — but the snapshot itself is written while holding the
-/// lock, so a concurrent append can never land inside the covered range
-/// without being in the payload. Lock order (mutation_log → wal state)
+/// Does what is due now — heartbeat probes, `SIGCONT`s, dead verdicts,
+/// bring-ups of down ranks — and returns when the next of these falls
+/// due.
+fn run_due(
+    shared: &Arc<PoolShared>,
+    spawner: &mut WorkerSpawn,
+    watch: &mut [Watch],
+    paused: &mut Vec<(u32, u64)>,
+) -> u64 {
+    let now = now_ms();
+    // Heartbeat probes on the detector's beat schedule: a Stats
+    // request per worker whose answer (any answer) is liveness
+    // evidence. The reply is discarded — the rx side is dropped —
+    // so probes cost one pending-map entry, no waiting.
+    if shared.detector.lock().is_ok_and(|mut d| d.beat_due(now)) {
+        for rank in 0..shared.workers {
+            if let Some(conn) = shared.conn_of(rank) {
+                let (tx, _rx) = mpsc::channel();
+                conn.send(shared.fresh_id(), TraceCtx::NONE, &Request::Stats, tx);
+            }
+        }
+    }
+    for (pid, _) in paused.extract_if(.., |&mut (_, at)| at <= now) {
+        signal(pid, "-CONT");
+    }
+    for (rank, w) in watch.iter_mut().enumerate() {
+        // Silence (the detector's verdict) catches a frozen worker
+        // whose socket stays open; hard evidence arrives as events.
+        let verdict = shared.detector.lock().map(|mut d| d.status(rank, now));
+        if w.gen.is_some() && matches!(verdict, Ok(PeerStatus::Dead)) {
+            mark_down(shared, w, rank, true);
+        }
+        if w.gen.is_none() && w.retry_at <= now {
+            match bring_up_worker(shared, spawner, rank) {
+                Ok(gen) => {
+                    w.gen = Some(gen);
+                    bump(&shared.counters.respawns);
+                    if let Ok(mut rec) = shared.recoveries_ms.lock() {
+                        rec.push(now_ms().saturating_sub(w.down_at));
+                    }
+                }
+                // Spawn failed (resource exhaustion?): the slot stays
+                // down and queries fail over to siblings until a retry
+                // succeeds.
+                Err(_) => w.retry_at = now_ms() + w.backoff.next_delay(),
+            }
+        }
+    }
+    let mut due = paused.iter().map(|&(_, at)| at).min().unwrap_or(u64::MAX);
+    if let Ok(d) = shared.detector.lock() {
+        due = due.min(d.next_beat_ms());
+        for (rank, w) in watch.iter().enumerate() {
+            let at = w.gen.map_or(Some(w.retry_at), |_| d.dead_at_ms(rank));
+            due = due.min(at.unwrap_or(u64::MAX));
+        }
+    }
+    due
+}
+
+/// Records worker `rank` as down, with its bring-up due at once, and
+/// tears down what remains of it. A worker going down is a
+/// flight-recorder moment: keep the event ring leading up to it.
+fn mark_down(shared: &Arc<PoolShared>, w: &mut Watch, rank: usize, silent: bool) {
+    obs::flight::note("pool.worker_dead", rank as u64, u64::from(silent));
+    obs::flight::dump("worker-dead");
+    (w.gen, w.down_at, w.retry_at) = (None, now_ms(), 0);
+    w.backoff.reset();
+    tear_down_worker(shared, rank);
+}
+
+/// Writes an epoch snapshot once the log, `logged` entries long, holds
+/// `every` new mutations since the last one (the shutdown path passes
+/// `every = 1` to flush any tail). Stats are aggregated *before* taking
+/// the mutation-log lock — worker stats calls can block for seconds and
+/// must not stall the mutation path — but the snapshot itself is
+/// written while holding the lock, so a concurrent append can never
+/// land inside the covered range without being in the payload. Lock order (mutation_log → wal state)
 /// matches `broadcast_mutate` → `append_durable`, so no deadlock.
-fn maybe_snapshot(shared: &Arc<PoolShared>, last_snap: &mut usize, every: usize) {
+fn maybe_snapshot(shared: &Arc<PoolShared>, last_snap: &mut usize, logged: usize, every: usize) {
     let Some(durable) = &shared.durable else {
         return;
     };
-    let len_now = shared.mutation_log.lock().map(|l| l.len()).unwrap_or(0);
-    if len_now < last_snap.saturating_add(every) {
+    if logged < last_snap.saturating_add(every) {
         return;
     }
     let stats = match aggregate_stats(shared) {
         Response::Stats(s) => s,
-        _ => return, // no worker answered; retry on the next pump
+        _ => return, // no worker answered; the next mutation retries
     };
     let Ok(log) = shared.mutation_log.lock() else {
         return;
@@ -978,65 +1069,15 @@ fn maybe_snapshot(shared: &Arc<PoolShared>, last_snap: &mut usize, every: usize)
         }
         Err(_) => {
             // Non-fatal: appends still carry the durability contract on
-            // the un-compacted log; the next pump retries.
+            // the un-compacted log; the next mutation retries.
             obs::flight::note("pool.wal_snapshot_failed", log.len() as u64, 0);
         }
     }
 }
 
-/// Executes due `kill:worker=` / `pause:worker=` clauses.
-fn execute_chaos(shared: &Arc<PoolShared>, plan: &FaultPlan, chaos: &mut ChaosState) {
-    for (i, k) in plan.worker_kills.iter().enumerate() {
-        if chaos.kills_fired[i] || k.rank >= shared.workers {
-            continue;
-        }
-        if shared.slots[k.rank].dispatched.load(Ordering::Relaxed) >= k.query {
-            chaos.kills_fired[i] = true;
-            if let Ok(mut backend) = shared.slots[k.rank].backend.lock() {
-                backend.kill();
-            }
-            if let Some(conn) = shared.conn_of(k.rank) {
-                conn.drain_dead();
-            }
-        }
-    }
-    for (i, p) in plan.worker_pauses.iter().enumerate() {
-        if chaos.pauses_fired[i] || p.rank >= shared.workers {
-            continue;
-        }
-        // Fire once the worker has seen traffic, so the freeze lands
-        // mid-load rather than on an idle daemon.
-        if shared.slots[p.rank].dispatched.load(Ordering::Relaxed) >= 1 {
-            chaos.pauses_fired[i] = true;
-            let pid = shared.slots[p.rank]
-                .backend
-                .lock()
-                .ok()
-                .and_then(|b| b.pid());
-            if let Some(pid) = pid {
-                let ms = u64::from(p.ms);
-                drop(
-                    thread::Builder::new()
-                        .name("pool-pause".into())
-                        .spawn(move || {
-                            drop(
-                                Command::new("kill")
-                                    .args(["-STOP", &pid.to_string()])
-                                    .status(),
-                            );
-                            thread::sleep(Duration::from_millis(ms));
-                            drop(
-                                Command::new("kill")
-                                    .args(["-CONT", &pid.to_string()])
-                                    .status(),
-                            );
-                        }),
-                );
-            }
-            // In-process workers have no pid to freeze; the clause is a
-            // no-op there (tests use process mode for pause coverage).
-        }
-    }
+/// Sends signal `sig` (`-STOP`, `-CONT`) to process `pid`.
+fn signal(pid: u32, sig: &str) {
+    drop(Command::new("kill").args([sig, &pid.to_string()]).status());
 }
 
 /// The `i`-th mutation of a `churn:edges=K@seed=S` storm over an
@@ -1085,7 +1126,7 @@ fn churn_loop(shared: &Arc<PoolShared>, clause: ChurnFault) {
                 _ => thread::sleep(Duration::from_millis(5)),
             }
         }
-        shared.counters.churn_driven.fetch_add(1, Ordering::Relaxed);
+        bump(&shared.counters.churn_driven);
         // A breath between steps keeps the storm sustained (overlapping
         // queries, kills, snapshots) instead of one opening burst.
         thread::sleep(Duration::from_millis(1));
@@ -1123,17 +1164,15 @@ fn call_worker(
         let Some(conn) = shared.conn_of(rank) else {
             continue;
         };
-        shared.slots[rank]
-            .dispatched
-            .fetch_add(1, Ordering::Relaxed);
         if !conn.send(shared.fresh_id(), ctx, req, tx.clone()) {
             continue;
         }
+        shared.fire_chaos(rank, bump(&shared.slots[rank].dispatched));
         let remaining = deadline_ms.saturating_sub(now_ms());
         match rx.recv_timeout(Duration::from_millis(remaining)) {
             Ok(WorkerReply::Answer(resp)) => return Some(resp),
             Ok(WorkerReply::ConnDead) => {
-                shared.counters.failovers.fetch_add(1, Ordering::Relaxed);
+                bump(&shared.counters.failovers);
                 obs::flight::note("pool.failover", rank as u64, ctx.trace);
             }
             Err(_) => return None, // deadline spent
@@ -1222,6 +1261,7 @@ fn broadcast_mutate(shared: &PoolShared, op: MutateOp, u: u32, v: u32) -> Respon
                     message: e.to_string(),
                 };
             }
+            drop(shared.events.send(Event::Logged(log.len())));
             Response::Mutated { epoch, applied }
         }
         None => {
@@ -1310,10 +1350,7 @@ fn fan_out_subset(shared: &PoolShared, ctx: TraceCtx, epoch_pin: u64, sources: &
     match (merged, merged_epoch) {
         (Some(scores), Some(epoch)) if missing.is_empty() => Response::SubsetBc { epoch, scores },
         (Some(scores), Some(epoch)) => {
-            shared
-                .counters
-                .partials_emitted
-                .fetch_add(1, Ordering::Relaxed);
+            bump(&shared.counters.partials_emitted);
             // A degraded answer is a flight-recorder moment too.
             obs::flight::note("pool.partial_emitted", ctx.trace, missing.len() as u64);
             obs::flight::dump("partial-emitted");
@@ -1348,7 +1385,7 @@ fn route(shared: &PoolShared, ctx: TraceCtx, req: &Request) -> Response {
         // Answered by the front-end; never routed.
         Request::Shutdown => Response::Bye,
         req => {
-            shared.counters.routed.fetch_add(1, Ordering::Relaxed);
+            bump(&shared.counters.routed);
             let span_id = obs::fresh_id();
             let _span = obs::span("pool.route", "pool")
                 .arg("trace", ctx.trace)
@@ -1382,7 +1419,7 @@ fn route(shared: &PoolShared, ctx: TraceCtx, req: &Request) -> Response {
 
 impl Handler for PoolShared {
     fn session_opened(&self) -> u64 {
-        self.counters.sessions.fetch_add(1, Ordering::Relaxed) + 1
+        bump(&self.counters.sessions)
     }
 
     fn handle(&self, _session: u64, _id: u64, ctx: TraceCtx, req: Request, _tx: &FrameTx) -> Reply {
@@ -1391,6 +1428,7 @@ impl Handler for PoolShared {
 
     fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        drop(self.events.send(Event::Shutdown));
     }
 }
 
@@ -1646,6 +1684,83 @@ mod tests {
         // A different seed drives a different storm.
         let (_, b3) = churn_run(1, "churn:edges=10@seed=8");
         assert_ne!(b1, b3);
+    }
+
+    #[test]
+    fn an_idle_supervisor_sleeps_until_an_event() {
+        let spawn = WorkerSpawn::InProcess {
+            graph: test_graph(),
+            bc: Box::default(),
+            sched: SchedConfig::default(),
+        };
+        let cfg = PoolConfig {
+            detector: DetectorConfig {
+                heartbeat_every_ms: 30_000,
+                suspect_after_ms: 60_000,
+                dead_after_ms: 120_000,
+            },
+            ..PoolConfig::default()
+        };
+        let pool = start_pool(spawn, cfg).expect("pool starts");
+        thread::sleep(Duration::from_millis(300));
+        assert_eq!(pool.pool_stats().idle_wakes, 0, "woke with nothing to do");
+        // No deadline is near, so only the death itself can wake it.
+        pool.kill_worker(1);
+        let deadline = now_ms() + 10_000;
+        while pool.pool_stats().respawns == 0 && now_ms() < deadline {
+            thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(
+            pool.pool_stats().respawns,
+            1,
+            "the death woke the supervisor"
+        );
+        assert_eq!(pool.pool_stats().idle_wakes, 0);
+    }
+
+    #[test]
+    fn a_death_reported_before_shutdown_is_handled_first() {
+        let mut pool = test_pool(2);
+        pool.kill_worker(0);
+        pool.shutdown();
+        assert_eq!(pool.pool_stats().respawns, 1, "the death was handled");
+        assert_eq!(pool.recoveries_ms().len(), 1);
+    }
+
+    #[test]
+    fn a_failed_respawn_is_retried() {
+        // Each "worker process" is a shell that announces a test-owned
+        // daemon and sleeps; the second spawn names a program that does
+        // not exist, so the first respawn fails. With one worker, nothing
+        // but a retry can bring the pool back.
+        let daemon = start(test_graph(), ServeConfig::default()).expect("daemon");
+        let addr = daemon.local_addr();
+        let mut spawns = 0;
+        let spawn = WorkerSpawn::Process(Box::new(move |_rank| {
+            spawns += 1;
+            if spawns == 2 {
+                return Command::new("/nonexistent/mrbc-serve-worker");
+            }
+            let mut cmd = Command::new("sh");
+            cmd.args(["-c", &format!("echo SERVE {addr}; exec sleep 600")]);
+            cmd
+        }));
+        let cfg = PoolConfig {
+            workers: 1,
+            ..PoolConfig::default()
+        };
+        let pool = start_pool(spawn, cfg).expect("pool starts");
+        pool.kill_worker(0);
+        let deadline = now_ms() + 10_000;
+        while pool.pool_stats().respawns == 0 && now_ms() < deadline {
+            thread::sleep(Duration::from_millis(20));
+        }
+        assert_eq!(
+            pool.pool_stats().respawns,
+            1,
+            "the failed respawn was retried"
+        );
+        assert_eq!(pool.recoveries_ms().len(), 1);
     }
 
     fn durable_pool(workers: usize, wal_dir: &std::path::Path) -> Pool {
