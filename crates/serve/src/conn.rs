@@ -190,9 +190,6 @@ pub trait Handler: Send + Sync + 'static {
     /// in arrival order; `tx` is that session's writer queue.
     fn handle(&self, session: u64, id: u64, ctx: TraceCtx, req: Request, tx: &FrameTx) -> Reply;
 
-    /// Session `session`'s connection ended, for whatever reason.
-    fn session_closed(&self, _session: u64) {}
-
     /// Shutdown began. Called once, before any session is severed;
     /// must not block.
     fn shutdown(&self);
@@ -331,8 +328,10 @@ impl Drop for Front {
     }
 }
 
-/// The accept loop: one session thread per connection, joined at exit.
-/// Dropping `in_accept` tells shutdown that no `accept` is left to wake.
+/// The accept loop: one session thread per connection, joined once it
+/// has ended (checked at each accept) or else at exit, so a long-lived
+/// listener holds the stacks of its live sessions only. Dropping
+/// `in_accept` tells shutdown that no `accept` is left to wake.
 fn accept_loop(listener: &TcpListener, shared: &Arc<FrontShared>, in_accept: mpsc::Sender<()>) {
     let mut sessions: Vec<JoinHandle<()>> = Vec::new();
     loop {
@@ -342,6 +341,13 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<FrontShared>, in_accept: mps
         }
         match accepted {
             Ok((stream, _peer)) => {
+                let (ended, live): (Vec<_>, _) = std::mem::take(&mut sessions)
+                    .into_iter()
+                    .partition(JoinHandle::is_finished);
+                sessions = live;
+                for h in ended {
+                    drop(h.join());
+                }
                 let index = shared.handler.session_opened();
                 let shared = Arc::clone(shared);
                 let spawned = thread::Builder::new()
@@ -393,10 +399,7 @@ fn session(stream: TcpStream, shared: &Arc<FrontShared>, index: u64) {
                 _ => ControlFlow::Break(()),
             }
         },
-        || {
-            drop(shared.live().remove(&index));
-            shared.handler.session_closed(index);
-        },
+        || drop(shared.live().remove(&index)),
     );
 }
 

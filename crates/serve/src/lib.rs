@@ -13,10 +13,12 @@
 //!   and invalidate every cache — pinned readers get structured `Stale`
 //!   refusals, never torn answers.
 //!
-//! The scheduling core is grounded in the paper's Lemma 8 (`k` batched
-//! sources finish in `k + H` forward rounds): concurrent source-scoped
-//! queries are coalesced into batches by [`sched::Scheduler`] so the
-//! diameter cost is paid once per batch rather than once per query.
+//! The scheduling core takes the shape of the paper's Lemma 8 (`k`
+//! batched sources finish in `k + H` forward rounds): queries that queue
+//! up while the worker is busy are coalesced into one dispatch by
+//! [`sched::Scheduler`]. A dispatch still runs its jobs one at a time,
+//! so the diameter cost is paid per query; sharing it across a batch is
+//! ROADMAP item 11.
 //! Admission control is a bounded queue — overload sheds load with
 //! structured `Busy` responses instead of queueing unboundedly.
 //!

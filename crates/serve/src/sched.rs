@@ -2,27 +2,17 @@
 //!
 //! Lemma 8 of the paper says `k` batched sources complete their forward
 //! phases in `k + H` rounds instead of `k · H` — amortizing the graph
-//! diameter `H` across the batch. The serving translation: when several
-//! source-scoped queries (`dist(s, t)`, subset-BC) are pending at once,
-//! dispatching them as **one** batch costs one `H`, not one per query.
-//! The scheduler therefore drains the queue in contiguous runs of up to
-//! `max_batch` queryable jobs, and the worker executes each run as a
-//! unit; the observable win is the *coalescing factor* — source-scoped
-//! queries per dispatched batch — which exceeds 1 exactly when
-//! concurrency exists to exploit.
+//! diameter `H` across the batch. The scheduler groups work the same
+//! way: the worker takes whatever is queued when it is free, in
+//! contiguous runs of up to `max_batch` queryable jobs, so queries that
+//! arrive while it is busy share one dispatch. Nothing waits for a batch
+//! to fill. The observable is the *coalescing factor* — source-scoped
+//! queries per dispatched batch — which exceeds 1 exactly when queries
+//! queued together. A dispatch still runs its jobs one at a time; making
+//! it share work is ROADMAP item 11.
 //!
-//! Three policies keep the daemon predictable under load:
+//! Two policies keep the daemon predictable under load:
 //!
-//! * **Coalescing window.** While more than one session is submitting,
-//!   a dispatch is held open until [`WINDOW_US`] after its first job was
-//!   admitted, or until it is full. A worker that wakes on the first
-//!   `submit` would otherwise dispatch singletons however many callers
-//!   there are, and their combined rate would follow the cost of a
-//!   thread hand-off, which on a small box differs severalfold from one
-//!   minute to the next; held open, concurrent callers share dispatches
-//!   at one per window. A daemon with one active session — a lone
-//!   caller, a pool front-end's link — has nobody to wait for and never
-//!   does.
 //! * **Bounded queue.** `submit` refuses jobs beyond `queue_cap` with a
 //!   structured `Busy{queued, capacity}` instead of queueing unboundedly
 //!   — latency stays bounded and memory cannot grow without limit.
@@ -35,20 +25,10 @@ use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::Sender;
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Duration;
 
-use mrbc_obs::{self as obs, Histogram};
+use mrbc_obs::Histogram;
 
 use crate::proto::{Counters, Request, ServeStats, TraceCtx};
-
-/// How long after its first job's admission a dispatch stays open for
-/// other sessions' queries (µs).
-const WINDOW_US: u64 = 1_000;
-
-/// The queue counts as shared for this long (µs) after two different
-/// sessions were last admitted back to back. Long, so that a caller the
-/// OS stalled for a few hundred ms is not taken for one that left.
-const SHARED_US: u64 = 1_000_000;
 
 /// Scheduler tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -74,8 +54,8 @@ pub struct Job {
     pub session: u64,
     /// Client-chosen request id, echoed in the response.
     pub id: u64,
-    /// `mrbc_obs::monotonic_us()` at admission; phase histograms and the
-    /// scheduler's coalescing window are measured from it.
+    /// `mrbc_obs::monotonic_us()` at admission; the phase histograms
+    /// are measured from it.
     pub enqueued_us: u64,
     /// Trace context the request arrived with (`TraceCtx::NONE` for
     /// uninstrumented clients); the worker tags its execution span with
@@ -135,11 +115,6 @@ struct Queue {
     /// Set by [`Scheduler::close`]: nothing more is admitted and
     /// [`Scheduler::wait_batch`] ends once `jobs` is drained.
     closed: bool,
-    /// Session and `enqueued_us` of the latest admission.
-    last_admit: Option<(u64, u64)>,
-    /// The latest admission that followed another session's within
-    /// [`SHARED_US`]: the two sessions and the later `enqueued_us`.
-    shared: Option<(u64, u64, u64)>,
 }
 
 /// The bounded FIFO queue between session threads and the batch worker.
@@ -183,12 +158,6 @@ impl Scheduler {
                 .fetch_add(1, Ordering::Relaxed);
             return Err((q.jobs.len() as u32, self.cfg.queue_cap as u32));
         }
-        if let Some((session, at)) = q.last_admit {
-            if session != job.session && job.enqueued_us.saturating_sub(at) <= SHARED_US {
-                q.shared = Some((session, job.session, job.enqueued_us));
-            }
-        }
-        q.last_admit = Some((job.session, job.enqueued_us));
         q.jobs.push_back(job);
         self.counters.queries.fetch_add(1, Ordering::Relaxed);
         self.ready.notify_one();
@@ -202,54 +171,18 @@ impl Scheduler {
         self.take_locked(&mut self.lock().jobs)
     }
 
-    /// Blocks until a dispatch is available and, on a shared queue,
-    /// its coalescing window has closed, then takes it; `None` once the
-    /// scheduler is closed and drained. The batch worker's only wait.
+    /// Blocks until something is queued, then takes it as
+    /// [`Self::take_batch`] does; `None` once the scheduler is closed and
+    /// drained. The batch worker's only wait.
     pub fn wait_batch(&self) -> Option<Vec<Job>> {
         let mut q = self
             .ready
             .wait_while(self.lock(), |q| q.jobs.is_empty() && !q.closed)
             .unwrap_or_else(|e| e.into_inner());
-        let opened = q.jobs.front()?.enqueued_us;
-        // Never more than one window from now, whatever the stamp says.
-        let close_at = opened
-            .saturating_add(WINDOW_US)
-            .min(obs::monotonic_us() + WINDOW_US);
-        loop {
-            let now = obs::monotonic_us();
-            if now >= close_at || !self.holds_open(&q, now) {
-                return Some(self.take_locked(&mut q.jobs));
-            }
-            q = self
-                .ready
-                .wait_timeout(q, Duration::from_micros(close_at - now))
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
+        if q.jobs.is_empty() {
+            return None; // closed and drained
         }
-    }
-
-    /// Whether waiting can still add to the front dispatch: the queue is
-    /// shared and open, and the dispatch is neither full nor cut short
-    /// by a `Mutate` barrier.
-    fn holds_open(&self, q: &Queue, now: u64) -> bool {
-        let shared = q
-            .shared
-            .is_some_and(|(_, _, at)| now.saturating_sub(at) <= SHARED_US);
-        shared
-            && !q.closed
-            && q.jobs.len() < self.cfg.max_batch
-            && !q
-                .jobs
-                .iter()
-                .any(|j| matches!(j.req, Request::Mutate { .. }))
-    }
-
-    /// A session's connection ended: it is not one of the sessions
-    /// sharing the queue any more, whatever it did a moment ago.
-    pub fn session_closed(&self, session: u64) {
-        let mut q = self.lock();
-        q.last_admit = q.last_admit.filter(|&(s, _)| s != session);
-        q.shared = q.shared.filter(|&(a, b, _)| a != session && b != session);
+        Some(self.take_locked(&mut q.jobs))
     }
 
     /// Stops admission and wakes the worker, which drains what is
@@ -385,77 +318,31 @@ mod tests {
         assert_eq!(waiter.join().unwrap(), Some(1));
     }
 
-    /// A job of `session`, admitted now.
-    fn job_of(session: u64, req: Request) -> Job {
+    fn job_of(session: u64) -> Job {
         Job {
             session,
-            enqueued_us: obs::monotonic_us(),
-            ..job(req)
+            ..job(query())
         }
     }
 
     #[test]
-    fn only_a_shared_queue_holds_a_dispatch_open() {
+    fn a_dispatch_takes_what_is_queued_from_every_session() {
         let s = Scheduler::new(SchedConfig {
             queue_cap: 64,
             max_batch: 3,
         });
-        let held = |s: &Scheduler| s.holds_open(&s.lock(), obs::monotonic_us());
-        // One session, however busy, has nobody to wait for.
-        s.submit(job_of(1, query())).unwrap();
-        s.submit(job_of(1, query())).unwrap();
-        assert!(!held(&s));
-        s.take_batch();
-        // A second session makes the queue shared ...
-        s.submit(job_of(2, query())).unwrap();
-        assert!(held(&s));
-        // ... until the dispatch is full,
-        s.submit(job_of(1, query())).unwrap();
-        s.submit(job_of(2, query())).unwrap();
-        assert!(!held(&s));
-        s.take_batch();
-        // cut short by a barrier,
-        s.submit(job_of(1, query())).unwrap();
-        assert!(held(&s));
-        s.submit(job_of(2, mutate())).unwrap();
-        assert!(!held(&s));
-        s.take_batch();
-        s.take_batch();
-        // the other session hangs up,
-        s.submit(job_of(1, query())).unwrap();
-        assert!(held(&s));
-        s.session_closed(2);
-        assert!(!held(&s));
-        s.submit(job_of(3, query())).unwrap();
-        assert!(held(&s));
-        s.take_batch();
-        // or the scheduler closes.
-        s.submit(job_of(1, query())).unwrap();
-        assert!(held(&s));
-        s.close();
-        assert!(!held(&s));
-    }
-
-    #[test]
-    fn a_shared_dispatch_waits_out_its_window_and_no_longer() {
-        let s = Scheduler::new(SchedConfig::default());
-        s.submit(job_of(1, query())).unwrap();
-        s.submit(job_of(2, query())).unwrap();
-        assert_eq!(s.take_batch().len(), 2);
-        // Shared, one job queued: the dispatch closes a window after the
-        // job's admission, not at once.
-        let lone = job_of(1, query());
-        let opened = lone.enqueued_us;
-        s.submit(lone).unwrap();
-        assert_eq!(s.wait_batch().map(|b| b.len()), Some(1));
-        assert!(obs::monotonic_us() >= opened + WINDOW_US);
-        // A stamp from the future cannot hold it open longer than that.
-        s.submit(Job {
-            enqueued_us: u64::MAX,
-            ..job_of(2, query())
-        })
-        .unwrap();
-        assert_eq!(s.wait_batch().map(|b| b.len()), Some(1));
+        for session in [1, 2, 1, 2] {
+            s.submit(job_of(session)).unwrap();
+        }
+        let sessions = |b: Vec<Job>| b.iter().map(|j| j.session).collect::<Vec<_>>();
+        // Both sessions' queued jobs share one dispatch, up to `max_batch`,
+        assert_eq!(s.wait_batch().map(sessions), Some(vec![1, 2, 1]));
+        // the rest goes next,
+        assert_eq!(s.wait_batch().map(sessions), Some(vec![2]));
+        // and a later lone job is not held for company: it goes alone.
+        s.submit(job_of(1)).unwrap();
+        assert_eq!(s.wait_batch().map(sessions), Some(vec![1]));
+        assert_eq!(s.queued(), 0);
     }
 
     #[test]

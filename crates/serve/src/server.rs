@@ -132,10 +132,6 @@ impl Handler for Shared {
         }
     }
 
-    fn session_closed(&self, session: u64) {
-        self.sched.session_closed(session);
-    }
-
     fn shutdown(&self) {
         self.sched.close();
     }
