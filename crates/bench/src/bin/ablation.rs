@@ -5,6 +5,9 @@
 //!    "reduces the number of messages and communication volume
 //!    significantly". We run MRBC with the optimization on vs off
 //!    (off = Gluon's default sync-everything-updated-every-round).
+//!    Eager mode never writes the reconciled value back to mirror
+//!    proxies, so its column also counts the traffic of mirrors that
+//!    never receive the broadcast they are charged for.
 //! 2. **Partition policy** (Section 5.2) — the paper picks the Cartesian
 //!    vertex-cut "which performs well at scale"; we compare it against
 //!    the two edge-cut policies. Rounds are identical by construction

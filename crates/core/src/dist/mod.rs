@@ -2,8 +2,11 @@
 //!
 //! All three distributed algorithms run on the [`mrbc_dgalois`] substrate:
 //! the graph is partitioned, each BSP round does per-host local compute
-//! (parallelized across hosts with Rayon) followed by a Gluon-style
-//! reduce + broadcast synchronization with exact byte accounting. Each
+//! (hosts run one after another on one thread: the workspace's `rayon`
+//! shim is sequential) followed by a Gluon-style reduce + broadcast
+//! synchronization with exact byte accounting. MRBC has one driver,
+//! [`spmd::MrbcSpmd`], which [`mrbc::mrbc_bc`] steps in-process and
+//! `mrbc-net` steps over TCP. Each
 //! algorithm returns its BC values plus the [`BspStats`] that the paper's
 //! tables and figures are derived from.
 //!

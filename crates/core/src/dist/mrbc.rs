@@ -17,26 +17,37 @@
 //!   `r = d_sv + ℓ_v^r(d_sv, s)`; in the accumulation phase `δ_s•(v)` is
 //!   synchronized only in round `A_sv`.
 //!
-//! Execution model: one BSP round = one CONGEST round. Each round first
-//! synchronizes the labels whose send condition fires (reduce mirrors →
-//! master, sum σ / δ partials, broadcast the reconciled value to every
-//! mirror), then every host pushes the finalized labels along its local
-//! edges, updating neighbor proxies locally. The per-host kernels go
-//! through rayon's `par_iter_mut`, but the workspace's offline `rayon`
-//! shim runs those iterators sequentially, so hosts execute one after
-//! another on one thread. The authoritative pipelining schedule is kept
-//! per global vertex, which is exactly the CONGEST semantics the
-//! correctness lemmas are stated for (each host's flag is a subset of the
-//! global flag; Gluon synchronizes the union).
+//! Execution model: one BSP round = one CONGEST round = one step of
+//! [`MrbcSpmd`], the only MRBC state machine (the TCP mesh steps the same
+//! machine). [`mrbc_bc`] steps it in-process on typed per-host
+//! `Pushes`, with no serialization. Each round the machine first picks
+//! the labels whose send condition fires; the driver then accounts
+//! Gluon's reduce/broadcast for them (reduce mirrors → master, sum σ / δ
+//! partials, broadcast the reconciled value to every mirror that consumes
+//! it); every host applies that broadcast to its proxies and pushes the
+//! finalized labels along its local edges; and the machine merges the
+//! pushes in host order. Hosts run one after another on one thread. The
+//! authoritative pipelining schedule is kept per global vertex, which is
+//! exactly the CONGEST semantics the correctness lemmas are stated for
+//! (each host's flag is a subset of the global flag; Gluon synchronizes
+//! the union).
+//!
+//! Traffic is only counted: the [`ReliableLink`] of
+//! [`mrbc_bc_with_faults`] retries the counted messages, while the labels
+//! move through the typed pushes. Eager mode (the ablation) accounts
+//! every proxy label a step pushed and never writes the reconciled value
+//! back to mirror proxies, so its column charges broadcasts to mirrors
+//! that never receive them.
 
+use super::spmd::{self, MrbcSpmd};
 use super::{finish_phase, DistBcOutcome, MRBC_ITEM_BYTES};
 use crate::schedule::SendSchedule;
 use mrbc_dgalois::comm::{Exchange, PhaseDir, RoundComm};
+use mrbc_dgalois::spmd::SpmdProgram;
 use mrbc_dgalois::{BspStats, DistGraph, ReliableLink};
 use mrbc_faults::{FaultSession, RecoveryStats};
 use mrbc_graph::{CsrGraph, VertexId, INF_DIST};
 use mrbc_util::DenseBitset;
-use rayon::prelude::*;
 
 /// Tuning knobs for [`mrbc_bc_with_options`].
 #[derive(Clone, Copy, Debug)]
@@ -113,6 +124,9 @@ pub fn mrbc_bc_with_faults(
     (out, link.recovery)
 }
 
+/// The in-process driver: steps [`MrbcSpmd`] with typed pushes and adds
+/// what only this path has — traffic accounting, the optional link, the
+/// eager ablation's bookkeeping, spans, probes and progress.
 fn run(
     g: &CsrGraph,
     dg: &DistGraph,
@@ -120,73 +134,156 @@ fn run(
     options: &MrbcOptions,
     mut link: Option<&mut ReliableLink<'_>>,
 ) -> DistBcOutcome {
-    assert!(options.batch_size >= 1, "batch size must be at least 1");
-    let n = g.num_vertices();
-    let mut sorted: Vec<VertexId> = sources.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    assert!(
-        sorted.iter().all(|&s| (s as usize) < n),
-        "source out of range"
-    );
-
-    let mut bc = vec![0.0f64; n];
+    let mut prog = MrbcSpmd::with_options(g, dg, sources, options);
     let mut stats = BspStats::new(dg.num_hosts);
     let mut probe = mrbc_obs::probes_enabled().then(crate::probes::BspProbeAccum::default);
-    let num_batches = sorted.len().div_ceil(options.batch_size.max(1));
+    // Eager mode: `(host, v, j)` proxy labels updated by the last step and
+    // not yet synchronized.
+    let mut eager: Vec<(u16, u32, u32)> = Vec::new();
+    // The open phase span and the `(batch, forward)` it covers.
+    let mut span = None;
+    let mut spanned = None;
     let mut settled = 0usize;
-    for (bi, batch) in sorted.chunks(options.batch_size).enumerate() {
-        let mut state = Batch::new(g, dg, batch, options.delayed_sync);
-        let fwd_span = mrbc_obs::span("batch.forward", mrbc_obs::Phase::Forward.as_str())
-            .arg("batch", bi as u64)
-            .arg("k", batch.len() as u64);
-        state.forward(&mut stats, link.as_deref_mut());
-        drop(fwd_span);
-        let bwd_span = mrbc_obs::span("batch.backward", mrbc_obs::Phase::Accumulation.as_str())
-            .arg("batch", bi as u64)
-            .arg("r_term", state.r_term as u64);
-        state.backward(&mut stats, link.as_deref_mut());
-        drop(bwd_span);
-        for (v, x) in bc.iter_mut().enumerate() {
-            for (j, &s) in batch.iter().enumerate() {
-                if s as usize != v {
-                    *x += state.delta_g[v * state.k + j];
+    let mut step = 0u64;
+    while let Some((bi, run)) = prog.current() {
+        let forward = run.is_forward();
+        if spanned != Some((bi, forward)) {
+            drop(span.take());
+            let batch = prog.batch_sources(bi);
+            span = Some(if forward {
+                if !options.delayed_sync {
+                    // Each source's own proxy starts updated with (0, 1).
+                    let seeds = batch.iter().enumerate();
+                    eager.extend(seeds.map(|(j, &s)| (dg.owner(s), s, j as u32)));
+                }
+                mrbc_obs::span("batch.forward", mrbc_obs::Phase::Forward.as_str())
+                    .arg("batch", bi as u64)
+                    .arg("k", batch.len() as u64)
+            } else {
+                // dist/σ are final once the forward phase ends.
+                if let Some(p) = probe.as_mut() {
+                    p.record_batch(g, batch, &run.batch.dist_g, &run.batch.sigma_g);
+                }
+                mrbc_obs::span("batch.backward", mrbc_obs::Phase::Accumulation.as_str())
+                    .arg("batch", bi as u64)
+                    .arg("r_term", run.batch.r_term as u64)
+            });
+            spanned = Some((bi, forward));
+        }
+        prog.begin_step(step);
+        step += 1;
+        if let Some(l) = link.as_deref_mut() {
+            l.begin_round(stats.num_rounds() + 1);
+        }
+        let mut comm = RoundComm::new(dg.num_hosts);
+        if let Some((_, run)) = prog.current() {
+            if let spmd::Phase::Forward { round } = run.phase {
+                if mrbc_obs::verbose_enabled() {
+                    mrbc_obs::progress(&format!(
+                        "round {round} · frontier {} · pending {}",
+                        run.flags.len(),
+                        run.batch.pending_total
+                    ));
                 }
             }
+            // SYNC: delayed mode reduces + broadcasts exactly the flagged
+            // labels; eager mode synchronizes whatever the previous step
+            // pushed (Gluon's default behavior).
+            if options.delayed_sync {
+                run.batch
+                    .sync_flags(&run.flags, &mut comm, forward, link.as_deref_mut());
+            } else {
+                eager_sync(dg, &mut eager, &mut comm, link.as_deref_mut());
+            }
         }
-        // Lemma 8 batch progress: every source of the batch is settled
-        // once its accumulation phase drains.
-        settled += batch.len();
-        mrbc_obs::counter_add("mrbc.sources_settled", batch.len() as u64);
-        if mrbc_obs::verbose_enabled() {
-            mrbc_obs::progress(&format!(
-                "mrbc batch {}/{num_batches} · sources {settled}/{} · round {} · {} B",
-                bi + 1,
-                sorted.len(),
-                stats.num_rounds(),
-                stats.total_bytes(),
-            ));
+        // COMPUTE: every host applies the sync to its proxies and pushes
+        // the flagged labels along its local edges.
+        let pushes: Vec<Pushes> = (0..dg.num_hosts).map(|h| prog.push(h)).collect();
+        if !options.delayed_sync {
+            for (h, (records, _)) in pushes.iter().enumerate() {
+                eager.extend(records.iter().map(|&(gu, j, _, _)| (h as u16, gu, j)));
+            }
         }
-        if let Some(p) = probe.as_mut() {
-            p.record_batch(g, batch, &state.dist_g, &state.sigma_g);
+        stats.record_round(pushes.iter().map(|&(_, w)| w).collect(), comm);
+        if let Err(e) = prog.fold_pushes(pushes) {
+            panic!("{e}");
+        }
+        if prog.current().map(|(b, _)| b) != Some(bi) {
+            drop(span.take());
+            // Lemma 8 batch progress: every source of the batch is settled
+            // once its accumulation phase drains.
+            let k = prog.batch_sources(bi).len();
+            settled += k;
+            mrbc_obs::counter_add("mrbc.sources_settled", k as u64);
+            if mrbc_obs::verbose_enabled() {
+                mrbc_obs::progress(&format!(
+                    "mrbc batch {}/{} · sources {settled}/{} · round {} · {} B",
+                    bi + 1,
+                    prog.num_batches(),
+                    prog.num_sources(),
+                    stats.num_rounds(),
+                    stats.total_bytes(),
+                ));
+            }
         }
     }
     if mrbc_obs::verbose_enabled() {
         mrbc_obs::progress_done();
     }
     if let Some(p) = probe {
-        crate::probes::check_bsp_run(g, sorted.len(), dg.num_hosts, &stats, &p).record();
+        crate::probes::check_bsp_run(g, prog.num_sources(), dg.num_hosts, &stats, &p).record();
     }
-    DistBcOutcome { bc, stats }
+    DistBcOutcome {
+        bc: prog.into_bc(),
+        stats,
+    }
 }
 
-/// Per-host forward-phase push records: `(target vertex, source index,
-/// candidate distance, σ contribution)` plus the host's work units.
-pub(crate) type FwdPushes = (Vec<(u32, u32, u32, f64)>, u64);
+/// Gluon-default synchronization: every proxy label updated since the
+/// previous sync is reduced to its master and the reconciled value
+/// broadcast to every mirror — once per round it changed, not once per
+/// phase. Only the traffic differs from delayed mode; the computation
+/// (and therefore every result) is identical.
+fn eager_sync(
+    dg: &DistGraph,
+    updates: &mut Vec<(u16, u32, u32)>,
+    comm: &mut RoundComm,
+    mut link: Option<&mut ReliableLink<'_>>,
+) {
+    if updates.is_empty() {
+        return;
+    }
+    let mut reduce: Exchange<()> = Exchange::new(dg.num_hosts);
+    let mut bcast: Exchange<()> = Exchange::new(dg.num_hosts);
+    // Distinct (host, v, j) contribute one reduce item each ...
+    let mut contributors = std::mem::take(updates);
+    contributors.sort_unstable();
+    contributors.dedup();
+    for &(h, v, _) in &contributors {
+        let own = dg.owner(v) as usize;
+        if h as usize != own {
+            reduce.send(h as usize, own, (), MRBC_ITEM_BYTES);
+        }
+    }
+    // ... and each distinct (v, j) broadcasts to every mirror.
+    let mut labels: Vec<(u32, u32)> = contributors.iter().map(|&(_, v, j)| (v, j)).collect();
+    labels.sort_unstable();
+    labels.dedup();
+    for &(v, _) in &labels {
+        let own = dg.owner(v) as usize;
+        for &mh in dg.mirror_hosts(v) {
+            bcast.send(own, mh as usize, (), MRBC_ITEM_BYTES);
+        }
+    }
+    finish_phase(reduce, dg, PhaseDir::Reduce, comm, link.as_deref_mut());
+    finish_phase(bcast, dg, PhaseDir::Broadcast, comm, link);
+}
 
-/// Per-host backward-phase push records: `(target vertex, source index,
-/// pushing vertex, δ contribution)` plus the host's work units.
-pub(crate) type BwdPushes = (Vec<(u32, u32, u32, f64)>, u64);
+/// One host's pushes for one step: `(target vertex, source index, x,
+/// value)` records plus the host's work units. Forward, `x` is the
+/// candidate distance and `value` the σ contribution; backward, `x` is
+/// the pushing vertex and `value` its δ contribution.
+pub(crate) type Pushes = (Vec<(u32, u32, u32, f64)>, u64);
 
 /// Per-host proxy labels for one batch: the partial (pre-reduce) values
 /// accumulated from local edges, flat over `(local proxy, source)`.
@@ -199,14 +296,8 @@ pub(crate) struct HostState {
     pub(crate) synced: DenseBitset,
 }
 
-/// One batch's execution state.
-///
-/// Fields and the per-host step methods are `pub(crate)` so the SPMD
-/// replicated-state driver (`dist::spmd`, powering the multi-process
-/// transport) can run the *same* state machine decomposed into
-/// `begin_step` / `local_step(host)` / `fold` — a single source of truth
-/// for the label evolution, which is what makes TCP workers bit-identical
-/// to this in-process path.
+/// One batch's labels, schedule and proxies. [`MrbcSpmd`] owns it and
+/// steps it through the forward and backward phases.
 pub(crate) struct Batch<'a> {
     pub(crate) g: &'a CsrGraph,
     pub(crate) dg: &'a DistGraph,
@@ -222,16 +313,11 @@ pub(crate) struct Batch<'a> {
     /// Forward-phase termination round `R`.
     pub(crate) r_term: u32,
     pub(crate) hosts: Vec<HostState>,
-    /// Delayed (paper) vs eager (Gluon-default) synchronization.
-    pub(crate) delayed_sync: bool,
-    /// Eager mode: `(host, v, j)` proxy labels updated last round and not
-    /// yet synchronized.
-    eager_pending: Vec<(u16, u32, u32)>,
 }
 
 /// Forward push kernel for one host: relax the flagged labels along the
-/// host's local out-edges, updating its proxy partials. Shared verbatim
-/// by the in-process path and the SPMD `local_step`.
+/// host's local out-edges, updating its proxy partials. Runs inside
+/// [`MrbcSpmd`]'s step for host `h`.
 pub(crate) fn fwd_push_host(
     dg: &DistGraph,
     h: usize,
@@ -239,7 +325,7 @@ pub(crate) fn fwd_push_host(
     sigma_g: &[f64],
     hs: &mut HostState,
     flags: &[(u32, u32, u32)],
-) -> FwdPushes {
+) -> Pushes {
     let topo = &dg.hosts[h];
     let mut out: Vec<(u32, u32, u32, f64)> = Vec::new();
     let mut w = 0u64;
@@ -274,8 +360,8 @@ pub(crate) fn fwd_push_host(
 }
 
 /// Backward push kernel for one host: push `(1 + δ)/σ` to shortest-path
-/// predecessors along the host's local in-edges. Shared by the
-/// in-process path and the SPMD `local_step`.
+/// predecessors along the host's local in-edges. Runs inside
+/// [`MrbcSpmd`]'s step for host `h`.
 #[allow(clippy::too_many_arguments)] // kernel boundary: three global views + per-host state
 pub(crate) fn bwd_push_host(
     dg: &DistGraph,
@@ -286,7 +372,7 @@ pub(crate) fn bwd_push_host(
     delta_g: &[f64],
     hs: &mut HostState,
     flags: &[(u32, u32, u32)],
-) -> BwdPushes {
+) -> Pushes {
     let topo = &dg.hosts[h];
     let mut out = Vec::new();
     let mut w = 0u64;
@@ -312,12 +398,7 @@ pub(crate) fn bwd_push_host(
 }
 
 impl<'a> Batch<'a> {
-    pub(crate) fn new(
-        g: &'a CsrGraph,
-        dg: &'a DistGraph,
-        sources: &[VertexId],
-        delayed_sync: bool,
-    ) -> Self {
+    pub(crate) fn new(g: &'a CsrGraph, dg: &'a DistGraph, sources: &[VertexId]) -> Self {
         let n = g.num_vertices();
         let k = sources.len();
         let hosts = dg
@@ -345,8 +426,6 @@ impl<'a> Batch<'a> {
             pending_total: 0,
             r_term: 0,
             hosts,
-            delayed_sync,
-            eager_pending: Vec::new(),
         };
         for (j, &s) in sources.iter().enumerate() {
             let v = s as usize;
@@ -360,9 +439,6 @@ impl<'a> Batch<'a> {
             let l = dg.local(own, s).expect("owner has master proxy") as usize;
             b.hosts[own].dist[l * k + j] = 0;
             b.hosts[own].sigma[l * k + j] = 1.0;
-            if !b.delayed_sync {
-                b.eager_pending.push((own as u16, s, j as u32));
-            }
         }
         b
     }
@@ -379,120 +455,6 @@ impl<'a> Batch<'a> {
             self.pending_total -= 1;
             self.schedule.mark_sent(v as usize);
         }
-    }
-
-    /// Forward phase: Algorithm 3 as BSP rounds with delayed sync.
-    fn forward(&mut self, stats: &mut BspStats, mut link: Option<&mut ReliableLink<'_>>) {
-        let n = self.g.num_vertices();
-        let k = self.k;
-        let cap = 2 * n as u32 + k as u32 + 2;
-        let mut round = 0u32;
-        while self.pending_total > 0 {
-            round += 1;
-            assert!(round <= cap, "forward phase exceeded the 2n + k bound");
-            if let Some(l) = link.as_deref_mut() {
-                l.begin_round(stats.num_rounds() + 1);
-            }
-            let mut comm = RoundComm::new(self.dg.num_hosts);
-
-            // Flag set: labels whose send condition r = d + ℓ_v^r(d, s)
-            // fires this round, read off the calendar.
-            let flags = self.schedule.flags(round);
-            self.mark_flags(&flags, round);
-            if mrbc_obs::verbose_enabled() {
-                mrbc_obs::progress(&format!(
-                    "round {round} · frontier {} · pending {}",
-                    flags.len(),
-                    self.pending_total
-                ));
-            }
-
-            // SYNC: delayed mode reduces + broadcasts exactly the flagged
-            // labels; eager mode synchronizes whatever was updated in the
-            // previous round (Gluon's default behavior).
-            if self.delayed_sync {
-                self.sync_flags(
-                    &flags,
-                    &mut comm,
-                    /*forward=*/ true,
-                    link.as_deref_mut(),
-                );
-            } else {
-                self.eager_sync(&mut comm, link.as_deref_mut());
-            }
-
-            // COMPUTE: every host pushes each flagged label along its
-            // local out-edges, updating its own proxy partials.
-            let dg = self.dg;
-            let sigma_g = &self.sigma_g;
-            let pushes: Vec<FwdPushes> = self
-                .hosts
-                .par_iter_mut()
-                .enumerate()
-                .map(|(h, hs)| fwd_push_host(dg, h, k, sigma_g, hs, &flags))
-                .collect();
-
-            // Merge pushes into the authoritative state (Steps 11–17).
-            let mut work = Vec::with_capacity(self.dg.num_hosts);
-            for (h, (host_pushes, w)) in pushes.into_iter().enumerate() {
-                work.push(w);
-                for (gu, j, d_new, sig) in host_pushes {
-                    if !self.delayed_sync {
-                        self.eager_pending.push((h as u16, gu, j));
-                    }
-                    self.merge_global(gu as usize, j as usize, d_new, sig);
-                }
-            }
-
-            stats.record_round(work, comm);
-        }
-        // Eager mode flushes the final round's updates in one extra sync.
-        if !self.delayed_sync && !self.eager_pending.is_empty() {
-            round += 1;
-            if let Some(l) = link.as_deref_mut() {
-                l.begin_round(stats.num_rounds() + 1);
-            }
-            let mut comm = RoundComm::new(self.dg.num_hosts);
-            self.eager_sync(&mut comm, link);
-            stats.record_round(vec![0; self.dg.num_hosts], comm);
-        }
-        self.r_term = round;
-    }
-
-    /// Gluon-default synchronization: every proxy label updated since the
-    /// previous sync is reduced to its master and the reconciled value
-    /// broadcast to every mirror — once per round it changed, not once
-    /// per phase. Only the traffic differs from delayed mode; the
-    /// computation (and therefore every result) is identical.
-    fn eager_sync(&mut self, comm: &mut RoundComm, mut link: Option<&mut ReliableLink<'_>>) {
-        let updates = std::mem::take(&mut self.eager_pending);
-        if updates.is_empty() {
-            return;
-        }
-        let mut reduce: Exchange<()> = Exchange::new(self.dg.num_hosts);
-        let mut bcast: Exchange<()> = Exchange::new(self.dg.num_hosts);
-        // Distinct (host, v, j) contribute one reduce item each ...
-        let mut contributors = updates;
-        contributors.sort_unstable();
-        contributors.dedup();
-        for &(h, v, _) in &contributors {
-            let own = self.dg.owner(v) as usize;
-            if h as usize != own {
-                reduce.send(h as usize, own, (), MRBC_ITEM_BYTES);
-            }
-        }
-        // ... and each distinct (v, j) broadcasts to every mirror.
-        let mut labels: Vec<(u32, u32)> = contributors.iter().map(|&(_, v, j)| (v, j)).collect();
-        labels.sort_unstable();
-        labels.dedup();
-        for &(v, _) in &labels {
-            let own = self.dg.owner(v) as usize;
-            for &mh in self.dg.mirror_hosts(v) {
-                bcast.send(own, mh as usize, (), MRBC_ITEM_BYTES);
-            }
-        }
-        finish_phase(reduce, self.dg, PhaseDir::Reduce, comm, link.as_deref_mut());
-        finish_phase(bcast, self.dg, PhaseDir::Broadcast, comm, link);
     }
 
     /// Merge one push into the global labels and schedule (Steps 11–17 of
@@ -517,13 +479,12 @@ impl<'a> Batch<'a> {
         }
     }
 
-    /// Applies the broadcast leg of one sync to a single host: for every
-    /// flagged `(v, j)` with a proxy on `h` that consumes the value (or
-    /// is the master), overwrite the proxy partial with the reconciled
+    /// Applies the broadcast leg of one delayed sync to a single host: for
+    /// every flagged `(v, j)` with a proxy on `h` that consumes the value
+    /// (or is the master), overwrite the proxy partial with the reconciled
     /// authoritative value. This is the *only* state mutation a sync
-    /// performs, factored per host so the SPMD driver can run exactly
-    /// host `h`'s share inside `local_step(h)` — any two decompositions
-    /// that call it once per (host, flag set) produce identical state.
+    /// performs; [`MrbcSpmd`]'s step runs it for host `h` just before
+    /// `h`'s pushes. Eager mode never calls it.
     pub(crate) fn apply_sync_to_host(
         &mut self,
         h: usize,
@@ -560,17 +521,14 @@ impl<'a> Batch<'a> {
         }
     }
 
-    /// One reduce + broadcast cycle for the flagged labels. In the
-    /// forward phase (d, σ) is reconciled; in the backward phase δ.
-    ///
-    /// Structured as a read-only accounting pass over all proxies
-    /// followed by [`Self::apply_sync_to_host`] for every host. The two
-    /// passes commute because each flag touches its own `(v, j)` slots
-    /// only (at most one flag per vertex per round), so this is
-    /// equivalent to the interleaved per-flag form — and it keeps the
-    /// state writes in the one helper the SPMD driver shares.
-    fn sync_flags(
-        &mut self,
+    /// Accounts one delayed reduce + broadcast cycle for the flagged
+    /// labels: in the forward phase (d, σ) is reconciled; in the backward
+    /// phase δ. Read-only: it runs before the step's pushes, whose
+    /// [`Self::apply_sync_to_host`] performs the broadcast's writes. The
+    /// two commute because each flag touches its own `(v, j)` slots only
+    /// (at most one flag per vertex per round).
+    pub(crate) fn sync_flags(
+        &self,
         flags: &[(u32, u32, u32)],
         comm: &mut RoundComm,
         forward: bool,
@@ -651,9 +609,6 @@ impl<'a> Batch<'a> {
                 }
             }
         }
-        for h in 0..self.dg.num_hosts {
-            self.apply_sync_to_host(h, flags, forward);
-        }
         finish_phase(reduce, self.dg, PhaseDir::Reduce, comm, link.as_deref_mut());
         finish_phase(bcast, self.dg, PhaseDir::Broadcast, comm, link);
     }
@@ -678,8 +633,14 @@ impl<'a> Batch<'a> {
     }
 
     /// Folds the parked δ contributions of the flagged labels into
-    /// `delta_g`, in canonical pushing-vertex order (the determinism
-    /// argument lives on [`Batch::backward`]'s `pending` comment).
+    /// `delta_g`, in canonical pushing-vertex order.
+    ///
+    /// δ contributions are not applied to `delta_g` at push time: f64
+    /// sums are not associative, and push order follows the τ schedule,
+    /// which depends on host count and batch composition. Instead they
+    /// park per (v, j) and fold here when the target's own slot fires
+    /// (all of its contributions have arrived by then — Lemma 7), so BC
+    /// scores are bit-identical across host counts and batch sizes.
     pub(crate) fn fold_pending_flags(
         &mut self,
         flags: &[(u32, u32, u32)],
@@ -707,77 +668,6 @@ impl<'a> Batch<'a> {
                 }
                 contribs.clear();
             }
-        }
-    }
-
-    /// Backward phase: Algorithm 5 as BSP rounds. `A_sv = R − τ_sv + 1`.
-    fn backward(&mut self, stats: &mut BspStats, mut link: Option<&mut ReliableLink<'_>>) {
-        let n = self.g.num_vertices();
-        let k = self.k;
-        let r = self.r_term;
-        let mut agenda = self.build_agenda();
-
-        // δ contributions are not applied to `delta_g` at push time:
-        // f64 sums are not associative, and push order follows the τ
-        // schedule, which depends on host count and batch composition.
-        // Instead they park here per (v, j) and fold in canonical
-        // successor order when the target's own slot fires (all of its
-        // contributions have arrived by then — Lemma 7), so BC scores
-        // are bit-identical across host counts and batch sizes.
-        let mut pending: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n * k];
-        for round in 1..=(r + 1) {
-            let flags = std::mem::take(&mut agenda[round as usize]);
-            self.fold_pending_flags(&flags, &mut pending);
-            if let Some(l) = link.as_deref_mut() {
-                l.begin_round(stats.num_rounds() + 1);
-            }
-            let mut comm = RoundComm::new(self.dg.num_hosts);
-            // SYNC δ for the labels due this round (delayed), or all δ
-            // partials updated last round (eager).
-            if self.delayed_sync {
-                self.sync_flags(
-                    &flags,
-                    &mut comm,
-                    /*forward=*/ false,
-                    link.as_deref_mut(),
-                );
-            } else {
-                self.eager_sync(&mut comm, link.as_deref_mut());
-            }
-
-            // COMPUTE: push (1 + δ)/σ to shortest-path predecessors along
-            // local in-edges; accumulate δ partials per host.
-            let dg = self.dg;
-            let (dist_g, sigma_g, delta_g) = (&self.dist_g, &self.sigma_g, &self.delta_g);
-            let pushes: Vec<BwdPushes> = self
-                .hosts
-                .par_iter_mut()
-                .enumerate()
-                .map(|(h, hs)| bwd_push_host(dg, h, k, dist_g, sigma_g, delta_g, hs, &flags))
-                .collect();
-            let mut work = Vec::with_capacity(self.dg.num_hosts);
-            for (h, (host_pushes, w)) in pushes.into_iter().enumerate() {
-                work.push(w);
-                for (gu, j, v, contrib) in host_pushes {
-                    if !self.delayed_sync {
-                        self.eager_pending.push((h as u16, gu, j));
-                    }
-                    pending[gu as usize * k + j as usize].push((v, contrib));
-                }
-            }
-            stats.record_round(work, comm);
-        }
-        // Every slot with a contribution fires (its τ is finite), so
-        // nothing should be parked here; fold defensively anyway so
-        // `delta_g` is complete for the final BC read.
-        self.fold_all_pending(&mut pending);
-        if !self.delayed_sync && !self.eager_pending.is_empty() {
-            if let Some(l) = link.as_deref_mut() {
-                l.begin_round(stats.num_rounds() + 1);
-            }
-            let mut comm = RoundComm::new(self.dg.num_hosts);
-            self.eager_sync(&mut comm, link);
-            stats.record_round(vec![0; self.dg.num_hosts], comm);
         }
     }
 }
@@ -937,7 +827,7 @@ mod tests {
         dg: &DistGraph,
         batch: &[VertexId],
     ) -> proptest::TestCaseResult {
-        let mut b = Batch::new(g, dg, batch, true);
+        let mut b = Batch::new(g, dg, batch);
         let mut round = 0;
         let mut sent = 0u64;
         while b.pending_total > 0 {
@@ -947,7 +837,7 @@ mod tests {
             prop_assert_eq!(&flags, &b.schedule.scan_flags(round), "round {}", round);
             sent += flags.len() as u64;
             b.mark_flags(&flags, round);
-            let pushes: Vec<FwdPushes> = (0..dg.num_hosts)
+            let pushes: Vec<Pushes> = (0..dg.num_hosts)
                 .map(|h| {
                     b.apply_sync_to_host(h, &flags, true);
                     fwd_push_host(dg, h, b.k, &b.sigma_g, &mut b.hosts[h], &flags)

@@ -1,8 +1,8 @@
-//! MRBC as a replicated SPMD state machine — the program that real
-//! multi-process workers execute over the `mrbc-net` TCP mesh.
+//! MRBC as a replicated SPMD state machine — the one MRBC driver. Real
+//! multi-process workers step it over the `mrbc-net` TCP mesh, and
+//! [`mrbc_bc`](super::mrbc::mrbc_bc) steps it in-process.
 //!
-//! [`MrbcSpmd`] re-expresses the batched MRBC engine
-//! ([`mrbc_bc`](super::mrbc::mrbc_bc)) in the
+//! [`MrbcSpmd`] is the batched MRBC engine in the
 //! [`SpmdProgram`](mrbc_dgalois::spmd::SpmdProgram) contract:
 //!
 //! * **replicated state** — the authoritative labels (`dist_g`, `sigma_g`,
@@ -12,26 +12,29 @@
 //! * **partial state** — one host's proxy labels (`HostState`). A worker
 //!   only ever advances its own host's partials in `local_step`.
 //!
-//! One SPMD step = one BSP round of the in-process engine. `begin_step`
-//! computes the round's flag set (forward: the labels whose send condition
-//! fires, stamping τ; backward: the agenda bucket, folding parked δ).
-//! `local_step(h)` applies the sync broadcast to host `h`'s proxies and
-//! runs the push kernel for `h`'s local edges — the exact
-//! [`fwd_push_host`] / [`bwd_push_host`] kernels the in-process path
-//! uses. `fold` merges every host's pushes in canonical host order, so the
-//! `f64` evolution is **bit-identical** to the single-process run — that
-//! is the property the chaos test pins: SIGKILL a worker mid-forward,
-//! restore it from a checkpoint, and the final scores still match
-//! [`mrbc_bc`](super::mrbc::mrbc_bc) exactly.
+//! One SPMD step = one BSP round. `begin_step` computes the round's flag
+//! set (forward: the labels whose send condition fires, stamping τ;
+//! backward: the agenda bucket, folding parked δ). Host `h`'s push
+//! applies the sync broadcast to `h`'s proxies and runs the
+//! [`fwd_push_host`] / [`bwd_push_host`] kernel for `h`'s local edges.
+//! The fold merges every host's pushes in canonical host order, so the
+//! `f64` evolution is **bit-identical** however the hosts are spread over
+//! processes — that is the property the chaos test pins: SIGKILL a worker
+//! mid-forward, restore it from a checkpoint, and the final scores still
+//! match [`mrbc_bc`](super::mrbc::mrbc_bc) exactly. The pushes are typed;
+//! `local_step` / `fold` only encode and decode them, and `fold` checks
+//! every payload before it folds any.
 //!
 //! Snapshots are only taken between steps (before a `begin_step`), so the
 //! in-flight flag set is never serialized. Nor is the forward calendar
 //! (per-vertex cursors and round lists): it is derived state, and
-//! `restore` rebuilds it from `M_v` and τ. The engine always runs the
-//! paper's delayed-synchronization mode (the eager ablation exists only
-//! in-process, where traffic accounting is the point).
+//! `restore` rebuilds it from `M_v` and τ. [`MrbcSpmd::new`] always runs
+//! the paper's delayed synchronization. The eager ablation is a mode only
+//! the in-process driver selects: its steps skip the broadcast
+//! write-back, and a forward phase whose last step pushed anything runs
+//! one empty step more, in which the driver accounts the final sync.
 
-use super::mrbc::{bwd_push_host, fwd_push_host, Batch};
+use super::mrbc::{bwd_push_host, fwd_push_host, Batch, MrbcOptions, Pushes};
 use mrbc_dgalois::spmd::SpmdProgram;
 use mrbc_dgalois::DistGraph;
 use mrbc_graph::{CsrGraph, VertexId};
@@ -43,10 +46,12 @@ use mrbc_util::{DenseBitset, FlatMap};
 const SNAP_MAGIC: u32 = 0x4450_534D;
 /// Snapshot format version.
 const SNAP_VERSION: u32 = 1;
+/// Encoded bytes of one push record: three `u32`s and an `f64`.
+const PUSH_BYTES: usize = 4 + 4 + 4 + 8;
 
 /// Which half of the current batch the machine is in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Phase {
+pub(crate) enum Phase {
     /// Forward (APSP) round `round` is next.
     Forward { round: u32 },
     /// Backward (δ-accumulation) round `round` is next.
@@ -54,16 +59,22 @@ enum Phase {
 }
 
 /// Live execution state of the current batch.
-struct BatchRun<'a> {
-    batch: Batch<'a>,
-    phase: Phase,
+pub(crate) struct BatchRun<'a> {
+    pub(crate) batch: Batch<'a>,
+    pub(crate) phase: Phase,
     /// The current step's flag set, computed by `begin_step` and consumed
-    /// by `local_step` / `fold`. Empty between steps.
-    flags: Vec<(u32, u32, u32)>,
+    /// by the pushes and the fold. Empty between steps.
+    pub(crate) flags: Vec<(u32, u32, u32)>,
     /// Backward agenda buckets (empty during the forward phase).
     agenda: Vec<Vec<(u32, u32, u32)>>,
     /// Parked δ contributions per `(v, j)` (empty during forward).
     pending: Vec<Vec<(u32, f64)>>,
+}
+
+impl BatchRun<'_> {
+    pub(crate) fn is_forward(&self) -> bool {
+        matches!(self.phase, Phase::Forward { .. })
+    }
 }
 
 /// Batched MRBC as a replicated SPMD program (see module docs).
@@ -73,6 +84,8 @@ pub struct MrbcSpmd<'a> {
     /// Sorted + deduplicated sources, chunked into batches.
     sorted: Vec<VertexId>,
     batch_size: usize,
+    /// Delayed (paper) vs eager (Gluon-default) synchronization.
+    delayed_sync: bool,
     bc: Vec<f64>,
     batch_index: usize,
     run: Option<BatchRun<'a>>,
@@ -89,7 +102,21 @@ impl<'a> MrbcSpmd<'a> {
         sources: &[VertexId],
         batch_size: usize,
     ) -> Self {
-        assert!(batch_size >= 1, "batch size must be at least 1");
+        let options = MrbcOptions {
+            batch_size,
+            delayed_sync: true,
+        };
+        Self::with_options(g, dg, sources, &options)
+    }
+
+    /// [`Self::new`] with the in-process driver's [`MrbcOptions`].
+    pub(crate) fn with_options(
+        g: &'a CsrGraph,
+        dg: &'a DistGraph,
+        sources: &[VertexId],
+        options: &MrbcOptions,
+    ) -> Self {
+        assert!(options.batch_size >= 1, "batch size must be at least 1");
         let n = g.num_vertices();
         let mut sorted: Vec<VertexId> = sources.to_vec();
         sorted.sort_unstable();
@@ -102,7 +129,8 @@ impl<'a> MrbcSpmd<'a> {
             g,
             dg,
             sorted,
-            batch_size,
+            batch_size: options.batch_size,
+            delayed_sync: options.delayed_sync,
             bc: vec![0.0f64; n],
             batch_index: 0,
             run: None,
@@ -131,20 +159,121 @@ impl<'a> MrbcSpmd<'a> {
         self.bc
     }
 
-    fn batch_sources(&self, bi: usize) -> &[VertexId] {
-        let lo = bi * self.batch_size;
-        let hi = (lo + self.batch_size).min(self.sorted.len());
-        &self.sorted[lo..hi]
+    /// Number of distinct sources.
+    pub(crate) fn num_sources(&self) -> usize {
+        self.sorted.len()
+    }
+
+    /// The sources of batch `bi`.
+    pub(crate) fn batch_sources(&self, bi: usize) -> &[VertexId] {
+        self.sorted.chunks(self.batch_size).nth(bi).unwrap_or(&[])
+    }
+
+    /// The current batch's index and state; `None` once done.
+    pub(crate) fn current(&self) -> Option<(usize, &BatchRun<'a>)> {
+        self.run.as_ref().map(|run| (self.batch_index, run))
     }
 
     fn start_batch(&self, bi: usize) -> BatchRun<'a> {
         BatchRun {
-            batch: Batch::new(self.g, self.dg, self.batch_sources(bi), true),
+            batch: Batch::new(self.g, self.dg, self.batch_sources(bi)),
             phase: Phase::Forward { round: 1 },
             flags: Vec::new(),
             agenda: Vec::new(),
             pending: Vec::new(),
         }
+    }
+
+    /// Host `h`'s share of the current step: apply the sync broadcast to
+    /// its proxies (delayed mode only) and push the flagged labels along
+    /// its local edges. Mutates only host `h`'s partials.
+    pub(crate) fn push(&mut self, h: usize) -> Pushes {
+        let Some(run) = self.run.as_mut() else {
+            return Pushes::default();
+        };
+        let forward = run.is_forward();
+        let b = &mut run.batch;
+        if self.delayed_sync {
+            b.apply_sync_to_host(h, &run.flags, forward);
+        }
+        let hs = &mut b.hosts[h];
+        if forward {
+            fwd_push_host(b.dg, h, b.k, &b.sigma_g, hs, &run.flags)
+        } else {
+            let (dist_g, sigma_g, delta_g) = (&b.dist_g, &b.sigma_g, &b.delta_g);
+            bwd_push_host(b.dg, h, b.k, dist_g, sigma_g, delta_g, hs, &run.flags)
+        }
+    }
+
+    /// Folds every host's pushes in canonical host order, then makes the
+    /// replicated phase transition. This is the one place a forward phase
+    /// ends, `R` is fixed, a batch's δ becomes BC and the next batch
+    /// starts.
+    pub(crate) fn fold_pushes(&mut self, pushes: Vec<Pushes>) -> Result<(), WireError> {
+        let n = self.g.num_vertices();
+        let Some(run) = self.run.as_mut() else {
+            return Ok(());
+        };
+        // Eager mode syncs a step's pushes in the next step, so a forward
+        // phase whose last step pushed anything runs one empty step more.
+        // Backward needs no such step: its last round `R + 1` carries no
+        // flags (`A_sv ≤ R`) and so pushes nothing.
+        let flush = !self.delayed_sync && pushes.iter().any(|(p, _)| !p.is_empty());
+        let forward = run.is_forward();
+        let k = run.batch.k;
+        for (records, _) in pushes {
+            for (gu, j, x, val) in records {
+                if forward {
+                    run.batch.merge_global(gu as usize, j as usize, x, val);
+                } else {
+                    run.pending[gu as usize * k + j as usize].push((x, val));
+                }
+            }
+        }
+        run.flags = Vec::new();
+        match run.phase {
+            Phase::Forward { round } if run.batch.pending_total == 0 && !flush => {
+                run.batch.r_term = round;
+                run.agenda = run.batch.build_agenda();
+                run.pending = vec![Vec::new(); n * k];
+                run.phase = Phase::Backward { round: 1 };
+            }
+            Phase::Forward { round } => {
+                let cap = 2 * n as u32 + k as u32 + 2;
+                if run.batch.pending_total > 0 && round >= cap {
+                    return Err(WireError::Invalid(
+                        "forward phase exceeded the 2n + k bound",
+                    ));
+                }
+                run.phase = Phase::Forward { round: round + 1 };
+            }
+            Phase::Backward { round } if round <= run.batch.r_term => {
+                run.phase = Phase::Backward { round: round + 1 };
+            }
+            Phase::Backward { .. } => {
+                // Free the finished batch before the next one is built.
+                if let Some(mut run) = self.run.take() {
+                    run.batch.fold_all_pending(&mut run.pending);
+                    drop((run.pending, run.agenda));
+                    let srcs = self.sorted.chunks(self.batch_size).nth(self.batch_index);
+                    let srcs = srcs.unwrap_or(&[]);
+                    for (v, x) in self.bc.iter_mut().enumerate() {
+                        for (j, &s) in srcs.iter().enumerate() {
+                            if s as usize != v {
+                                *x += run.batch.delta_g[v * k + j];
+                            }
+                        }
+                    }
+                }
+                self.batch_index += 1;
+                if self.batch_index < self.num_batches() {
+                    self.run = Some(self.start_batch(self.batch_index));
+                } else {
+                    self.done = true;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// CRC over the canonical source list — pins a snapshot to its run
@@ -211,6 +340,27 @@ fn get_f64s(r: &mut WireReader<'_>, len: usize) -> Result<Vec<f64>, WireError> {
     Ok(xs)
 }
 
+/// Decodes one host's `local_step` payload, checking its length against
+/// its record count before allocating and every target against the
+/// batch's `n × k` label table.
+fn decode_pushes(payload: &[u8], n: usize, k: usize) -> Result<Pushes, WireError> {
+    let mut r = WireReader::new(payload);
+    let work = r.u64()?;
+    let cnt = r.u32()? as usize;
+    if cnt.checked_mul(PUSH_BYTES) != Some(r.remaining()) {
+        return Err(WireError::Invalid("push count != payload length"));
+    }
+    let mut records = Vec::with_capacity(cnt);
+    for _ in 0..cnt {
+        let (gu, j, x, val) = (r.u32()?, r.u32()?, r.u32()?, r.f64()?);
+        if gu as usize >= n || j as usize >= k {
+            return Err(WireError::Invalid("push target out of range"));
+        }
+        records.push((gu, j, x, val));
+    }
+    Ok((records, work))
+}
+
 impl SpmdProgram for MrbcSpmd<'_> {
     fn num_hosts(&self) -> usize {
         self.dg.num_hosts
@@ -235,33 +385,11 @@ impl SpmdProgram for MrbcSpmd<'_> {
     }
 
     fn local_step(&mut self, _step: u64, host: usize) -> Vec<u8> {
-        let Some(run) = self.run.as_mut() else {
-            return Vec::new();
-        };
-        let forward = matches!(run.phase, Phase::Forward { .. });
-        run.batch.apply_sync_to_host(host, &run.flags, forward);
-        let b = &mut run.batch;
-        let k = b.k;
-        let (out, work) = if forward {
-            let sigma_g = &b.sigma_g;
-            fwd_push_host(b.dg, host, k, sigma_g, &mut b.hosts[host], &run.flags)
-        } else {
-            let (dist_g, sigma_g, delta_g) = (&b.dist_g, &b.sigma_g, &b.delta_g);
-            bwd_push_host(
-                b.dg,
-                host,
-                k,
-                dist_g,
-                sigma_g,
-                delta_g,
-                &mut b.hosts[host],
-                &run.flags,
-            )
-        };
-        let mut w = WireWriter::with_capacity(12 + out.len() * 20);
+        let (records, work) = self.push(host);
+        let mut w = WireWriter::with_capacity(12 + records.len() * PUSH_BYTES);
         w.u64(work);
-        w.u32(out.len() as u32);
-        for (gu, j, x, val) in out {
+        w.u32(records.len() as u32);
+        for (gu, j, x, val) in records {
             w.u32(gu);
             w.u32(j);
             w.u32(x);
@@ -271,92 +399,20 @@ impl SpmdProgram for MrbcSpmd<'_> {
     }
 
     fn fold(&mut self, _step: u64, payloads: &[Vec<u8>]) -> Result<(), WireError> {
-        let n = self.g.num_vertices();
-        let Some(run) = self.run.as_mut() else {
+        let Some(run) = &self.run else {
             return Ok(());
         };
-        run.flags.clear();
-        let forward = matches!(run.phase, Phase::Forward { .. });
-        let k = run.batch.k;
         if payloads.len() != self.dg.num_hosts {
             return Err(WireError::Invalid("payload count != host count"));
         }
-        // Merge every host's pushes in canonical host order — the same
-        // sequence of merge_global / park operations as the in-process
-        // engine, hence bit-identical f64 evolution.
-        for payload in payloads {
-            let mut r = WireReader::new(payload);
-            let _work = r.u64()?;
-            let cnt = r.u32()? as usize;
-            for _ in 0..cnt {
-                let gu = r.u32()?;
-                let j = r.u32()?;
-                if gu as usize >= n || j as usize >= k {
-                    return Err(WireError::Invalid("push target out of range"));
-                }
-                if forward {
-                    let d_new = r.u32()?;
-                    let sig = r.f64()?;
-                    run.batch.merge_global(gu as usize, j as usize, d_new, sig);
-                } else {
-                    let v = r.u32()?;
-                    let contrib = r.f64()?;
-                    run.pending[gu as usize * k + j as usize].push((v, contrib));
-                }
-            }
-            if !r.is_empty() {
-                return Err(WireError::Invalid("trailing payload bytes"));
-            }
-        }
-
-        // Replicated phase transition.
-        let mut batch_finished = false;
-        match run.phase {
-            Phase::Forward { round } => {
-                if run.batch.pending_total == 0 {
-                    run.batch.r_term = round;
-                    run.agenda = run.batch.build_agenda();
-                    run.pending = vec![Vec::new(); n * k];
-                    run.phase = Phase::Backward { round: 1 };
-                } else {
-                    let cap = 2 * n as u32 + k as u32 + 2;
-                    if round >= cap {
-                        return Err(WireError::Invalid(
-                            "forward phase exceeded the 2n + k bound",
-                        ));
-                    }
-                    run.phase = Phase::Forward { round: round + 1 };
-                }
-            }
-            Phase::Backward { round } => {
-                if round == run.batch.r_term + 1 {
-                    run.batch.fold_all_pending(&mut run.pending);
-                    batch_finished = true;
-                } else {
-                    run.phase = Phase::Backward { round: round + 1 };
-                }
-            }
-        }
-        if batch_finished {
-            let lo = self.batch_index * self.batch_size;
-            let hi = (lo + self.batch_size).min(self.sorted.len());
-            let srcs = &self.sorted[lo..hi];
-            for (v, x) in self.bc.iter_mut().enumerate() {
-                for (j, &s) in srcs.iter().enumerate() {
-                    if s as usize != v {
-                        *x += run.batch.delta_g[v * k + j];
-                    }
-                }
-            }
-            self.batch_index += 1;
-            if self.batch_index * self.batch_size < self.sorted.len() {
-                self.run = Some(self.start_batch(self.batch_index));
-            } else {
-                self.run = None;
-                self.done = true;
-            }
-        }
-        Ok(())
+        // Decode and check every payload before folding any, so a
+        // rejected fold leaves the replica untouched.
+        let (n, k) = (self.g.num_vertices(), run.batch.k);
+        let pushes = payloads
+            .iter()
+            .map(|p| decode_pushes(p, n, k))
+            .collect::<Result<Vec<_>, _>>()?;
+        self.fold_pushes(pushes)
     }
 
     fn snapshot(&self) -> Vec<u8> {
@@ -516,24 +572,37 @@ impl SpmdProgram for MrbcSpmd<'_> {
                     return Err(WireError::Invalid("synced bitset width mismatch"));
                 }
             }
-            let buckets = r.u32()? as usize;
-            if let Phase::Backward { round } = phase {
-                if round as usize >= buckets.max(1) && buckets > 0 {
-                    return Err(WireError::Invalid("backward round beyond agenda"));
+            // The phase must agree with the state it carries: forward has
+            // no agenda and no parked δ; backward round `1..=R + 1` has
+            // `R + 2` agenda buckets and the full `n·k` pending table.
+            let r_term = b.r_term as usize;
+            let backward = match phase {
+                Phase::Forward { .. } => false,
+                Phase::Backward { round } if (1..=r_term + 1).contains(&(round as usize)) => true,
+                Phase::Backward { .. } => {
+                    return Err(WireError::Invalid("backward round outside 1..=R + 1"))
                 }
+            };
+            let buckets = r.u32()? as usize;
+            if buckets != if backward { r_term + 2 } else { 0 } {
+                return Err(WireError::Invalid("agenda size contradicts the phase"));
             }
-            let mut agenda = Vec::with_capacity(buckets);
+            let mut agenda = Vec::new();
             for _ in 0..buckets {
                 let cnt = r.u32()? as usize;
-                let mut bucket = Vec::with_capacity(cnt);
+                let mut bucket = Vec::new();
                 for _ in 0..cnt {
-                    bucket.push((r.u32()?, r.u32()?, r.u32()?));
+                    let (v, j, d) = (r.u32()?, r.u32()?, r.u32()?);
+                    if v as usize >= n || j as usize >= k {
+                        return Err(WireError::Invalid("agenda entry out of range"));
+                    }
+                    bucket.push((v, j, d));
                 }
                 agenda.push(bucket);
             }
             let pending_len = r.u32()? as usize;
-            if pending_len != 0 && pending_len != n * k {
-                return Err(WireError::Invalid("pending table size mismatch"));
+            if pending_len != if backward { n * k } else { 0 } {
+                return Err(WireError::Invalid("pending table contradicts the phase"));
             }
             let mut pending = vec![Vec::new(); pending_len];
             let nonempty = r.u32()? as usize;
@@ -543,7 +612,7 @@ impl SpmdProgram for MrbcSpmd<'_> {
                     return Err(WireError::Invalid("pending index out of range"));
                 }
                 let cnt = r.u32()? as usize;
-                let mut contribs = Vec::with_capacity(cnt);
+                let mut contribs = Vec::new();
                 for _ in 0..cnt {
                     contribs.push((r.u32()?, r.f64()?));
                 }
@@ -747,6 +816,40 @@ mod tests {
         assert!(same.restore(&bad).is_err());
         // Intact snapshot still restores after the failed attempts.
         assert!(same.restore(&snap).is_ok());
+    }
+
+    #[test]
+    fn restore_rejects_a_phase_that_contradicts_the_state() {
+        let g = generators::cycle(12);
+        let dg = partition(&g, 2, PartitionPolicy::BlockedEdgeCut);
+        let sources: Vec<u32> = (0..4).collect();
+        let prog = MrbcSpmd::new(&g, &dg, &sources, 2);
+        let mut forged = prog.snapshot();
+        // Header (7 u32s), bc (n f64s), done (u8), batch index (u32),
+        // has-run (u8), then the phase tag: forward → backward.
+        let tag = 7 * 4 + g.num_vertices() * 8 + 1 + 4 + 1;
+        assert_eq!(forged[tag], 0);
+        forged[tag] = 1;
+        let mut other = MrbcSpmd::new(&g, &dg, &sources, 2);
+        assert!(other.restore(&forged).is_err());
+        assert!(other.restore(&prog.snapshot()).is_ok());
+    }
+
+    #[test]
+    fn rejected_fold_leaves_the_replica_untouched() {
+        let g = generators::cycle(12);
+        let dg = partition(&g, 2, PartitionPolicy::BlockedEdgeCut);
+        let mut prog = MrbcSpmd::new(&g, &dg, &[0, 1, 6, 7], 4);
+        prog.begin_step(0);
+        let mut payloads: Vec<Vec<u8>> = (0..2).map(|h| prog.local_step(0, h)).collect();
+        assert!(payloads[0].len() > 12, "host 0 must push something");
+        payloads[1].push(0);
+        let before = prog.snapshot();
+        assert!(prog.fold(0, &payloads).is_err());
+        assert!(
+            prog.snapshot() == before,
+            "a rejected fold changed the replica"
+        );
     }
 
     #[test]
