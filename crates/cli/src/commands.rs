@@ -45,7 +45,9 @@ USAGE:
                     [--queue Q] [--max-batch M] [--faults PLAN]
                     [--flight-dir D]
       long-running query daemon; prints \"SERVE <addr>\" when ready and
-      runs until a client sends shutdown or QUIT arrives on stdin
+      runs until a client sends shutdown or QUIT arrives on stdin; stdin
+      EOF keeps it serving unless a supervisor started it (a pool
+      front-end), in which case it exits when its supervisor does
   mrbc serve pool <file> [--workers W] [--port P] [--addr A]
                     [--hosts H] [--batch B] [--queue Q] [--max-batch M]
                     [--retry-after MS] [--faults PLAN]
@@ -54,7 +56,8 @@ USAGE:
       supervised pool of W serve-worker child processes behind one
       front-end: source-range sharded routing, heartbeat failure
       detection, SIGKILL -> respawn -> mutation replay recovery; worker
-      death surfaces as structured Retry/Partial, never a hung client
+      death surfaces as structured Retry/Partial, never a hung client;
+      each worker exits when the front-end does, even after kill -9
       --trace-dir D: each worker writes D/trace-worker-<rank>.json
       (combine with the front-end's own --trace and `mrbc obs merge`)
       --flight-dir D: dump the flight-recorder ring to D on panic,
@@ -169,6 +172,16 @@ impl std::fmt::Display for CmdError {
 }
 
 impl std::error::Error for CmdError {}
+
+/// Writes `line` and a newline to stdout and flushes it, so a reader
+/// blocked on it (a supervisor waiting for `SERVE` or `LISTEN`) sees it
+/// now. A closed stdout comes back as the error, never as a panic.
+pub fn emit_line(line: &str) -> std::io::Result<()> {
+    use std::io::Write as _;
+    let mut out = std::io::stdout().lock();
+    writeln!(out, "{line}")?;
+    out.flush()
+}
 
 /// Dispatches a parsed command line; returns the report to print.
 pub fn run(p: &ParsedArgs) -> Result<String, CmdError> {

@@ -10,12 +10,12 @@
 //! `mrbc checkpoint-info` inspects and fully validates a checkpoint
 //! directory; corruption exits with the dedicated status code 3.
 
-use std::io::{BufRead, Write as _};
+use std::io::BufRead;
 use std::path::Path;
 use std::process::Command;
 
 use crate::args::ParsedArgs;
-use crate::commands::CmdError;
+use crate::commands::{emit_line, CmdError};
 use mrbc_core::dist::spmd::MrbcSpmd;
 use mrbc_dgalois::spmd::{run_local, SpmdProgram};
 use mrbc_dgalois::{partition, DistGraph, PartitionPolicy};
@@ -164,7 +164,9 @@ pub fn cmd_worker(p: &ParsedArgs) -> Result<String, CmdError> {
     // Control plane: launcher lines arrive on stdin (reader thread →
     // channel, then a wake for the mesh the worker blocks in), events
     // leave on stdout, flushed per line. The last wake, after `tx` is
-    // gone, lets the worker see a launcher that hung up.
+    // gone, lets the worker see a launcher that hung up: stdin is the
+    // launcher's lifeline. Its first line, `mrbc_net::child::LIFELINE`,
+    // is no control message, so it is skipped.
     let (tx, rx) = std::sync::mpsc::channel();
     let waker = mesh.waker();
     std::thread::spawn(move || {
@@ -183,15 +185,12 @@ pub fn cmd_worker(p: &ParsedArgs) -> Result<String, CmdError> {
     });
     let mut control = ControlPlane {
         rx: Some(rx),
-        notify: Box::new(|ev| {
-            println!("{}", event_line(ev));
-            let _ = std::io::stdout().flush();
-        }),
+        // A launcher that stopped reading has hung up; stdin EOF
+        // tells the worker, so a failed write carries no news.
+        notify: Box::new(|ev| drop(emit_line(&event_line(ev)))),
     };
 
-    println!("LISTEN {}", mesh.local_addr());
-    std::io::stdout()
-        .flush()
+    emit_line(&format!("LISTEN {}", mesh.local_addr()))
         .map_err(|e| CmdError::general(format!("stdout: {e}")))?;
 
     let start = await_resume(&mut prog, &mut mesh, &mut cfg, &mut control).map_err(worker_err)?;

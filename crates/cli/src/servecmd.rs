@@ -15,8 +15,9 @@ use std::process::Command;
 use std::thread;
 
 use crate::args::ParsedArgs;
-use crate::commands::{load, CmdError};
+use crate::commands::{emit_line, load, CmdError};
 use mrbc_core::BcConfig;
+use mrbc_net::child::LIFELINE;
 use mrbc_obs as obs;
 use mrbc_serve::{
     start_pool, ClientConfig, MutateOp, PoolConfig, Request, Response, RetryClient, SchedConfig,
@@ -43,8 +44,10 @@ fn arm_flight(p: &ParsedArgs) -> Result<(), CmdError> {
 /// Loads the graph, starts the daemon, and prints `SERVE <addr>` on
 /// stdout once the socket is bound (the line scripts poll for). Runs
 /// until a client sends the protocol `Shutdown` request or `QUIT`
-/// arrives on stdin; stdin EOF does *not* stop the daemon, so it
-/// survives being backgrounded with a closed stdin.
+/// arrives on stdin. A daemon started by hand ignores stdin EOF, so it
+/// survives being backgrounded with a closed stdin; one started under a
+/// supervisor (a pool front-end) exits on it — see
+/// [`watch_stdin_for_quit`].
 pub fn cmd_serve(p: &ParsedArgs) -> Result<String, CmdError> {
     if p.positional.first().map(String::as_str) == Some("pool") {
         return cmd_pool(p);
@@ -88,9 +91,8 @@ pub fn cmd_serve(p: &ParsedArgs) -> Result<String, CmdError> {
 
     // The readiness line must be visible *now*, not when the command
     // returns — scripts block on it.
-    println!("SERVE {}", server.local_addr());
-    use std::io::Write as _;
-    drop(std::io::stdout().flush());
+    emit_line(&format!("SERVE {}", server.local_addr()))
+        .map_err(|e| CmdError::general(format!("cannot announce readiness: {e}")))?;
 
     watch_stdin_for_quit(server.shutdown_handle());
     server.wait();
@@ -104,19 +106,29 @@ pub fn cmd_serve(p: &ParsedArgs) -> Result<String, CmdError> {
 /// Watches stdin for a `QUIT` line on a detached thread, which then
 /// begins shutdown through `quit`. Detached on purpose: if stdin never
 /// yields QUIT the thread parks on a read until process exit, and
-/// joining it would hang a protocol-initiated shutdown. EOF / closed
-/// stdin keeps the daemon serving.
+/// joining it would hang a protocol-initiated shutdown.
+///
+/// What EOF means depends on how the daemon was launched. A supervisor
+/// (`mrbc_net::child`) writes the [`LIFELINE`] line first and holds the
+/// pipe open for as long as it lives, so after that line EOF means the
+/// supervisor is gone and is taken as `QUIT`. Without it — started by
+/// hand, stdin closed or `/dev/null` — EOF keeps the daemon serving.
 fn watch_stdin_for_quit(quit: ShutdownHandle) {
     drop(
         thread::Builder::new()
             .name("serve-stdin".into())
             .spawn(move || {
+                let mut supervised = false;
                 for line in std::io::stdin().lock().lines() {
-                    match line {
-                        Ok(l) if l.trim() == "QUIT" => return quit.trigger(),
+                    match line.as_deref().map(str::trim) {
+                        Ok("QUIT") => return quit.trigger(),
+                        Ok(LIFELINE) => supervised = true,
                         Ok(_) => {}
-                        Err(_) => return,
+                        Err(_) => break,
                     }
+                }
+                if supervised {
+                    quit.trigger();
                 }
             }),
     );
@@ -263,9 +275,8 @@ fn cmd_pool(p: &ParsedArgs) -> Result<String, CmdError> {
         }
     })?;
 
-    println!("SERVE {}", pool.local_addr());
-    use std::io::Write as _;
-    drop(std::io::stdout().flush());
+    emit_line(&format!("SERVE {}", pool.local_addr()))
+        .map_err(|e| CmdError::general(format!("cannot announce readiness: {e}")))?;
 
     watch_stdin_for_quit(pool.shutdown_handle());
     pool.wait();

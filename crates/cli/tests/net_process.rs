@@ -1,14 +1,18 @@
 //! Process-level tests of the multi-process substrate through the real
 //! `mrbc-cli` binary: a chaos run (launch 4 workers, SIGKILL one
 //! mid-computation, recover from durable checkpoints, verify the result
-//! is bit-identical to the in-process engine) and the structured
-//! exit-code contract for corrupt checkpoints.
+//! is bit-identical to the in-process engine), the structured
+//! exit-code contract for corrupt checkpoints, and the launcher's
+//! lifeline (a SIGKILLed launcher takes every rank with it).
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 use mrbc_graph::{generators, io};
 use mrbc_net::CheckpointStore;
+
+mod common;
+use common::{alive, children_of, kill_all, within_ms};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mrbc-cli"))
@@ -75,6 +79,45 @@ fn chaos_kill_recovers_to_bit_identical_result() {
             "{stdout}"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two planned kills due at the same step: the second comes due while
+/// the first rank's EOF is still pending, so it is held back rather than
+/// fired into a recovery that waits for one corpse only. The run
+/// recovers and stays bit-identical to the in-process engine.
+#[test]
+fn two_kills_at_one_step_recover_and_verify() {
+    let dir = tmpdir("twokills");
+    let graph = write_test_graph(&dir);
+    let ckpts = dir.join("ckpts").to_string_lossy().into_owned();
+    let out = bin()
+        .args([
+            "launch",
+            &graph,
+            "--ranks",
+            "3",
+            "--sources",
+            "8",
+            "--batch",
+            "4",
+            "--kill",
+            "0@1,1@1",
+            "--checkpoint-dir",
+            &ckpts,
+            "--timeout",
+            "90000",
+            "--verify",
+        ])
+        .output()
+        .expect("run launch");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "launch failed:\n{stdout}\n{stderr}");
+    assert!(
+        stdout.contains("bit-identical to the in-process engine"),
+        "{stdout}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -295,5 +338,132 @@ fn empty_checkpoint_dir_reports_cleanly() {
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("no checkpoints for rank 3"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A SIGKILLed launcher leaves no rank behind: each rank's stdin is the
+/// launcher's lifeline, so every rank reads EOF and exits within 1 s,
+/// and the checkpoints they leave are whole (atomic write-rename).
+#[test]
+fn sigkill_of_the_launcher_takes_every_rank_with_it() {
+    let dir = tmpdir("lifeline");
+    // A solve of several seconds, so the kill lands mid-run.
+    let g = generators::grid_road_network(generators::RoadNetworkConfig::new(16, 64), 7);
+    let graph = dir.join("graph.el").to_string_lossy().into_owned();
+    io::write_edge_list_file(&g, &graph).expect("write graph");
+    let ckpts = dir.join("ckpts");
+    let ckpts_s = ckpts.to_string_lossy().into_owned();
+    let mut launcher = bin()
+        .args([
+            "launch",
+            &graph,
+            "--ranks",
+            "3",
+            "--sources",
+            "64",
+            "--batch",
+            "4",
+            "--checkpoint-dir",
+            &ckpts_s,
+            "--timeout",
+            "90000",
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn launch");
+
+    // Mid-solve: all three ranks up and every one past its first
+    // durable step boundary.
+    let mut ranks = Vec::new();
+    let running = within_ms(60_000, || {
+        ranks = children_of(launcher.id());
+        ranks.len() == 3
+            && (0..3).all(|r| {
+                CheckpointStore::open(&ckpts, r)
+                    .and_then(|s| s.list_steps())
+                    .is_ok_and(|steps| !steps.is_empty())
+            })
+    });
+    assert!(running, "ranks {ranks:?} never checkpointed");
+    assert!(
+        launcher.try_wait().expect("poll launch").is_none(),
+        "the solve finished before the kill"
+    );
+    launcher.kill().expect("SIGKILL the launcher");
+    launcher.wait().expect("reap the launcher");
+
+    let gone = within_ms(1_000, || ranks.iter().all(|&r| !alive(r)));
+    kill_all(&ranks);
+    assert!(gone, "ranks {ranks:?} outlived their launcher by 1 s");
+    for rank in 0..3 {
+        let out = bin()
+            .args(["checkpoint-info", &ckpts_s, "--rank", &rank.to_string()])
+            .output()
+            .expect("run checkpoint-info");
+        assert!(
+            out.status.success(),
+            "rank {rank}'s checkpoints do not validate: {out:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A rank that dies without a planned kill — SIGKILLed from outside
+/// mid-solve — is recovered like a planned one: its EOF starts the
+/// recovery, and the result stays bit-identical to the in-process run.
+#[test]
+fn an_unplanned_rank_death_is_recovered() {
+    let dir = tmpdir("unplanned");
+    let g = generators::grid_road_network(generators::RoadNetworkConfig::new(16, 64), 7);
+    let graph = dir.join("graph.el").to_string_lossy().into_owned();
+    io::write_edge_list_file(&g, &graph).expect("write graph");
+    let ckpts = dir.join("ckpts");
+    let ckpts_s = ckpts.to_string_lossy().into_owned();
+    let launcher = bin()
+        .args([
+            "launch",
+            &graph,
+            "--ranks",
+            "3",
+            "--sources",
+            "16",
+            "--batch",
+            "4",
+            "--checkpoint-dir",
+            &ckpts_s,
+            "--timeout",
+            "30000",
+            "--verify",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn launch");
+    let mut ranks = Vec::new();
+    let running = within_ms(30_000, || {
+        ranks = children_of(launcher.id());
+        ranks.len() == 3
+            && CheckpointStore::open(&ckpts, 1)
+                .and_then(|s| s.list_steps())
+                .is_ok_and(|steps| !steps.is_empty())
+    });
+    assert!(running, "ranks {ranks:?} never checkpointed");
+    // Which pid is rank 1 does not matter: any rank's death is one.
+    let status = Command::new("kill")
+        .args(["-9", &ranks[1].to_string()])
+        .status()
+        .expect("kill");
+    assert!(status.success());
+
+    let out = launcher.wait_with_output().expect("launch exits");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "launch failed:\n{stdout}\n{stderr}");
+    assert!(stdout.contains("recoveries: 1"), "{stdout}");
+    assert!(
+        stdout.contains("bit-identical to the in-process engine"),
+        "{stdout}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,6 +2,12 @@
 //! into the control plane, executes kill faults for real (SIGKILL), and
 //! drives the crash-restart recovery handshake.
 //!
+//! Each worker is a [`crate::child::Child`]: its stdout lines arrive on
+//! the launcher's one event channel, tagged with the rank, and its
+//! stdin is the lifeline — a worker whose launcher is gone (exited or
+//! SIGKILLed) reads EOF and leaves ("launcher hung up"). Every error
+//! path drops the slots, which kills and reaps every worker.
+//!
 //! # Line protocol
 //!
 //! Workers and the launcher speak newline-delimited ASCII over the
@@ -46,12 +52,13 @@
 //!    the SPMD fold makes the re-execution bit-identical, which the
 //!    launcher verifies by asserting all `DONE` fingerprints agree.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io;
 use std::net::SocketAddr;
-use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::process::Command;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 
-use crate::mesh::now_ms;
+use crate::child::{self, Child};
+use crate::mesh::{now_ms, time_until};
 use crate::worker::{ControlMsg, WorkerEvent, WorkerOutcome};
 
 /// One parsed worker → launcher stdout line.
@@ -344,16 +351,16 @@ impl Default for LaunchConfig {
 
 struct Slot {
     child: Child,
-    stdin: ChildStdin,
     outcome: Option<RankOutcome>,
-    /// A planned kill has been fired; the next EOF from this rank is
-    /// expected, not an error.
+    /// A planned kill has been fired: until its EOF, lines from this
+    /// rank are the killed incarnation's last words.
     dying: bool,
 }
 
 /// Spawns `cfg.num_workers` workers (`spawn_cmd(rank)` builds each
-/// command; stdio overridden to pipes), runs them to completion through
-/// any planned kills, and returns the per-rank outcomes.
+/// command; stdin and stdout overridden to pipes), runs them to
+/// completion through any planned kills, and returns the per-rank
+/// outcomes.
 pub fn launch<F: FnMut(usize) -> Command>(
     mut spawn_cmd: F,
     cfg: &LaunchConfig,
@@ -362,12 +369,25 @@ pub fn launch<F: FnMut(usize) -> Command>(
     assert!(n >= 1, "at least one worker");
     let deadline = now_ms() + cfg.timeout_ms;
     let (tx, rx) = channel::<(usize, WorkerLine)>();
+    let mut spawn = |rank: usize| {
+        let tx = tx.clone();
+        let child = child::spawn(spawn_cmd(rank), move |line: Option<String>| {
+            let line = line.map_or(WorkerLine::Eof, |l| parse_worker_line(&l));
+            drop(tx.send((rank, line)));
+        })?;
+        Ok(Slot {
+            child,
+            outcome: None,
+            dying: false,
+        })
+    };
 
+    // Every rank loads its graph before it listens: spawn them all,
+    // then collect the addresses, so start-up is not serialized.
     let mut slots: Vec<Slot> = Vec::with_capacity(n);
     let mut addrs: Vec<SocketAddr> = Vec::with_capacity(n);
     for rank in 0..n {
-        let slot = spawn_worker(&mut spawn_cmd, rank, &tx)?;
-        slots.push(slot);
+        slots.push(spawn(rank)?);
     }
     mrbc_obs::counter_add("net.launch.workers", n as u64);
 
@@ -424,48 +444,33 @@ pub fn launch<F: FnMut(usize) -> Command>(
             break;
         }
         let (rank, line) = next_event(&rx, deadline, "run")?;
+        if slots[rank].dying && line != WorkerLine::Eof {
+            continue;
+        }
         match line {
             WorkerLine::Step(s) => {
-                if let Some(pos) = kills.iter().position(|&(r, ks)| r == rank && ks == s) {
+                // One kill at a time: a kill due while another rank's EOF
+                // is pending stays planned; the re-run may reach it again.
+                let busy = slots.iter().any(|slot| slot.dying);
+                if let Some(pos) = kills
+                    .iter()
+                    .position(|&(r, ks)| !busy && r == rank && ks == s)
+                {
                     kills.remove(pos);
                     slots[rank].dying = true;
-                    slots[rank].child.kill()?;
+                    slots[rank].child.kill();
                     mrbc_obs::counter_add("net.launch.kills", 1);
-                    recover(
-                        &mut spawn_cmd,
-                        &mut slots,
-                        &mut addrs,
-                        &rx,
-                        &tx,
-                        rank,
-                        &mut epoch,
-                        deadline,
-                        trace,
-                    )?;
-                    recoveries += 1;
                 }
             }
-            WorkerLine::Eof => {
-                if slots[rank].outcome.is_some() {
-                    continue; // clean exit after DONE/DEGRADED
-                }
-                if !slots[rank].dying {
-                    // Unplanned death (externally SIGKILLed, crashed…):
-                    // recover it all the same — that is the point.
-                    slots[rank].dying = true;
-                    recover(
-                        &mut spawn_cmd,
-                        &mut slots,
-                        &mut addrs,
-                        &rx,
-                        &tx,
-                        rank,
-                        &mut epoch,
-                        deadline,
-                        trace,
-                    )?;
-                    recoveries += 1;
-                }
+            // An exit after DONE/DEGRADED is clean. Any other is a death —
+            // planned, externally SIGKILLed, crashed… — and recovery
+            // starts once its EOF is in, so no stale line from the old
+            // incarnation interleaves with the respawn's.
+            WorkerLine::Eof if slots[rank].outcome.is_none() => {
+                recover(
+                    &mut spawn, &mut slots, &mut addrs, &rx, rank, &mut epoch, deadline, trace,
+                )?;
+                recoveries += 1;
             }
             WorkerLine::Done { steps, fingerprint } => {
                 slots[rank].outcome = Some(RankOutcome::Completed { steps, fingerprint });
@@ -481,7 +486,10 @@ pub fn launch<F: FnMut(usize) -> Command>(
                     missing,
                 });
             }
-            WorkerLine::Stalled(_) | WorkerLine::Other(_) | WorkerLine::Ckpt(_) => {}
+            WorkerLine::Eof
+            | WorkerLine::Stalled(_)
+            | WorkerLine::Other(_)
+            | WorkerLine::Ckpt(_) => {}
             WorkerLine::Listen(_) => {
                 return Err(LaunchError::Protocol(format!("rank {rank} re-sent LISTEN")))
             }
@@ -517,66 +525,21 @@ pub fn launch<F: FnMut(usize) -> Command>(
     })
 }
 
-fn spawn_worker<F: FnMut(usize) -> Command>(
-    spawn_cmd: &mut F,
-    rank: usize,
-    tx: &Sender<(usize, WorkerLine)>,
-) -> Result<Slot, LaunchError> {
-    let mut cmd = spawn_cmd(rank);
-    cmd.stdin(Stdio::piped()).stdout(Stdio::piped());
-    let mut child = cmd.spawn()?;
-    let stdin = child
-        .stdin
-        .take()
-        .ok_or_else(|| LaunchError::Protocol("child stdin not piped".to_string()))?;
-    let stdout = child
-        .stdout
-        .take()
-        .ok_or_else(|| LaunchError::Protocol("child stdout not piped".to_string()))?;
-    let tx = tx.clone();
-    std::thread::spawn(move || {
-        let reader = BufReader::new(stdout);
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
-            if tx.send((rank, parse_worker_line(&line))).is_err() {
-                return;
-            }
-        }
-        let _ = tx.send((rank, WorkerLine::Eof));
-    });
-    Ok(Slot {
-        child,
-        stdin,
-        outcome: None,
-        dying: false,
-    })
-}
-
 fn next_event(
     rx: &Receiver<(usize, WorkerLine)>,
     deadline: u64,
     phase: &'static str,
 ) -> Result<(usize, WorkerLine), LaunchError> {
-    loop {
-        let now = now_ms();
-        if now >= deadline {
-            return Err(LaunchError::Timeout(phase));
+    rx.recv_timeout(time_until(deadline)).map_err(|e| match e {
+        RecvTimeoutError::Timeout => LaunchError::Timeout(phase),
+        RecvTimeoutError::Disconnected => {
+            LaunchError::Protocol("all worker readers gone".to_string())
         }
-        let budget = (deadline - now).min(250);
-        match rx.recv_timeout(std::time::Duration::from_millis(budget)) {
-            Ok(ev) => return Ok(ev),
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => {
-                return Err(LaunchError::Protocol("all worker readers gone".to_string()))
-            }
-        }
-    }
+    })
 }
 
 fn send_line(slot: &mut Slot, msg: &ControlMsg) -> Result<(), LaunchError> {
-    writeln!(slot.stdin, "{}", control_line(msg))?;
-    slot.stdin.flush()?;
-    Ok(())
+    Ok(slot.child.send_line(&control_line(msg))?)
 }
 
 fn broadcast(slots: &mut [Slot], msg: &ControlMsg) -> Result<(), LaunchError> {
@@ -586,38 +549,24 @@ fn broadcast(slots: &mut [Slot], msg: &ControlMsg) -> Result<(), LaunchError> {
     Ok(())
 }
 
-/// Runs the recovery handshake after `dead_rank`'s process is gone (or
-/// at least had `kill` delivered): drain its EOF, respawn it, collect
-/// everyone's newest checkpoint boundary, and broadcast the resume.
+/// Runs the recovery handshake once `dead_rank`'s EOF is in: respawn
+/// it, collect everyone's newest checkpoint boundary, and broadcast the
+/// resume.
 #[allow(clippy::too_many_arguments)]
-fn recover<F: FnMut(usize) -> Command>(
-    spawn_cmd: &mut F,
+fn recover(
+    spawn: &mut impl FnMut(usize) -> io::Result<Slot>,
     slots: &mut [Slot],
     addrs: &mut [SocketAddr],
     rx: &Receiver<(usize, WorkerLine)>,
-    tx: &Sender<(usize, WorkerLine)>,
     dead_rank: usize,
     epoch: &mut u32,
     deadline: u64,
     trace: (u64, u64),
 ) -> Result<(), LaunchError> {
-    // Wait for the corpse's reader to report EOF so no stale lines from
-    // the old incarnation interleave with the respawn's.
-    let _ = slots[dead_rank].child.wait();
-    loop {
-        let (rank, line) = next_event(rx, deadline, "corpse drain")?;
-        if rank == dead_rank {
-            if line == WorkerLine::Eof {
-                break;
-            }
-        } else if matches!(line, WorkerLine::Eof) && slots[rank].outcome.is_none() {
-            return Err(LaunchError::WorkerDied { rank });
-        }
-        // Survivor STEP/STALLED chatter during the drain is fine.
-    }
-
-    // Respawn on a fresh port; the checkpoint directory survived.
-    slots[dead_rank] = spawn_worker(spawn_cmd, dead_rank, tx)?;
+    // Respawn on a fresh port; the checkpoint directory survived. The
+    // corpse's stdout is closed, so it has exited; replacing its slot
+    // reaps it.
+    slots[dead_rank] = spawn(dead_rank)?;
     mrbc_obs::counter_add("net.launch.respawns", 1);
     loop {
         let (rank, line) = next_event(rx, deadline, "respawn listen")?;
@@ -674,4 +623,15 @@ fn recover<F: FnMut(usize) -> Command>(
             addrs: addrs.to_vec(),
         },
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_lifeline_line_is_no_control_message() {
+        // A mesh worker skips it and exits on the EOF that follows.
+        assert!(parse_control_line(child::LIFELINE).is_none());
+    }
 }

@@ -25,11 +25,16 @@
 //! * [`worker`] — drives any [`SpmdProgram`](mrbc_dgalois::spmd::SpmdProgram)
 //!   over a mesh: checkpoint at every step boundary, exchange, fold,
 //!   and park-for-recovery when a peer dies.
+//! * [`child`] — one supervised child process from spawn to reap:
+//!   stdout lines and the exit event, the stdin lifeline, signals
+//!   through the owned handle. Both the launcher and the serve pool
+//!   use it.
 //! * [`launch`] — spawns and supervises the worker processes, injects
 //!   planned SIGKILLs, and runs the recover/resume handshake that gets
 //!   bit-identical results out of a crashed-and-restarted run.
 
 pub mod checkpoint;
+pub mod child;
 pub mod detector;
 pub mod frame;
 pub mod launch;

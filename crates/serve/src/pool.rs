@@ -29,11 +29,19 @@
 //! **never a hang**. (DESIGN.md §12 draws the per-worker failover state
 //! machine.)
 //!
+//! A process worker is a [`mrbc_net::child::Child`], the same
+//! supervised child the mesh launcher uses: its `SERVE <addr>` line is
+//! its readiness, its stdout EOF is its exit event, and its stdin is
+//! the lifeline — a worker whose front-end is gone, even by SIGKILL,
+//! reads EOF and exits. Signals go through that owned handle, never a
+//! raw pid.
+//!
 //! Chaos clauses from the shared fault DSL are executed here for real,
 //! by the router as it dispatches: `kill:worker=R@query=N` SIGKILLs
 //! worker `R` with the `N`th query dispatched to it, and
 //! `pause:worker=R:ms=D` freezes it with `SIGSTOP` at its first one
-//! (process backends only); the supervisor sends the `SIGCONT`.
+//! (process backends only); the supervisor sends the `SIGCONT`, to the
+//! same generation only — one torn down meanwhile gets none.
 //!
 //! Every socket is a [`crate::conn::Conn`]. Client sessions run on the
 //! same [`Front`] the single daemon uses; the [`Handler`] here calls
@@ -48,11 +56,11 @@
 //! handles events in arrival order.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::ControlFlow;
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::Command;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -61,6 +69,7 @@ use std::time::Duration;
 use mrbc_core::BcConfig;
 use mrbc_faults::{ChurnFault, FaultPlan};
 use mrbc_graph::CsrGraph;
+use mrbc_net::child::{self, Child, Signal};
 use mrbc_net::detector::{DetectorConfig, HeartbeatDetector, PeerStatus};
 use mrbc_net::mesh::{now_ms, time_until};
 use mrbc_obs as obs;
@@ -88,7 +97,8 @@ const RESPAWN_RETRY_MS: (u64, u64) = (10, 2_000);
 pub enum WorkerSpawn {
     /// Spawn real child processes. The closure builds the `Command` for
     /// each rank; the child must print `SERVE <addr>` on stdout once it
-    /// is listening (the `mrbc-cli serve` readiness contract).
+    /// is listening (the `mrbc-cli serve` readiness contract). Its stdin
+    /// is the [`child::LIFELINE`]; its stderr is discarded.
     Process(Box<dyn FnMut(usize) -> Command + Send>),
     /// Run workers as in-process [`Server`]s (one thread-pool each).
     /// Used by integration tests, where spawning subprocesses is not
@@ -248,28 +258,15 @@ impl WorkerConn {
     }
 }
 
-/// The worker process/server behind a slot.
+/// The worker process/server behind a slot. Dropping one kills it: a
+/// [`Child`] is SIGKILLed and reaped, a [`Server`] shut down.
 enum Backend {
     /// Not currently running (between death and respawn).
     Down,
-    /// A real child process.
-    Child(Child),
-    /// An in-process server (test mode).
-    InProc(Box<Server>),
-}
-
-impl Backend {
-    /// Kills the backend for certain (SIGKILL for processes).
-    fn kill(&mut self) {
-        match std::mem::replace(self, Backend::Down) {
-            Backend::Down => {}
-            Backend::Child(mut child) => {
-                drop(child.kill());
-                drop(child.wait());
-            }
-            Backend::InProc(mut server) => server.shutdown(),
-        }
-    }
+    /// A real child process, of this generation.
+    Child(u64, Child),
+    /// An in-process server (test mode), held for its `Drop`.
+    InProc { _server: Box<Server> },
 }
 
 /// Per-worker supervision state.
@@ -346,7 +343,7 @@ impl PoolShared {
         let slot = &self.slots[rank];
         let conn = slot.conn.lock().ok().and_then(|c| c.clone());
         if let Ok(mut backend) = slot.backend.lock() {
-            backend.kill();
+            *backend = Backend::Down;
         }
         // Sever it here even if its reader thread is already at it, so
         // the report is queued before this returns: a death then always
@@ -356,10 +353,14 @@ impl PoolShared {
         }
     }
 
-    /// Worker `rank`'s OS pid, for signals (process backends only).
-    fn pid_of(&self, rank: usize) -> Option<u32> {
-        match &*self.slots[rank].backend.lock().ok()? {
-            Backend::Child(c) => Some(c.id()),
+    /// Sends `sig` to worker `rank`'s process, under its backend lock,
+    /// if it is a process of generation `gen` (of any, when `None`);
+    /// returns the generation signalled.
+    fn send_signal(&self, rank: usize, gen: Option<u64>, sig: Signal) -> Option<u64> {
+        match &mut *self.slots[rank].backend.lock().ok()? {
+            Backend::Child(g, child) if gen.is_none_or(|gen| gen == *g) => {
+                child.signal(sig).ok().map(|()| *g)
+            }
             _ => None,
         }
     }
@@ -374,14 +375,13 @@ impl PoolShared {
                 self.kill(rank);
             }
         }
-        // In-process workers have no pid to freeze; the clause is a
+        // In-process workers have no process to freeze; the clause is a
         // no-op there (tests use process mode for pause coverage).
-        let pid = if n == 1 { self.pid_of(rank) } else { None };
-        for p in self.chaos.worker_pauses.iter().filter(|p| p.rank == rank) {
-            if let Some(pid) = pid {
-                signal(pid, "-STOP");
+        let pauses = self.chaos.worker_pauses.iter();
+        for p in pauses.filter(|p| p.rank == rank && n == 1) {
+            if let Some(gen) = self.send_signal(rank, None, Signal::Stop) {
                 let until = now_ms() + u64::from(p.ms);
-                drop(self.events.send(Event::Paused(pid, until)));
+                drop(self.events.send(Event::Paused(rank, gen, until)));
             }
         }
     }
@@ -485,12 +485,19 @@ pub fn start_pool(spawn: WorkerSpawn, cfg: PoolConfig) -> io::Result<Pool> {
     });
 
     let mut spawner = spawn;
-    let gens = (0..cfg.workers)
-        .map(|rank| {
-            bring_up_worker(&shared, &mut spawner, rank)
-                .map_err(|e| io::Error::new(e.kind(), format!("worker {rank}: {e}")))
-        })
-        .collect::<io::Result<Vec<u64>>>()?;
+    let mut gens = Vec::with_capacity(cfg.workers);
+    for rank in 0..cfg.workers {
+        match bring_up_worker(&shared, &mut spawner, rank) {
+            Ok(gen) => gens.push(gen),
+            Err(e) => {
+                // Each worker already up holds `shared` alive through
+                // its link's reader thread: tear them down, or they
+                // outlive this error.
+                (0..rank).for_each(|r| tear_down_worker(&shared, r));
+                return Err(io::Error::new(e.kind(), format!("worker {rank}: {e}")));
+            }
+        }
+    }
 
     let supervisor = {
         let shared = Arc::clone(&shared);
@@ -610,8 +617,7 @@ impl Drop for Pool {
 // ---------------------------------------------------------------------
 
 /// Spawns generation `gen` of worker `rank` and returns its query
-/// address. A process backend's stdout is drained to EOF, which is
-/// reported as [`Event::Exited`].
+/// address. A process backend's exit is reported as [`Event::Exited`].
 fn spawn_backend(
     shared: &PoolShared,
     spawner: &mut WorkerSpawn,
@@ -621,43 +627,12 @@ fn spawn_backend(
     match spawner {
         WorkerSpawn::Process(build) => {
             let mut cmd = build(rank);
-            cmd.stdin(Stdio::null())
-                .stdout(Stdio::piped())
-                .stderr(Stdio::null());
-            let mut child = cmd.spawn()?;
-            let stdout = child.stdout.take().ok_or_else(|| {
-                io::Error::other("worker child has no stdout despite piped spawn")
-            })?;
-            // The readiness line is read through a channel so a child
-            // that never prints cannot park the supervisor forever.
-            let (tx, rx) = mpsc::channel::<String>();
+            cmd.stderr(std::process::Stdio::null());
             let events = shared.events.clone();
-            let reader = thread::Builder::new()
-                .name(format!("pool-stdout-{rank}"))
-                .spawn(move || {
-                    let mut lines = BufReader::new(stdout).lines().map_while(Result::ok);
-                    let ready =
-                        lines.find_map(|l| Some(l.strip_prefix("SERVE ")?.trim().to_string()));
-                    if let Some(addr) = ready {
-                        drop(tx.send(addr));
-                    }
-                    // Keep draining so the child never blocks on a full
-                    // stdout pipe; the pipe ends when the child does.
-                    lines.for_each(drop);
-                    drop(events.send(Event::Exited(gen)));
-                })?;
-            match rx.recv_timeout(Duration::from_millis(SPAWN_READY_MS)) {
-                Ok(addr) => Ok((Backend::Child(child), addr)),
-                Err(_) => {
-                    drop(child.kill());
-                    drop(child.wait());
-                    drop(reader.join());
-                    Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "worker never printed its SERVE readiness line",
-                    ))
-                }
-            }
+            let (child, addr) = child::spawn_ready(cmd, "SERVE ", SPAWN_READY_MS, move || {
+                drop(events.send(Event::Exited(gen)));
+            })?;
+            Ok((Backend::Child(gen, child), addr))
         }
         WorkerSpawn::InProcess { graph, bc, sched } => {
             let server = start(
@@ -670,7 +645,12 @@ fn spawn_backend(
                 },
             )?;
             let addr = server.local_addr().to_string();
-            Ok((Backend::InProc(Box::new(server)), addr))
+            Ok((
+                Backend::InProc {
+                    _server: Box::new(server),
+                },
+                addr,
+            ))
         }
     }
 }
@@ -770,19 +750,11 @@ fn bring_up_worker(
     spawner: &mut WorkerSpawn,
     rank: usize,
 ) -> io::Result<u64> {
-    // Any failure past the spawn must kill the backend, or a half-born
-    // worker process would leak every time the supervisor retries.
-    fn abort(mut backend: Backend, err: io::Error) -> io::Result<u64> {
-        backend.kill();
-        Err(err)
-    }
-
+    // Any failure past the spawn drops the backend, which kills it: a
+    // half-born worker never leaks, however often the supervisor retries.
     let gen = shared.fresh_id();
     let (backend, addr) = spawn_backend(shared, spawner, rank, gen)?;
-    let conn = match connect_worker(shared, rank, gen, &addr) {
-        Ok(c) => c,
-        Err(e) => return abort(backend, e),
-    };
+    let conn = connect_worker(shared, rank, gen, &addr)?;
 
     // The Hello round trip doubles as an NTP-style clock probe: t0/t2
     // bracket the worker's own monotonic reading t1 (`Welcome.now_us`),
@@ -805,10 +777,10 @@ fn bring_up_worker(
     }) = welcome
     else {
         conn.drain_dead(shared);
-        return abort(
-            backend,
-            io::Error::new(io::ErrorKind::TimedOut, "worker handshake failed"),
-        );
+        return Err(io::Error::new(
+            io::ErrorKind::TimedOut,
+            "worker handshake failed",
+        ));
     };
     obs::clock_probe(pid, t0, now_us, t2);
     obs::flight::note("pool.worker_up", rank as u64, pid);
@@ -817,19 +789,15 @@ fn bring_up_worker(
     }
 
     {
-        let log = match shared.mutation_log.lock() {
-            Ok(l) => l,
-            Err(_) => return abort(backend, io::Error::other("mutation log poisoned")),
-        };
+        let log = shared
+            .mutation_log
+            .lock()
+            .map_err(|_| io::Error::other("mutation log poisoned"))?;
         for &(op, u, v) in log.iter() {
             let replayed = call_conn(shared, &conn, &Request::Mutate { op, u, v }, HANDSHAKE_MS);
             let Some(Response::Mutated { epoch, .. }) = replayed else {
                 conn.drain_dead(shared);
-                drop(log);
-                return abort(
-                    backend,
-                    io::Error::other("mutation replay failed during recovery"),
-                );
+                return Err(io::Error::other("mutation replay failed during recovery"));
             };
             // Replay is how a restarted front-end rediscovers the
             // pre-crash epoch: every worker converges to it, and Welcome
@@ -863,7 +831,7 @@ fn tear_down_worker(shared: &Arc<PoolShared>, rank: usize) {
         }
     }
     if let Ok(mut backend) = slot.backend.lock() {
-        backend.kill();
+        *backend = Backend::Down;
     }
 }
 
@@ -881,8 +849,9 @@ enum Event {
     Exited(u64),
     /// The mutation log has reached this length.
     Logged(usize),
-    /// The router froze process `pid`; its `SIGCONT` is due at this time.
-    Paused(u32, u64),
+    /// The router froze worker `rank`, generation `gen`; its `SIGCONT`
+    /// is due at this time.
+    Paused(usize, u64, u64),
     /// Shutdown began.
     Shutdown,
 }
@@ -915,8 +884,8 @@ fn supervise_loop(
             backoff: Backoff::new(RESPAWN_RETRY_MS.0, RESPAWN_RETRY_MS.1, 64, rank),
         })
         .collect();
-    // Frozen workers' pids and when each is due its `SIGCONT`.
-    let mut paused: Vec<(u32, u64)> = Vec::new();
+    // Frozen workers (rank, generation) and when each is due its `SIGCONT`.
+    let mut paused: Vec<(usize, u64, u64)> = Vec::new();
     // Mutations already covered by the recovered snapshot + log need no
     // immediate re-snapshot; start counting from the recovered history.
     let mut last_snap = shared.mutation_log.lock().map(|l| l.len()).unwrap_or(0);
@@ -931,7 +900,7 @@ fn supervise_loop(
                 }
             }
             Ok(Event::Logged(n)) => maybe_snapshot(shared, &mut last_snap, n, every),
-            Ok(Event::Paused(pid, at)) => paused.push((pid, at)),
+            Ok(Event::Paused(rank, gen, at)) => paused.push((rank, gen, at)),
             Ok(Event::Shutdown) => break,
             Err(_) if now_ms() < due => {
                 bump(&shared.counters.idle_wakes);
@@ -955,7 +924,10 @@ fn supervise_loop(
         let said_bye = shared
             .conn_of(rank)
             .is_some_and(|conn| call_conn(shared, &conn, &Request::Shutdown, 500).is_some());
-        if said_bye && shared.pid_of(rank).is_some() {
+        let backend = shared.slots[rank].backend.lock();
+        let is_process = matches!(backend.as_deref(), Ok(Backend::Child(..)));
+        drop(backend);
+        if said_bye && is_process {
             let grace_end = now_ms() + 2_000;
             while let Ok(event) = events.recv_timeout(time_until(grace_end)) {
                 if matches!(event, Event::Exited(gen) if w.gen == Some(gen)) {
@@ -974,7 +946,7 @@ fn run_due(
     shared: &Arc<PoolShared>,
     spawner: &mut WorkerSpawn,
     watch: &mut [Watch],
-    paused: &mut Vec<(u32, u64)>,
+    paused: &mut Vec<(usize, u64, u64)>,
 ) -> u64 {
     let now = now_ms();
     // Heartbeat probes on the detector's beat schedule: a Stats
@@ -989,8 +961,10 @@ fn run_due(
             }
         }
     }
-    for (pid, _) in paused.extract_if(.., |&mut (_, at)| at <= now) {
-        signal(pid, "-CONT");
+    // A worker torn down while frozen is not signalled: the generation
+    // fence drops its `SIGCONT`.
+    for (rank, gen, _) in paused.extract_if(.., |&mut (_, _, at)| at <= now) {
+        shared.send_signal(rank, Some(gen), Signal::Cont);
     }
     for (rank, w) in watch.iter_mut().enumerate() {
         // Silence (the detector's verdict) catches a frozen worker
@@ -1015,7 +989,7 @@ fn run_due(
             }
         }
     }
-    let mut due = paused.iter().map(|&(_, at)| at).min().unwrap_or(u64::MAX);
+    let mut due = paused.iter().map(|p| p.2).min().unwrap_or(u64::MAX);
     if let Ok(d) = shared.detector.lock() {
         due = due.min(d.next_beat_ms());
         for (rank, w) in watch.iter().enumerate() {
@@ -1073,11 +1047,6 @@ fn maybe_snapshot(shared: &Arc<PoolShared>, last_snap: &mut usize, logged: usize
             obs::flight::note("pool.wal_snapshot_failed", log.len() as u64, 0);
         }
     }
-}
-
-/// Sends signal `sig` (`-STOP`, `-CONT`) to process `pid`.
-fn signal(pid: u32, sig: &str) {
-    drop(Command::new("kill").args([sig, &pid.to_string()]).status());
 }
 
 /// The `i`-th mutation of a `churn:edges=K@seed=S` storm over an
