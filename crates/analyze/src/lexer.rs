@@ -39,14 +39,6 @@ impl Masked {
     pub fn line(&self, line: usize) -> &str {
         self.code.lines().nth(line.saturating_sub(1)).unwrap_or("")
     }
-
-    /// All comments that start on `line`.
-    pub fn comments_on(&self, line: usize) -> impl Iterator<Item = &str> {
-        self.comments
-            .iter()
-            .filter(move |(l, _)| *l == line)
-            .map(|(_, t)| t.as_str())
-    }
 }
 
 /// Blank out comments and literal contents, preserving layout.

@@ -1,15 +1,13 @@
 //! Criterion micro-benchmarks for the fault-injection subsystem: what the
-//! reliable-delivery layer and the checkpointing executor cost on top of
-//! the fault-free substrate, at increasing drop rates.
+//! reliable-delivery layer costs on top of the fault-free substrate, at
+//! increasing drop rates.
 
 // Benches panic on bad fixtures exactly like tests do.
 #![allow(clippy::unwrap_used)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mrbc_analytics::{pagerank, pagerank_with_faults, PageRankConfig};
 use mrbc_core::{bc, Algorithm, BcConfig};
-use mrbc_dgalois::{partition, PartitionPolicy};
-use mrbc_faults::{FaultPlan, FaultSession};
+use mrbc_faults::FaultPlan;
 use mrbc_graph::generators::{self, RmatConfig};
 use std::hint::black_box;
 
@@ -39,28 +37,5 @@ fn bench_reliable_link(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_checkpointed_pagerank(c: &mut Criterion) {
-    let g = generators::rmat(RmatConfig::new(10, 8), 5);
-    let dg = partition(&g, 4, PartitionPolicy::CartesianVertexCut);
-    let cfg = PageRankConfig {
-        max_iterations: 30,
-        ..PageRankConfig::default()
-    };
-    let plan: FaultPlan = "crash:host=1@round=12;seed=7".parse().unwrap();
-
-    let mut group = c.benchmark_group("pagerank_rmat10_4hosts");
-    group.sample_size(10);
-    group.bench_function("fault_free", |b| {
-        b.iter(|| black_box(pagerank(&g, &dg, &cfg)))
-    });
-    for interval in [2u32, 8] {
-        let session = FaultSession::new(plan.clone());
-        group.bench_function(format!("crash_recovery_ckpt_{interval}"), |b| {
-            b.iter(|| black_box(pagerank_with_faults(&g, &dg, &cfg, &session, interval)))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_reliable_link, bench_checkpointed_pagerank);
+criterion_group!(benches, bench_reliable_link);
 criterion_main!(benches);

@@ -5,7 +5,7 @@ use crate::args::ParsedArgs;
 use mrbc_core::congest::mrbc::{directed_apsp, TerminationMode};
 use mrbc_core::{bc, tune_batch_size, Algorithm, BcConfig};
 use mrbc_dgalois::{partition, CostModel, PartitionPolicy};
-use mrbc_faults::{FaultPlan, FaultSession};
+use mrbc_faults::FaultPlan;
 use mrbc_graph::generators::{
     self, KroneckerConfig, RmatConfig, RoadNetworkConfig, WebCrawlConfig,
 };
@@ -26,10 +26,6 @@ USAGE:
                  [--csv out.csv] [--faults PLAN]
   mrbc apsp <file> [--mode 2n|finalizer|detect] [--sources K] [--seed X]
   mrbc tune <file> [--hosts H] [--candidates 8,16,32] [--pilot K] [--seed X]
-  mrbc pagerank <file> [--hosts H] [--iters N] [--damping D]
-                       [--faults PLAN] [--checkpoint K]
-  mrbc cc <file> [--hosts H] [--faults PLAN] [--checkpoint K]
-  mrbc sssp <file> [--hosts H] [--source V] [--max-weight W] [--seed X]
   mrbc check-json <file>   validate an emitted --trace / --metrics /
                            bench / dist-check JSON document
   mrbc launch <file> --ranks N [--kill R@S,...] [--checkpoint-dir DIR]
@@ -102,12 +98,12 @@ OBSERVABILITY (any command):
                       sources settled, bytes)
 
 FAULT PLANS (--faults):
-  Semicolon-separated clauses, e.g. \"crash:host=2@round=40;drop:p=0.01;seed=42\"
-    crash:host=H@round=R   host H fails at round R (pagerank/cc recover via
-                           checkpoints every --checkpoint K rounds; bc masks
-                           drops/delays only and ignores crash clauses)
+  Semicolon-separated clauses, e.g. \"drop:p=0.01;delay:pair=0-3,rounds=2;seed=42\"
     drop:p=P               each message transmission is lost with probability P
+    dup:p=P                each delivery is duplicated with probability P
     delay:pair=A-B,rounds=D  messages A->B arrive D rounds late
+                           (bc masks drop/dup/delay: scores are bit-identical
+                           to a clean run, only the overhead is reported)
     kill:worker=R@query=N  (serve pool) SIGKILL worker R after it has been
                            routed N queries; the supervisor respawns it
     pause:worker=R:ms=D    (serve pool) freeze worker R with SIGSTOP for
@@ -192,9 +188,6 @@ pub fn run(p: &ParsedArgs) -> Result<String, CmdError> {
         "bc" => cmd_bc(p).map_err(CmdError::from),
         "apsp" => cmd_apsp(p).map_err(CmdError::from),
         "tune" => cmd_tune(p).map_err(CmdError::from),
-        "pagerank" => cmd_pagerank(p).map_err(CmdError::from),
-        "cc" => cmd_cc(p).map_err(CmdError::from),
-        "sssp" => cmd_sssp(p).map_err(CmdError::from),
         "check-json" => cmd_check_json(p).map_err(CmdError::from),
         "worker" => crate::netcmd::cmd_worker(p),
         "launch" => crate::netcmd::cmd_launch(p),
@@ -649,14 +642,6 @@ pub(crate) fn load(p: &ParsedArgs) -> Result<CsrGraph, String> {
     io::read_edge_list_file(path, None).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
-fn checkpoint_of(p: &ParsedArgs) -> Result<u32, String> {
-    let interval: u32 = p.get_or("checkpoint", 5u32)?;
-    if interval == 0 {
-        return Err("--checkpoint must be at least 1 round".to_string());
-    }
-    Ok(interval)
-}
-
 fn faults_of(p: &ParsedArgs) -> Result<Option<FaultPlan>, String> {
     match p.get_str("faults") {
         None => Ok(None),
@@ -733,7 +718,6 @@ fn cmd_bc(p: &ParsedArgs) -> Result<String, String> {
         other => return Err(format!("unknown algorithm {other:?}")),
     };
     let faults = faults_of(p)?;
-    let crash_note = faults.as_ref().is_some_and(|f| !f.crashes.is_empty());
     let cfg = BcConfig {
         algorithm,
         num_hosts: positive(p, "hosts", 4)?,
@@ -775,10 +759,6 @@ fn cmd_bc(p: &ParsedArgs) -> Result<String, String> {
     }
     if let Some(rec) = &result.recovery {
         out += &format!("{rec}\n");
-        if crash_note {
-            out += "note: crash clauses are ignored by bc (masking only); \
-                    use pagerank/cc to exercise checkpointed crash recovery\n";
-        }
     }
     out += &format!("top-{top} betweenness:\n");
     // The shared deterministic ranking (score desc, then vertex id asc)
@@ -847,109 +827,6 @@ fn cmd_tune(p: &ParsedArgs) -> Result<String, String> {
         );
     }
     Ok(s)
-}
-
-fn cmd_pagerank(p: &ParsedArgs) -> Result<String, String> {
-    let g = load(p)?;
-    let dg = partition(
-        &g,
-        positive(p, "hosts", 4)?,
-        PartitionPolicy::CartesianVertexCut,
-    );
-    let cfg = mrbc_analytics::PageRankConfig {
-        damping: p.get_or("damping", 0.85f64)?,
-        max_iterations: p.get_or("iters", 100u32)?,
-        ..mrbc_analytics::PageRankConfig::default()
-    };
-    let (out, recovery) = match faults_of(p)? {
-        None => (mrbc_analytics::pagerank(&g, &dg, &cfg), None),
-        Some(plan) => {
-            let session = FaultSession::new(plan);
-            let interval = checkpoint_of(p)?;
-            let (out, rec) =
-                mrbc_analytics::pagerank_with_faults(&g, &dg, &cfg, &session, interval);
-            (out, Some(rec))
-        }
-    };
-    let mut ranked: Vec<usize> = (0..g.num_vertices()).collect();
-    ranked.sort_by(|&a, &b| out.ranks[b].total_cmp(&out.ranks[a]));
-    let mut s = format!(
-        "pagerank converged in {} iterations ({} rounds, {} comm)\n",
-        out.iterations,
-        out.stats.num_rounds(),
-        mrbc_util::stats::humanize_bytes(out.stats.total_bytes())
-    );
-    if let Some(rec) = recovery {
-        s += &format!("{rec}\n");
-    }
-    s += "top-10 ranks:\n";
-    for &v in ranked.iter().take(10) {
-        s += &format!("  {v:>8}  {:.6}\n", out.ranks[v]);
-    }
-    Ok(s)
-}
-
-fn cmd_cc(p: &ParsedArgs) -> Result<String, String> {
-    let g = load(p)?;
-    let dg = partition(
-        &g,
-        positive(p, "hosts", 4)?,
-        PartitionPolicy::CartesianVertexCut,
-    );
-    let (out, recovery) = match faults_of(p)? {
-        None => (mrbc_analytics::connected_components(&g, &dg), None),
-        Some(plan) => {
-            let session = FaultSession::new(plan);
-            let interval = checkpoint_of(p)?;
-            let (out, rec) =
-                mrbc_analytics::connected_components_with_faults(&g, &dg, &session, interval);
-            (out, Some(rec))
-        }
-    };
-    let mut s = format!(
-        "weakly connected components: {} ({} rounds, {} comm)\n",
-        out.num_components,
-        out.stats.num_rounds(),
-        mrbc_util::stats::humanize_bytes(out.stats.total_bytes())
-    );
-    if let Some(rec) = recovery {
-        s += &format!("{rec}\n");
-    }
-    Ok(s)
-}
-
-fn cmd_sssp(p: &ParsedArgs) -> Result<String, String> {
-    let g = load(p)?;
-    let dg = partition(
-        &g,
-        positive(p, "hosts", 4)?,
-        PartitionPolicy::CartesianVertexCut,
-    );
-    let source: u32 = p.get_or("source", 0u32)?;
-    let max_w: u32 = p.get_or("max-weight", 1u32)?;
-    let wg = if max_w <= 1 {
-        mrbc_graph::weighted::WeightedCsrGraph::unit(&g)
-    } else {
-        mrbc_graph::weighted::WeightedCsrGraph::random(&g, max_w, p.get_or("seed", 1u64)?)
-    };
-    let out = mrbc_analytics::sssp(&wg, &dg, source);
-    let reached = out
-        .dist
-        .iter()
-        .filter(|&&d| d != mrbc_graph::weighted::INF_WDIST)
-        .count();
-    let far = out
-        .dist
-        .iter()
-        .filter(|&&d| d != mrbc_graph::weighted::INF_WDIST)
-        .max()
-        .copied()
-        .unwrap_or(0);
-    Ok(format!(
-        "sssp from {source}: reached {reached}/{} vertices, max distance {far}, {} rounds\n",
-        g.num_vertices(),
-        out.rounds
-    ))
 }
 
 #[cfg(test)]
@@ -1071,22 +948,6 @@ mod tests {
     }
 
     #[test]
-    fn analytics_commands() {
-        let file = tmpfile("cli_analytics.el");
-        io::write_edge_list_file(&generators::barabasi_albert(60, 2, 4), &file).expect("write");
-        let p = parse(
-            &sv(&["pagerank", &file, "--hosts", "2", "--iters", "20"]),
-            &[],
-        )
-        .expect("parse");
-        assert!(run(&p).expect("pagerank").contains("converged"));
-        let p = parse(&sv(&["cc", &file]), &[]).expect("parse");
-        assert!(run(&p).expect("cc").contains("components: 1"));
-        let p = parse(&sv(&["sssp", &file, "--max-weight", "5"]), &[]).expect("parse");
-        assert!(run(&p).expect("sssp").contains("reached"));
-    }
-
-    #[test]
     fn bc_with_faults_reports_overhead_and_matches_clean_scores() {
         let file = tmpfile("cli_faults.el");
         io::write_edge_list_file(&generators::barabasi_albert(80, 2, 7), &file).expect("write");
@@ -1100,51 +961,6 @@ mod tests {
         // Masking is exact, so the top-N table is byte-identical.
         let tail = |s: &str| s[s.find("top-3").unwrap()..].to_string();
         assert_eq!(tail(&clean), tail(&faulty));
-
-        let last = argv.len() - 1;
-        argv[last] = "crash:host=0@round=2;seed=1";
-        let crashed = run(&parse(&sv(&argv), &[]).expect("parse")).expect("crash-plan bc");
-        assert!(
-            crashed.contains("crash clauses are ignored by bc"),
-            "{crashed}"
-        );
-    }
-
-    #[test]
-    fn analytics_with_faults_recover_and_report() {
-        let file = tmpfile("cli_faults_an.el");
-        io::write_edge_list_file(&generators::barabasi_albert(60, 2, 4), &file).expect("write");
-        let p = parse(
-            &sv(&[
-                "pagerank",
-                &file,
-                "--hosts",
-                "2",
-                "--iters",
-                "20",
-                "--faults",
-                "crash:host=1@round=6;drop:p=0.02;seed=3",
-                "--checkpoint",
-                "4",
-            ]),
-            &[],
-        )
-        .expect("parse");
-        let rep = run(&p).expect("faulty pagerank");
-        assert!(rep.contains("converged"), "{rep}");
-        assert!(
-            rep.contains("1 crashes") && rep.contains("rollbacks"),
-            "{rep}"
-        );
-
-        let p = parse(
-            &sv(&["cc", &file, "--faults", "crash:host=0@round=3;seed=9"]),
-            &[],
-        )
-        .expect("parse");
-        let rep = run(&p).expect("faulty cc");
-        assert!(rep.contains("components: 1"), "{rep}");
-        assert!(rep.contains("phoenix restarts"), "{rep}");
     }
 
     #[test]
@@ -1153,22 +969,14 @@ mod tests {
         io::write_edge_list_file(&generators::cycle(8), &file).expect("write");
         let p = parse(&sv(&["bc", &file, "--faults", "explode:now"]), &[]).expect("parse");
         assert!(run(&p).unwrap_err().message.contains("bad --faults plan"));
-        let p = parse(
-            &sv(&[
-                "cc",
-                &file,
-                "--faults",
-                "crash:host=0@round=1",
-                "--checkpoint",
-                "0",
-            ]),
-            &[],
-        )
-        .expect("parse");
-        assert!(run(&p)
-            .unwrap_err()
-            .message
-            .contains("--checkpoint must be at least 1"));
+        // No in-process crash simulation exists: a `crash:` clause is an
+        // unknown fault kind, refused rather than silently ignored.
+        let p = parse(&sv(&["bc", &file, "--faults", "crash:host=0@round=1"]), &[]).expect("parse");
+        let err = run(&p).unwrap_err().message;
+        assert!(
+            err.contains("bad --faults plan") && err.contains("unknown fault kind"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1428,9 +1236,6 @@ mod tests {
             vec!["bc", &file, "--algorithm", "abbc", "--chunk", "0"],
             vec!["tune", &file, "--hosts", "0"],
             vec!["tune", &file, "--pilot", "0"],
-            vec!["pagerank", &file, "--hosts", "0"],
-            vec!["cc", &file, "--hosts", "0"],
-            vec!["sssp", &file, "--hosts", "0"],
         ] {
             let p = parse(&sv(&argv), &[]).expect("parse");
             let err = run(&p).unwrap_err();
@@ -1451,7 +1256,7 @@ mod tests {
         ] {
             let file = tmpfile(name);
             std::fs::write(&file, text).expect("write");
-            for cmd in ["bc", "info", "apsp", "pagerank", "cc", "sssp"] {
+            for cmd in ["bc", "info", "apsp", "tune"] {
                 let p = parse(&sv(&[cmd, &file]), &[]).expect("parse");
                 let err = run(&p).unwrap_err();
                 assert!(

@@ -1,6 +1,5 @@
 //! The synchronous round executor.
 
-use mrbc_faults::{FaultSession, RecoveryStats};
 use mrbc_graph::{CsrGraph, VertexId};
 use mrbc_obs::{MessageClass, Phase};
 
@@ -101,8 +100,8 @@ pub trait VertexProgram {
     }
 }
 
-/// How an execution ended — the watchdog's verdict. Ordered by severity
-/// so merging phases keeps the worst outcome.
+/// How an execution ended. Ordered by severity so merging phases keeps
+/// the worst outcome.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RunOutcome {
     /// The program reached global quiescence (or ran its fixed schedule
@@ -112,9 +111,6 @@ pub enum RunOutcome {
     /// The round budget ran out before quiescence was observed. Results
     /// may be incomplete; callers must not treat them as converged.
     BudgetExhausted,
-    /// Quiescence was reached, but only because crashed vertices cut the
-    /// network: silent does not mean correct here.
-    PartitionedByCrash,
 }
 
 impl RunOutcome {
@@ -125,7 +121,7 @@ impl RunOutcome {
 }
 
 /// Round and message counters for one execution — the quantities bounded
-/// by Theorem 1 — plus the watchdog's [`RunOutcome`].
+/// by Theorem 1 — plus how the run ended ([`RunOutcome`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Rounds executed.
@@ -168,11 +164,6 @@ impl<'g> Engine<'g> {
     /// The input digraph.
     pub fn graph(&self) -> &CsrGraph {
         self.graph
-    }
-
-    /// The reversed digraph (in-neighbor adjacency).
-    pub fn reverse_graph(&self) -> &CsrGraph {
-        &self.reverse
     }
 
     /// Runs exactly `rounds` rounds.
@@ -314,169 +305,6 @@ impl<'g> Engine<'g> {
                 mrbc_obs::counter_add(c.counter_name(), count);
             }
         }
-    }
-
-    /// [`Engine::run_until_quiescent`] under an adversarial network: the
-    /// fault session may drop, duplicate, or delay individual deliveries
-    /// and fail-stop vertices (the CONGEST reading of the plan's `host`
-    /// ids). The engine performs *no* recovery — CONGEST algorithms are
-    /// stated for a lossless synchronous network — so this is the
-    /// graceful-degradation watchdog: it observes how the program's own
-    /// termination detection behaves when that assumption breaks, and
-    /// reports a structured [`RunOutcome`] instead of hanging or
-    /// masquerading as a clean run. Returns the run counters plus the
-    /// injected-fault ledger.
-    pub fn run_until_quiescent_with_faults<P: VertexProgram>(
-        &self,
-        prog: &mut P,
-        max_rounds: u32,
-        session: &FaultSession,
-    ) -> (RunStats, RecoveryStats) {
-        let n = self.graph.num_vertices();
-        let mut stats = RunStats::default();
-        let mut recovery = RecoveryStats::default();
-        let mut inboxes: Vec<Vec<(VertexId, P::Msg)>> = vec![Vec::new(); n];
-        let mut next: Vec<Vec<(VertexId, P::Msg)>> = vec![Vec::new(); n];
-        // Straggler-delayed messages: (arrival round, to, from, msg).
-        let mut delayed: Vec<(u32, VertexId, VertexId, P::Msg)> = Vec::new();
-        let mut crashed = vec![false; n];
-        let mut any_crashed = false;
-        let empty: Vec<(VertexId, P::Msg)> = Vec::new();
-        let mut outbox = Outbox::new();
-        let obs_on = mrbc_obs::is_enabled();
-        let mut class_counts = [0u64; MessageClass::COUNT];
-        let mut finished = false;
-
-        for round in 1..=max_rounds {
-            let round_start = if obs_on { mrbc_obs::now_us() } else { 0 };
-            let msgs_before = stats.messages;
-            // A crash at the end of round r silences the vertex from
-            // round r + 1 on.
-            for c in session.crashes_at(round.wrapping_sub(1)) {
-                if c.host < n && !crashed[c.host] {
-                    crashed[c.host] = true;
-                    any_crashed = true;
-                    recovery.crashes += 1;
-                }
-            }
-            // Delayed messages whose stall expires this round arrive now.
-            let mut i = 0;
-            while i < delayed.len() {
-                if delayed[i].0 <= round {
-                    let (_, to, from, msg) = delayed.swap_remove(i);
-                    if !crashed[to as usize] {
-                        inboxes[to as usize].push((from, msg));
-                    }
-                } else {
-                    i += 1;
-                }
-            }
-
-            let mut acted_this_round = false;
-            for v in 0..n as VertexId {
-                if crashed[v as usize] {
-                    inboxes[v as usize].clear();
-                    continue;
-                }
-                let has_input = !inboxes[v as usize].is_empty();
-                acted_this_round |= has_input;
-                if !has_input && !prog.wants_round(v, round) {
-                    continue;
-                }
-                let inbox = if has_input {
-                    &inboxes[v as usize]
-                } else {
-                    &empty
-                };
-                prog.round(v, round, inbox, &mut outbox);
-                acted_this_round |= !outbox.sends.is_empty();
-                for (target, msg) in outbox.sends.drain(..) {
-                    let bits = prog.message_bits(&msg);
-                    let class = if obs_on {
-                        prog.message_class(&msg).index()
-                    } else {
-                        0
-                    };
-                    self.expand_target(v, &target, |to| {
-                        // The transmission happens (and is charged)
-                        // whatever its fate.
-                        stats.messages += 1;
-                        stats.bits += bits;
-                        if obs_on {
-                            class_counts[class] += 1;
-                        }
-                        if crashed[to as usize] {
-                            return;
-                        }
-                        if session.should_drop(round, v as usize, to as usize, 0) {
-                            recovery.drops += 1;
-                            return;
-                        }
-                        let stall = session.delay_rounds(v as usize, to as usize);
-                        if stall > 0 {
-                            recovery.stall_rounds += stall as u64;
-                            delayed.push((round + 1 + stall, to, v, msg.clone()));
-                        } else {
-                            next[to as usize].push((v, msg.clone()));
-                        }
-                        if session.should_duplicate(round, v as usize, to as usize, 0) {
-                            recovery.duplicates += 1;
-                            stats.messages += 1;
-                            stats.bits += bits;
-                            next[to as usize].push((v, msg.clone()));
-                        }
-                    });
-                }
-            }
-            for ib in &mut inboxes {
-                ib.clear();
-            }
-            std::mem::swap(&mut inboxes, &mut next);
-
-            if obs_on {
-                let end = mrbc_obs::now_us();
-                mrbc_obs::histogram_record("congest.round_us", end.saturating_sub(round_start));
-                mrbc_obs::span_at(
-                    "round",
-                    prog.phase().as_str(),
-                    round_start,
-                    end.saturating_sub(round_start),
-                    0,
-                    &[
-                        ("round", round as u64),
-                        ("sent", stats.messages - msgs_before),
-                        ("active", acted_this_round as u64),
-                    ],
-                );
-            }
-
-            if !acted_this_round && delayed.is_empty() {
-                let all_quiet =
-                    (0..n as VertexId).all(|v| crashed[v as usize] || prog.is_quiescent(v));
-                if all_quiet {
-                    stats.rounds = round - 1;
-                    stats.outcome = if any_crashed {
-                        RunOutcome::PartitionedByCrash
-                    } else {
-                        RunOutcome::Converged
-                    };
-                    finished = true;
-                    break;
-                }
-            }
-            stats.rounds = round;
-        }
-        if !finished {
-            stats.outcome = RunOutcome::BudgetExhausted;
-        }
-        if obs_on {
-            self.flush_run_obs(prog.phase(), &stats, &class_counts);
-            mrbc_obs::counter_add("congest.fault.drops", recovery.drops);
-            mrbc_obs::counter_add("congest.fault.duplicates", recovery.duplicates);
-            mrbc_obs::counter_add("congest.fault.crashes", recovery.crashes);
-            mrbc_obs::counter_add("congest.fault.stall_rounds", recovery.stall_rounds);
-        }
-        (stats, recovery)
     }
 
     fn deliver<P: VertexProgram>(
@@ -834,85 +662,5 @@ mod tests {
             Engine::new(&g).run_rounds(&mut prog, 3).outcome,
             RunOutcome::Converged
         );
-    }
-
-    #[test]
-    fn faulty_run_with_empty_plan_matches_reliable_run() {
-        let g = generators::cycle(12);
-        let session = FaultSession::new(mrbc_faults::FaultPlan::default());
-        let mut a = Bfs::new(12);
-        let clean = Engine::new(&g).run_until_quiescent(&mut a, 1000);
-        let mut b = Bfs::new(12);
-        let (faulty, recovery) =
-            Engine::new(&g).run_until_quiescent_with_faults(&mut b, 1000, &session);
-        assert_eq!(a.dist, b.dist);
-        assert_eq!(clean, faulty);
-        assert!(recovery.is_clean());
-    }
-
-    #[test]
-    fn dropped_messages_break_bfs_but_are_detected() {
-        // With a hard drop rate on the only path forward, some vertex
-        // never learns its distance; the watchdog must still terminate
-        // (quiescent or budget-exhausted) rather than hang, and a
-        // converged-looking outcome must only appear with correct input.
-        let g = generators::path(30);
-        let session = FaultSession::new("drop:p=0.6;seed=11".parse().expect("plan"));
-        let mut prog = Bfs::new(30);
-        let (stats, recovery) =
-            Engine::new(&g).run_until_quiescent_with_faults(&mut prog, 500, &session);
-        assert!(recovery.drops > 0, "plan should have dropped something");
-        assert!(prog.dist.contains(&INF_DIST), "lossy BFS is incomplete");
-        // The run ended and told us how.
-        assert!(stats.rounds <= 500);
-        assert_eq!(
-            stats.outcome,
-            RunOutcome::Converged,
-            "silent network looks converged — the degradation the outcome API makes observable"
-        );
-    }
-
-    #[test]
-    fn crashed_vertex_partitions_the_run() {
-        // Path 0-1-2-...: vertex 1 dies end of round 1, before relaying.
-        let g = generators::path(10);
-        let session = FaultSession::new("crash:host=1@round=1".parse().expect("plan"));
-        let mut prog = Bfs::new(10);
-        let (stats, recovery) =
-            Engine::new(&g).run_until_quiescent_with_faults(&mut prog, 500, &session);
-        assert_eq!(recovery.crashes, 1);
-        assert_eq!(stats.outcome, RunOutcome::PartitionedByCrash);
-        assert!(prog.dist[2..].iter().all(|&d| d == INF_DIST));
-    }
-
-    #[test]
-    fn straggler_delay_stretches_rounds_without_changing_results() {
-        let g = generators::path(5);
-        let clean = {
-            let mut prog = Bfs::new(5);
-            let s = Engine::new(&g).run_until_quiescent(&mut prog, 1000);
-            (prog.dist, s.rounds)
-        };
-        let session = FaultSession::new("delay:pair=1-2,rounds=3".parse().expect("plan"));
-        let mut prog = Bfs::new(5);
-        let (stats, recovery) =
-            Engine::new(&g).run_until_quiescent_with_faults(&mut prog, 1000, &session);
-        assert_eq!(prog.dist, clean.0, "delays reorder, BFS min is idempotent");
-        assert!(stats.rounds > clean.1, "stragglers cost rounds");
-        assert!(recovery.stall_rounds > 0);
-        assert_eq!(stats.outcome, RunOutcome::Converged);
-    }
-
-    #[test]
-    fn duplicated_messages_are_charged() {
-        let g = generators::cycle(8);
-        let session = FaultSession::new("dup:p=0.99;seed=5".parse().expect("plan"));
-        let mut prog = Bfs::new(8);
-        let (stats, recovery) =
-            Engine::new(&g).run_until_quiescent_with_faults(&mut prog, 1000, &session);
-        let want = mrbc_graph::algo::bfs_distances(&g, 0);
-        assert_eq!(prog.dist, want, "BFS is idempotent under duplication");
-        assert!(recovery.duplicates > 0);
-        assert!(stats.messages > 8, "duplicates appear in the message count");
     }
 }

@@ -17,7 +17,7 @@
 //! paper's Table 2, and it is modeled here explicitly
 //! ([`super::MFBC_ELEM_BYTES`] per source per sync).
 
-use super::{finish_phase, DistBcOutcome, MFBC_ELEM_BYTES};
+use super::{DistBcOutcome, MFBC_ELEM_BYTES};
 use mrbc_dgalois::comm::{Exchange, PhaseDir, RoundComm};
 use mrbc_dgalois::{BspStats, DistGraph, ReliableLink};
 use mrbc_faults::{FaultSession, RecoveryStats};
@@ -38,8 +38,7 @@ pub fn mfbc_bc(
 
 /// [`mfbc_bc`] under an injected fault plan: the reliable link masks
 /// drops/duplicates/delays (identical BC scores) and charges the
-/// overhead. Crash clauses are not interpreted here — see
-/// [`super::mrbc::mrbc_bc_with_faults`].
+/// overhead — see [`super::mrbc::mrbc_bc_with_faults`].
 pub fn mfbc_bc_with_faults(
     g: &CsrGraph,
     dg: &DistGraph,
@@ -245,8 +244,8 @@ fn sync_dense(
             bcast.send(own, mh as usize, (), row_bytes);
         }
     }
-    finish_phase(reduce, dg, PhaseDir::Reduce, comm, link.as_deref_mut());
-    finish_phase(bcast, dg, PhaseDir::Broadcast, comm, link);
+    reduce.finish_reliable(dg, PhaseDir::Reduce, comm, link.as_deref_mut());
+    bcast.finish_reliable(dg, PhaseDir::Broadcast, comm, link);
 }
 
 #[cfg(test)]

@@ -17,8 +17,7 @@ pub mod mrbc;
 pub mod sbbc;
 pub mod spmd;
 
-use mrbc_dgalois::comm::{Exchange, PhaseDir, RoundComm};
-use mrbc_dgalois::{BspStats, DistGraph, ReliableLink};
+use mrbc_dgalois::BspStats;
 
 /// Result of a distributed BC run.
 #[derive(Clone, Debug)]
@@ -27,23 +26,6 @@ pub struct DistBcOutcome {
     pub bc: Vec<f64>,
     /// Per-round work and communication records.
     pub stats: BspStats,
-}
-
-/// Finalizes one sync phase, routing through the reliable-delivery layer
-/// when a fault-injected link is active. Inboxes are identical either
-/// way (the link *masks* drops/duplicates/delays); only the overhead
-/// accounting differs.
-pub(crate) fn finish_phase<M>(
-    ex: Exchange<M>,
-    dg: &DistGraph,
-    dir: PhaseDir,
-    comm: &mut RoundComm,
-    link: Option<&mut ReliableLink<'_>>,
-) -> Vec<Vec<(usize, M)>> {
-    match link {
-        Some(l) => ex.finish_reliable(dg, dir, comm, l),
-        None => ex.finish(dg, dir, comm),
-    }
 }
 
 /// Payload bytes of one MRBC sync item: source index (u32) + distance

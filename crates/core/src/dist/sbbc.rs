@@ -13,7 +13,7 @@
 //! `≈ 2 · ecc(s)` rounds — each paying barrier latency and per-round
 //! metadata — which is exactly the cost MRBC's pipelining removes.
 
-use super::{finish_phase, DistBcOutcome, SBBC_ITEM_BYTES};
+use super::{DistBcOutcome, SBBC_ITEM_BYTES};
 use mrbc_dgalois::comm::{Exchange, PhaseDir, RoundComm};
 use mrbc_dgalois::{BspStats, DistGraph, ReliableLink};
 use mrbc_faults::{FaultSession, RecoveryStats};
@@ -27,8 +27,7 @@ pub fn sbbc_bc(g: &CsrGraph, dg: &DistGraph, sources: &[VertexId]) -> DistBcOutc
 
 /// [`sbbc_bc`] under an injected fault plan: the reliable link masks
 /// drops/duplicates/delays (identical BC scores) and charges the
-/// overhead. Crash clauses are not interpreted here — see
-/// [`super::mrbc::mrbc_bc_with_faults`].
+/// overhead — see [`super::mrbc::mrbc_bc_with_faults`].
 pub fn sbbc_bc_with_faults(
     g: &CsrGraph,
     dg: &DistGraph,
@@ -175,8 +174,8 @@ impl<'a> SourceState<'a> {
                 self.host_sigma[h][l as usize] = sig;
             }
         }
-        finish_phase(reduce, self.dg, PhaseDir::Reduce, comm, link.as_deref_mut());
-        finish_phase(bcast, self.dg, PhaseDir::Broadcast, comm, link);
+        reduce.finish_reliable(self.dg, PhaseDir::Reduce, comm, link.as_deref_mut());
+        bcast.finish_reliable(self.dg, PhaseDir::Broadcast, comm, link);
     }
 
     /// Level-synchronous BFS with σ aggregation.
@@ -292,8 +291,8 @@ impl<'a> SourceState<'a> {
                 self.host_delta[h][l as usize] = total;
             }
         }
-        finish_phase(reduce, self.dg, PhaseDir::Reduce, comm, link.as_deref_mut());
-        finish_phase(bcast, self.dg, PhaseDir::Broadcast, comm, link);
+        reduce.finish_reliable(self.dg, PhaseDir::Reduce, comm, link.as_deref_mut());
+        bcast.finish_reliable(self.dg, PhaseDir::Broadcast, comm, link);
     }
 
     /// Backward dependency accumulation, deepest level first.

@@ -59,8 +59,6 @@ pub struct BcConfig {
     /// Fault plan to inject (distributed algorithms only). Drops,
     /// duplicates, and delays are masked by the reliable-delivery layer —
     /// BC results stay bitwise-identical, only overhead is charged.
-    /// Crash clauses are ignored by the BC driver (crash recovery runs
-    /// through the general BSP executor; see `mrbc-analytics`).
     pub faults: Option<FaultPlan>,
 }
 

@@ -13,9 +13,9 @@
 //! | [`dist::sbbc`] | Synchronous-Brandes BC (SBBC) | simulated D-Galois |
 //! | [`dist::mfbc`] | Maximal-Frontier BC (Solomonik et al.) | simulated D-Galois |
 //! | [`shared::abbc`] | Asynchronous-Brandes BC (Lonestar) | shared memory + Rayon |
-//! | [`weighted`] | Dijkstra-based weighted Brandes (sequential + parallel) | shared memory + Rayon |
 //! | [`tune`] | batch-size autotuner (the paper's §5.2 "future work") | — |
 //!
+//! Every algorithm here is stated for unweighted digraphs, as in the paper.
 //! The top-level [`bc`] driver dispatches on [`BcConfig`]. All
 //! implementations agree with the oracle to floating-point accumulation
 //! tolerance; the integration suite in the workspace root enforces this
@@ -30,7 +30,6 @@ pub mod probes;
 mod schedule;
 pub mod shared;
 pub mod tune;
-pub mod weighted;
 
 pub use driver::{bc, Algorithm, BcConfig, BcResult};
 pub use tune::{tune_batch_size, TuneOutcome, TuneSample};

@@ -255,11 +255,6 @@ impl<M> Exchange<M> {
         self.staged[to].push((from, item));
     }
 
-    /// True if nothing was staged (including same-host items).
-    pub fn is_empty(&self) -> bool {
-        self.staged.iter().all(|s| s.is_empty())
-    }
-
     /// Finalizes the phase: applies the metadata-compression model,
     /// accumulates into `comm`, and returns the per-host inboxes.
     pub fn finish(
@@ -268,28 +263,18 @@ impl<M> Exchange<M> {
         dir: PhaseDir,
         comm: &mut RoundComm,
     ) -> Vec<Vec<(usize, M)>> {
-        self.finish_inner(dg, dir, comm, None)
+        self.finish_reliable(dg, dir, comm, None)
     }
 
-    /// [`Exchange::finish`] over an unreliable network: each aggregated
-    /// pair message additionally runs through the [`ReliableLink`], which
-    /// guarantees delivery (so the returned inboxes are identical to the
-    /// fault-free ones) and charges the retry/straggler overhead to
-    /// `comm.retry_bytes` / `comm.stall_rounds` and the link's
-    /// [`RecoveryStats`]. The phase stalls for the slowest pair — a BSP
-    /// barrier waits on the worst link, so the per-pair maximum (not the
-    /// sum) is what the round loses.
+    /// [`Exchange::finish`], over an unreliable network when `link` is
+    /// given: each aggregated pair message additionally runs through the
+    /// [`ReliableLink`], which guarantees delivery (so the returned inboxes
+    /// are identical to the fault-free ones) and charges the
+    /// retry/straggler overhead to `comm.retry_bytes` / `comm.stall_rounds`
+    /// and the link's [`RecoveryStats`]. The phase stalls for the slowest
+    /// pair — a BSP barrier waits on the worst link, so the per-pair
+    /// maximum (not the sum) is what the round loses.
     pub fn finish_reliable(
-        self,
-        dg: &DistGraph,
-        dir: PhaseDir,
-        comm: &mut RoundComm,
-        link: &mut ReliableLink<'_>,
-    ) -> Vec<Vec<(usize, M)>> {
-        self.finish_inner(dg, dir, comm, Some(link))
-    }
-
-    fn finish_inner(
         self,
         dg: &DistGraph,
         dir: PhaseDir,
@@ -435,7 +420,7 @@ mod tests {
         let mut ex: Exchange<u32> = Exchange::new(2);
         ex.send(0, 1, 1, 10);
         ex.send(1, 0, 2, 10);
-        let inboxes = ex.finish_reliable(&dg, PhaseDir::Reduce, &mut comm, &mut link);
+        let inboxes = ex.finish_reliable(&dg, PhaseDir::Reduce, &mut comm, Some(&mut link));
         assert_eq!(inboxes[1], vec![(0, 1)]);
         assert_eq!(inboxes[0], vec![(1, 2)]);
         // Two pair messages, each acknowledged once; nothing resent.
@@ -459,7 +444,12 @@ mod tests {
             link.begin_round(round);
             let mut ex: Exchange<u32> = Exchange::new(2);
             ex.send(0, 1, round, 10);
-            lossy_inboxes.push(ex.finish_reliable(&dg, PhaseDir::Reduce, &mut lossy, &mut link));
+            lossy_inboxes.push(ex.finish_reliable(
+                &dg,
+                PhaseDir::Reduce,
+                &mut lossy,
+                Some(&mut link),
+            ));
             let mut ex: Exchange<u32> = Exchange::new(2);
             ex.send(0, 1, round, 10);
             clean_inboxes.push(ex.finish(&dg, PhaseDir::Reduce, &mut clean));
@@ -493,7 +483,7 @@ mod tests {
                 let mut ex: Exchange<u32> = Exchange::new(2);
                 ex.send(0, 1, round, 16);
                 ex.send(1, 0, round, 16);
-                ex.finish_reliable(&dg, PhaseDir::Broadcast, &mut comm, &mut link);
+                ex.finish_reliable(&dg, PhaseDir::Broadcast, &mut comm, Some(&mut link));
             }
             (link.recovery, comm.retry_bytes, comm.stall_rounds)
         };
@@ -511,7 +501,7 @@ mod tests {
         let mut ex: Exchange<u32> = Exchange::new(2);
         ex.send(0, 1, 1, 8); // delayed pair
         ex.send(1, 0, 2, 8); // also the delayed pair (bidirectional)
-        ex.finish_reliable(&dg, PhaseDir::Reduce, &mut comm, &mut link);
+        ex.finish_reliable(&dg, PhaseDir::Reduce, &mut comm, Some(&mut link));
         // Barrier semantics: the phase pays max(3, 3) = 3, not 6.
         assert_eq!(comm.stall_rounds, 3);
     }

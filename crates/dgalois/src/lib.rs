@@ -26,16 +26,15 @@
 //!   records, and an analytic model translating them into the quantities
 //!   the paper plots: computation time, non-overlapped communication
 //!   time, communication volume, and load imbalance.
-//! * [`bsp`] — a reusable vertex-program executor over the substrate
-//!   (the D-Galois programming model itself); the `mrbc-analytics` crate
-//!   builds PageRank / components / SSSP on it.
+//! * [`spmd`] — the replicated state-machine contract that lets one
+//!   program run in-process ([`spmd::run_local`]) or across worker
+//!   processes over `mrbc-net`'s mesh.
 //!
 //! Real per-host computation *does* execute (algorithms in `mrbc-core`
 //! parallelize it with Rayon); only the network is modeled. Round counts,
 //! message counts, and communication volumes are exact, which is what the
 //! paper's evaluation hinges on.
 
-pub mod bsp;
 pub mod comm;
 mod cost;
 mod partition;
@@ -44,7 +43,6 @@ pub mod spmd;
 mod stats;
 mod topology;
 
-pub use bsp::{run_bsp, run_bsp_with_faults, BspProgram, FaultyBspRun, SyncScope};
 pub use comm::ReliableLink;
 pub use cost::CostModel;
 pub use partition::{partition, PartitionPolicy};

@@ -1,10 +1,9 @@
 //! SPMD (single program, multiple data) execution of BSP programs over an
 //! exchangeable transport.
 //!
-//! The in-process executor ([`run_bsp`](crate::bsp::run_bsp)) owns every
-//! host's state inside one address space. To run the *same* programs across
-//! real worker processes, this module re-expresses a BSP computation as a
-//! replicated state machine:
+//! To run the *same* program in one process and across real worker
+//! processes, this module expresses a BSP computation as a replicated state
+//! machine:
 //!
 //! * every worker holds the full **replicated** state (labels, schedules —
 //!   everything `fold` touches) plus its own host's **partial** state;
@@ -30,11 +29,7 @@
 //! * [`SpmdProgram::snapshot`] / [`SpmdProgram::restore`] round-trip both
 //!   kinds of state durably (a restored worker continues bit-identically).
 
-use mrbc_util::wire::{WireError, WireReader, WireWriter};
-
-use crate::bsp::{BspProgram, SyncScope};
-use crate::topology::DistGraph;
-use mrbc_graph::VertexId;
+use mrbc_util::wire::WireError;
 
 /// A replicated BSP state machine, stepped by allgather exchanges.
 pub trait SpmdProgram {
@@ -92,332 +87,4 @@ pub fn run_local<P: SpmdProgram>(prog: &mut P, max_steps: u64) -> Result<u64, Wi
         step += 1;
     }
     Ok(step)
-}
-
-/// A value that can cross the wire in the canonical little-endian encoding.
-pub trait WireItem: Sized {
-    /// Encode `self`.
-    fn put(&self, w: &mut WireWriter);
-    /// Decode one value.
-    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError>;
-}
-
-impl WireItem for u32 {
-    fn put(&self, w: &mut WireWriter) {
-        w.u32(*self);
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        r.u32()
-    }
-}
-
-impl WireItem for u64 {
-    fn put(&self, w: &mut WireWriter) {
-        w.u64(*self);
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        r.u64()
-    }
-}
-
-impl WireItem for f64 {
-    fn put(&self, w: &mut WireWriter) {
-        w.f64(*self);
-    }
-    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        r.f64()
-    }
-}
-
-impl WireItem for () {
-    fn put(&self, _w: &mut WireWriter) {}
-    fn get(_r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(())
-    }
-}
-
-/// Adapter running any [`BspProgram`] (with wire-encodable labels and
-/// updates) as an [`SpmdProgram`].
-///
-/// Step `s` executes BSP round `s + 1` with semantics identical to
-/// [`run_bsp`](crate::bsp::run_bsp): all hosts compute against the same
-/// pre-apply labels, proposals are applied in host order, the changed set
-/// is sorted and deduplicated, and `after_round` decides termination.
-pub struct BspSpmd<'a, P: BspProgram> {
-    dg: &'a DistGraph,
-    prog: P,
-    labels: Vec<P::Label>,
-    max_rounds: u32,
-    finished: bool,
-}
-
-impl<'a, P: BspProgram> BspSpmd<'a, P> {
-    /// Wraps `prog` with its initial `labels` (one per global vertex).
-    pub fn new(dg: &'a DistGraph, prog: P, labels: Vec<P::Label>, max_rounds: u32) -> Self {
-        assert_eq!(
-            labels.len(),
-            dg.num_global_vertices,
-            "one label per global vertex"
-        );
-        Self {
-            dg,
-            prog,
-            labels,
-            max_rounds,
-            finished: max_rounds == 0,
-        }
-    }
-
-    /// The label vector (replicated: identical on every worker).
-    pub fn labels(&self) -> &[P::Label] {
-        &self.labels
-    }
-
-    /// Consumes the adapter, yielding program and labels.
-    pub fn into_parts(self) -> (P, Vec<P::Label>) {
-        (self.prog, self.labels)
-    }
-}
-
-impl<'a, P> SpmdProgram for BspSpmd<'a, P>
-where
-    P: BspProgram,
-    P::Label: WireItem,
-    P::Update: WireItem,
-{
-    fn num_hosts(&self) -> usize {
-        self.dg.num_hosts
-    }
-
-    fn done(&self) -> bool {
-        self.finished
-    }
-
-    fn begin_step(&mut self, step: u64) {
-        let round = step as u32 + 1;
-        self.prog.before_round(round, &mut self.labels);
-    }
-
-    fn local_step(&mut self, _step: u64, host: usize) -> Vec<u8> {
-        let mut out: Vec<(VertexId, P::Update)> = Vec::new();
-        let work = self.prog.compute(host, self.dg, &self.labels, &mut out);
-        let mut w = WireWriter::with_capacity(16 + out.len() * 8);
-        w.u64(work);
-        w.u32(out.len() as u32);
-        for (v, u) in &out {
-            w.u32(*v);
-            u.put(&mut w);
-        }
-        w.into_bytes()
-    }
-
-    fn fold(&mut self, step: u64, payloads: &[Vec<u8>]) -> Result<(), WireError> {
-        let round = step as u32 + 1;
-        let mut changed: Vec<VertexId> = Vec::new();
-        // Identical to `execute_round`: apply proposals host by host in
-        // canonical order, then sort + dedup the changed set.
-        for payload in payloads {
-            let mut r = WireReader::new(payload);
-            let _work = r.u64()?;
-            let n = r.u32()?;
-            for _ in 0..n {
-                let v = r.u32()? as usize;
-                if v >= self.labels.len() {
-                    return Err(WireError::Invalid("proposal vertex out of range"));
-                }
-                let update = P::Update::get(&mut r)?;
-                if self.prog.apply(&mut self.labels[v], update) {
-                    changed.push(v as VertexId);
-                }
-            }
-        }
-        changed.sort_unstable();
-        changed.dedup();
-        if self.prog.after_round(round, &changed, &self.labels) || round >= self.max_rounds {
-            self.finished = true;
-        }
-        Ok(())
-    }
-
-    fn snapshot(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.u8(u8::from(self.finished));
-        w.u32(self.max_rounds);
-        w.u32(self.labels.len() as u32);
-        for l in &self.labels {
-            l.put(&mut w);
-        }
-        let aux = self.prog.snapshot_aux();
-        w.u32(aux.len() as u32);
-        for a in aux {
-            w.u64(a);
-        }
-        w.into_bytes()
-    }
-
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-        let mut r = WireReader::new(bytes);
-        self.finished = r.u8()? != 0;
-        self.max_rounds = r.u32()?;
-        let n = r.u32()? as usize;
-        if n != self.dg.num_global_vertices {
-            return Err(WireError::Invalid("label count mismatch in snapshot"));
-        }
-        let mut labels = Vec::with_capacity(n);
-        for _ in 0..n {
-            labels.push(P::Label::get(&mut r)?);
-        }
-        self.labels = labels;
-        let na = r.u32()? as usize;
-        let mut aux = Vec::with_capacity(na);
-        for _ in 0..na {
-            aux.push(r.u64()?);
-        }
-        self.prog.restore_aux(&aux);
-        Ok(())
-    }
-
-    fn fingerprint(&self) -> u64 {
-        let mut w = WireWriter::with_capacity(self.labels.len() * 8);
-        for l in &self.labels {
-            l.put(&mut w);
-        }
-        mrbc_util::crc::digest64(&w.into_bytes())
-    }
-
-    fn describe(&self, step: u64) -> String {
-        format!("bsp round {}", step + 1)
-    }
-}
-
-/// The sync-accounting scope of the wrapped program (re-exported so the
-/// worker can report it without reaching into the program).
-pub fn sync_scope_of<P: BspProgram>(prog: &P) -> SyncScope {
-    prog.sync_scope()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::bsp::run_bsp;
-    use crate::{partition, PartitionPolicy};
-    use mrbc_graph::generators;
-
-    /// Min-id flood over out-edges (same program as the bsp tests).
-    struct MinFlood;
-
-    impl BspProgram for MinFlood {
-        type Label = u32;
-        type Update = u32;
-
-        fn item_bytes(&self) -> u64 {
-            4
-        }
-
-        fn compute(
-            &self,
-            host: usize,
-            dg: &DistGraph,
-            labels: &[u32],
-            out: &mut Vec<(VertexId, u32)>,
-        ) -> u64 {
-            let topo = &dg.hosts[host];
-            let mut w = 0;
-            for lu in 0..topo.num_proxies() as u32 {
-                let gu = topo.global_of_local[lu as usize];
-                for &lv in topo.graph.out_neighbors(lu) {
-                    w += 1;
-                    let gv = topo.global_of_local[lv as usize];
-                    if labels[gu as usize] < labels[gv as usize] {
-                        out.push((gv, labels[gu as usize]));
-                    }
-                }
-            }
-            w
-        }
-
-        fn apply(&mut self, label: &mut u32, update: u32) -> bool {
-            if update < *label {
-                *label = update;
-                true
-            } else {
-                false
-            }
-        }
-
-        fn after_round(&mut self, _r: u32, changed: &[VertexId], _l: &[u32]) -> bool {
-            changed.is_empty()
-        }
-    }
-
-    #[test]
-    fn spmd_matches_run_bsp_bitwise() {
-        let g = generators::grid_road_network(generators::RoadNetworkConfig::new(6, 7), 1);
-        for hosts in [1, 2, 4] {
-            let dg = partition(&g, hosts, PartitionPolicy::BlockedEdgeCut);
-            let n = g.num_vertices() as u32;
-            let mut reference: Vec<u32> = (0..n).collect();
-            run_bsp(&dg, &mut MinFlood, &mut reference, 100);
-
-            let mut spmd = BspSpmd::new(&dg, MinFlood, (0..n).collect(), 100);
-            let steps = run_local(&mut spmd, 1000).expect("fold");
-            assert_eq!(spmd.labels(), &reference[..], "{hosts} hosts");
-            assert!(steps <= 100);
-        }
-    }
-
-    #[test]
-    fn snapshot_restore_resumes_bit_identically() {
-        let g = generators::grid_road_network(generators::RoadNetworkConfig::new(5, 5), 2);
-        let dg = partition(&g, 3, PartitionPolicy::CartesianVertexCut);
-        let n = g.num_vertices() as u32;
-        let mut full = BspSpmd::new(&dg, MinFlood, (0..n).collect(), 100);
-        run_local(&mut full, 1000).expect("fold");
-
-        // Run 3 steps, checkpoint, keep running; then restore a fresh
-        // instance from the checkpoint and finish — results must agree.
-        let mut a = BspSpmd::new(&dg, MinFlood, (0..n).collect(), 100);
-        let h = a.num_hosts();
-        for step in 0..3u64 {
-            a.begin_step(step);
-            let payloads: Vec<Vec<u8>> = (0..h).map(|host| a.local_step(step, host)).collect();
-            a.fold(step, &payloads).expect("fold");
-        }
-        let ckpt = a.snapshot();
-        let mut b = BspSpmd::new(&dg, MinFlood, (0..n).collect(), 100);
-        b.restore(&ckpt).expect("restore");
-        let mut step = 3u64;
-        while !b.done() {
-            b.begin_step(step);
-            let payloads: Vec<Vec<u8>> = (0..h).map(|host| b.local_step(step, host)).collect();
-            b.fold(step, &payloads).expect("fold");
-            step += 1;
-        }
-        assert_eq!(b.labels(), full.labels());
-        assert_eq!(b.fingerprint(), full.fingerprint());
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_different_results() {
-        let g = generators::cycle(8);
-        let dg = partition(&g, 2, PartitionPolicy::BlockedEdgeCut);
-        let a = BspSpmd::new(&dg, MinFlood, (0..8).collect(), 10);
-        let mut other: Vec<u32> = (0..8).collect();
-        other[3] = 99;
-        let b = BspSpmd::new(&dg, MinFlood, other, 10);
-        assert_ne!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
-    fn corrupt_snapshot_is_rejected() {
-        let g = generators::cycle(6);
-        let dg = partition(&g, 2, PartitionPolicy::BlockedEdgeCut);
-        let mut p = BspSpmd::new(&dg, MinFlood, (0..6).collect(), 10);
-        let mut snap = p.snapshot();
-        snap.truncate(snap.len() - 3);
-        assert!(
-            p.restore(&snap).is_err(),
-            "truncated snapshot must not restore"
-        );
-    }
 }

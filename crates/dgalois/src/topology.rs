@@ -31,11 +31,6 @@ impl HostTopology {
     pub fn num_proxies(&self) -> usize {
         self.global_of_local.len()
     }
-
-    /// Number of master proxies on this host.
-    pub fn num_masters(&self) -> usize {
-        self.masters.count_ones()
-    }
 }
 
 /// A graph partitioned over `num_hosts` hosts.

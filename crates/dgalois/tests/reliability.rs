@@ -134,7 +134,7 @@ proptest! {
             let mut ex: Exchange<u32> = Exchange::new(2);
             ex.send(0, 1, round, 16);
             ex.send(1, 0, round + 100, 16);
-            lossy_inboxes.push(ex.finish_reliable(&dg, PhaseDir::Reduce, &mut lossy, &mut link));
+            lossy_inboxes.push(ex.finish_reliable(&dg, PhaseDir::Reduce, &mut lossy, Some(&mut link)));
             let mut ex: Exchange<u32> = Exchange::new(2);
             ex.send(0, 1, round, 16);
             ex.send(1, 0, round + 100, 16);

@@ -9,15 +9,18 @@
 //!
 //! * [`FaultPlan`] — a declarative description of the faults to inject,
 //!   parseable from a compact CLI string such as
-//!   `crash:host=2@round=40;drop:p=0.01;delay:pair=0-3,rounds=2;seed=42`.
+//!   `kill:host=2@round=40;drop:p=0.01;delay:pair=0-3,rounds=2;seed=42`.
 //! * [`FaultSession`] — turns a plan into per-event decisions (drop this
 //!   transmission? duplicate it? how long does this pair straggle?).
 //!   Every decision is a pure hash of `(seed, round, endpoints, attempt)`,
 //!   so outcomes are independent of query order and bit-for-bit
 //!   reproducible across runs — the property the recovery tests rely on.
 //! * [`RecoveryStats`] — the overhead ledger filled in by the reliable
-//!   delivery layer (`mrbc_dgalois::comm::ReliableLink`) and the
-//!   checkpointing BSP executor (`mrbc_dgalois::bsp::run_bsp_with_faults`).
+//!   delivery layer (`mrbc_dgalois::comm::ReliableLink`).
+//!
+//! Host crashes are not simulated here: `kill` makes the `mrbc-net`
+//! launcher SIGKILL a real worker process, which restarts from its
+//! durable checkpoint.
 //!
 //! The crate is deliberately dependency-free: both substrates depend on
 //! it, and it must never depend back on them.
@@ -27,8 +30,8 @@ mod session;
 mod stats;
 
 pub use plan::{
-    ChurnFault, CrashFault, DelayFault, FaultParseError, FaultPlan, KillFault, PartitionFault,
-    WorkerKillFault, WorkerPauseFault,
+    ChurnFault, DelayFault, FaultParseError, FaultPlan, KillFault, PartitionFault, WorkerKillFault,
+    WorkerPauseFault,
 };
 pub use session::FaultSession;
 pub use stats::RecoveryStats;

@@ -3,7 +3,6 @@
 //! A plan is a `;`-separated list of clauses:
 //!
 //! ```text
-//! crash:host=2@round=40      host 2 fail-stops at the end of round 40
 //! drop:p=0.01                each transmission is lost with probability 0.01
 //! dup:p=0.005                each delivery is duplicated with probability 0.005
 //! delay:pair=0-3,rounds=2    the 0↔3 link straggles 2 extra rounds per message
@@ -20,12 +19,12 @@
 //! seed=42                    RNG seed for the probabilistic clauses
 //! ```
 //!
-//! Clauses may repeat (`crash`, `delay`, `kill`, `partition`, and `hangup`
+//! Clauses may repeat (`delay`, `kill`, `partition`, and `hangup`
 //! accumulate; `drop`/`dup`/`stall`/`seed` take the last occurrence).
 //! Whitespace around clauses is ignored.
 //!
-//! The first four clause kinds are *simulated* inside one address space by
-//! `run_bsp_with_faults` and `ReliableLink`. `kill` and `partition` are
+//! `drop`, `dup` and `delay` are *simulated* inside one address space by
+//! `ReliableLink`, which masks them. `kill` and `partition` are
 //! different: the `mrbc-net` substrate executes them **for real** — `kill`
 //! makes the process launcher deliver an actual `SIGKILL` to a worker
 //! process, and `partition` makes both endpoints of a TCP link drop the
@@ -66,15 +65,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-/// One fail-stop crash: `host` dies at the end of `round`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CrashFault {
-    /// The host (or, in the CONGEST interpretation, the vertex) that dies.
-    pub host: usize,
-    /// The 1-based round at whose end the crash fires.
-    pub round: u32,
-}
-
 /// A straggler rule: every message between the two endpoints stalls the
 /// sender an extra `rounds` rounds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,9 +78,8 @@ pub struct DelayFault {
 }
 
 /// A real process kill: the launcher delivers `SIGKILL` to worker `host`
-/// once that worker reports reaching `round`. Unlike [`CrashFault`] this is
-/// not simulated — the process actually dies and must be respawned from its
-/// durable checkpoint.
+/// once that worker reports reaching `round`. This is not simulated — the
+/// process actually dies and must be respawned from its durable checkpoint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KillFault {
     /// The worker process to kill.
@@ -160,8 +149,6 @@ pub struct ChurnFault {
 pub struct FaultPlan {
     /// Seed for the probabilistic clauses (`drop`, `dup`).
     pub seed: u64,
-    /// Fail-stop crashes, in clause order.
-    pub crashes: Vec<CrashFault>,
     /// Per-transmission drop probability in `[0, 1)`.
     pub drop_p: f64,
     /// Per-delivery duplication probability in `[0, 1)`.
@@ -200,7 +187,6 @@ impl Default for FaultPlan {
     fn default() -> Self {
         Self {
             seed: 0,
-            crashes: Vec::new(),
             drop_p: 0.0,
             dup_p: 0.0,
             delays: Vec::new(),
@@ -220,8 +206,7 @@ impl Default for FaultPlan {
 impl FaultPlan {
     /// True if the plan injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.crashes.is_empty()
-            && self.drop_p == 0.0
+        self.drop_p == 0.0
             && self.dup_p == 0.0
             && self.delays.is_empty()
             && self.kills.is_empty()
@@ -238,9 +223,8 @@ impl FaultPlan {
     /// True if the plan contains only masked faults (drops, duplication,
     /// delays, healed partitions) — faults a reliable delivery layer hides
     /// completely, so results must be bitwise-identical to a fault-free
-    /// run. Crashes are not maskable (they need rollback or self-correcting
-    /// recovery); kills are recoverable via checkpoint respawn but still
-    /// interrupt a process, so they are not *masked* either. A serving
+    /// run. Kills are recoverable via checkpoint respawn but still
+    /// interrupt a process, so they are not *masked*. A serving
     /// `stall` only delays (maskable); a `hangup` severs a client session
     /// mid-stream — visible to that client, hence not masked.
     /// A worker *pause* only freezes a process that later resumes with
@@ -252,8 +236,7 @@ impl FaultPlan {
     /// purpose — results legitimately differ from a storm-free run, so
     /// it is never masked.
     pub fn is_maskable(&self) -> bool {
-        self.crashes.is_empty()
-            && self.kills.is_empty()
+        self.kills.is_empty()
             && self.worker_kills.is_empty()
             && self.hangups.is_empty()
             && self.torn_wal_rec.is_none()
@@ -323,16 +306,6 @@ impl FromStr for FaultPlan {
                 ))
             })?;
             match kind.trim() {
-                "crash" => {
-                    // crash:host=H@round=R
-                    let (host_kv, round_kv) = body.split_once('@').ok_or_else(|| {
-                        err(format!("crash clause {body:?}: expected host=H@round=R"))
-                    })?;
-                    plan.crashes.push(CrashFault {
-                        host: keyed(host_kv, "host")?,
-                        round: keyed(round_kv, "round")?,
-                    });
-                }
                 "kill" => {
                     if body.trim_start().starts_with("worker=") {
                         // kill:worker=R@query=N — pool router kill.
@@ -447,9 +420,6 @@ impl fmt::Display for FaultPlan {
     /// the normalized form).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut parts: Vec<String> = Vec::new();
-        for c in &self.crashes {
-            parts.push(format!("crash:host={}@round={}", c.host, c.round));
-        }
         if self.drop_p > 0.0 {
             parts.push(format!("drop:p={}", self.drop_p));
         }
@@ -500,11 +470,11 @@ mod tests {
 
     #[test]
     fn parses_the_reference_example() {
-        let plan: FaultPlan = "crash:host=2@round=40;drop:p=0.01;delay:pair=0-3,rounds=2;seed=42"
+        let plan: FaultPlan = "kill:host=2@round=40;drop:p=0.01;delay:pair=0-3,rounds=2;seed=42"
             .parse()
             .expect("reference plan");
         assert_eq!(plan.seed, 42);
-        assert_eq!(plan.crashes, vec![CrashFault { host: 2, round: 40 }]);
+        assert_eq!(plan.kills, vec![KillFault { host: 2, round: 40 }]);
         assert_eq!(plan.drop_p, 0.01);
         assert_eq!(plan.dup_p, 0.0);
         assert_eq!(
@@ -521,10 +491,10 @@ mod tests {
 
     #[test]
     fn repeated_clauses_accumulate() {
-        let plan: FaultPlan = "crash:host=0@round=5;crash:host=1@round=9;dup:p=0.5"
+        let plan: FaultPlan = "kill:host=0@round=5;kill:host=1@round=9;dup:p=0.5"
             .parse()
             .expect("plan");
-        assert_eq!(plan.crashes.len(), 2);
+        assert_eq!(plan.kills.len(), 2);
         assert_eq!(plan.dup_p, 0.5);
         assert!(!plan.is_maskable());
     }
@@ -539,7 +509,7 @@ mod tests {
 
     #[test]
     fn display_round_trips() {
-        let text = "crash:host=2@round=40;drop:p=0.01;dup:p=0.005;delay:pair=0-3,rounds=2;\
+        let text = "drop:p=0.01;dup:p=0.005;delay:pair=0-3,rounds=2;\
                     kill:host=1@round=12;kill:worker=2@query=25;pause:worker=0:ms=400;\
                     partition:pair=0-2@round=9,ms=300;stall:ms=150;\
                     hangup:session=2;torn:wal@rec=5;fsyncfail:ms=120;\
@@ -625,7 +595,7 @@ mod tests {
             ("drop:p=1.5", "outside"),
             ("drop:q=0.1", "expected key"),
             ("teleport:p=0.1", "unknown fault kind"),
-            ("crash:host=1", "host=H@round=R"),
+            ("crash:host=1@round=2", "unknown fault kind \"crash\""),
             ("delay:pair=0-1", "rounds"),
             ("delay:pair=01,rounds=2", "A-B"),
             ("kill:host=1", "host=H@round=R"),

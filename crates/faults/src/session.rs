@@ -1,6 +1,6 @@
 //! Turning a [`FaultPlan`] into per-event decisions.
 
-use crate::plan::{CrashFault, FaultPlan};
+use crate::plan::FaultPlan;
 
 /// Stream tags keep the decision spaces of unrelated questions disjoint,
 /// so e.g. "drop attempt 0?" and "duplicate?" for the same transmission
@@ -70,19 +70,6 @@ impl FaultSession {
             .filter(|d| (d.a, d.b) == (from, to) || (d.a, d.b) == (to, from))
             .map(|d| d.rounds)
             .sum()
-    }
-
-    /// Crashes that fire at the end of `round`.
-    pub fn crashes_at(&self, round: u32) -> impl Iterator<Item = &CrashFault> {
-        self.plan.crashes.iter().filter(move |c| c.round == round)
-    }
-
-    /// True if `host` has crashed at or before the end of `round`.
-    pub fn is_crashed(&self, host: usize, round: u32) -> bool {
-        self.plan
-            .crashes
-            .iter()
-            .any(|c| c.host == host && c.round <= round)
     }
 
     /// Real process kills whose trigger round is `round` (evaluated by the
@@ -191,17 +178,5 @@ mod tests {
         assert_eq!(s.partition_ms_at(9, 2, 0), 350);
         assert_eq!(s.partition_ms_at(8, 0, 2), 0);
         assert_eq!(s.partition_ms_at(9, 0, 1), 0);
-    }
-
-    #[test]
-    fn crash_queries() {
-        let s = session("crash:host=2@round=40;crash:host=0@round=40;crash:host=1@round=7");
-        let at40: Vec<usize> = s.crashes_at(40).map(|c| c.host).collect();
-        assert_eq!(at40, vec![2, 0]);
-        assert_eq!(s.crashes_at(8).count(), 0);
-        assert!(s.is_crashed(1, 7));
-        assert!(s.is_crashed(1, 100));
-        assert!(!s.is_crashed(1, 6));
-        assert!(!s.is_crashed(3, 100));
     }
 }

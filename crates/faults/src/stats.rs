@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// The cost of surviving the injected faults, filled in by the reliable
-/// delivery layer and the checkpointing executor. Everything here is
+/// delivery layer. Everything here is
 /// *overhead relative to the fault-free run*: a plan that injects nothing
 /// leaves every field zero.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -23,19 +23,6 @@ pub struct RecoveryStats {
     /// (per BSP round, the slowest host pair's stall — the barrier waits
     /// for it).
     pub stall_rounds: u64,
-    /// Host crashes that fired.
-    pub crashes: u64,
-    /// Checkpoints taken.
-    pub checkpoints: u64,
-    /// Bytes snapshotted into checkpoints.
-    pub checkpoint_bytes: u64,
-    /// Rollbacks to a checkpoint.
-    pub rollbacks: u64,
-    /// Rounds re-executed during rollback replay.
-    pub rounds_replayed: u64,
-    /// Crashes absorbed by the Phoenix-style self-correcting fast path
-    /// (state reinitialized in place, no rollback).
-    pub phoenix_restarts: u64,
 }
 
 impl RecoveryStats {
@@ -52,18 +39,12 @@ impl RecoveryStats {
         self.retransmissions += other.retransmissions;
         self.retry_bytes += other.retry_bytes;
         self.stall_rounds += other.stall_rounds;
-        self.crashes += other.crashes;
-        self.checkpoints += other.checkpoints;
-        self.checkpoint_bytes += other.checkpoint_bytes;
-        self.rollbacks += other.rollbacks;
-        self.rounds_replayed += other.rounds_replayed;
-        self.phoenix_restarts += other.phoenix_restarts;
     }
 }
 
 impl fmt::Display for RecoveryStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
+        write!(
             f,
             "fault overhead: {} drops + {} lost acks + {} duplicates -> {} retransmissions, {} retry bytes, {} stall rounds",
             self.drops,
@@ -72,16 +53,6 @@ impl fmt::Display for RecoveryStats {
             self.retransmissions,
             self.retry_bytes,
             self.stall_rounds,
-        )?;
-        write!(
-            f,
-            "recovery: {} crashes, {} checkpoints ({} bytes), {} rollbacks ({} rounds replayed), {} phoenix restarts",
-            self.crashes,
-            self.checkpoints,
-            self.checkpoint_bytes,
-            self.rollbacks,
-            self.rounds_replayed,
-            self.phoenix_restarts,
         )
     }
 }
@@ -100,17 +71,16 @@ mod tests {
         };
         let b = RecoveryStats {
             drops: 2,
-            crashes: 1,
-            rollbacks: 1,
-            rounds_replayed: 7,
+            duplicates: 1,
+            retransmissions: 7,
             ..RecoveryStats::default()
         };
         a.merge(&b);
         assert_eq!(a.drops, 3);
         assert_eq!(a.retry_bytes, 100);
         assert_eq!(a.stall_rounds, 3);
-        assert_eq!(a.crashes, 1);
-        assert_eq!(a.rounds_replayed, 7);
+        assert_eq!(a.duplicates, 1);
+        assert_eq!(a.retransmissions, 7);
         assert!(!a.is_clean());
         assert!(RecoveryStats::default().is_clean());
     }
@@ -120,12 +90,12 @@ mod tests {
         let s = RecoveryStats {
             drops: 5,
             retransmissions: 4,
-            crashes: 2,
+            stall_rounds: 2,
             ..RecoveryStats::default()
         };
         let text = s.to_string();
         assert!(text.contains("5 drops"), "{text}");
         assert!(text.contains("4 retransmissions"), "{text}");
-        assert!(text.contains("2 crashes"), "{text}");
+        assert!(text.contains("2 stall rounds"), "{text}");
     }
 }

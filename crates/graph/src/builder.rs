@@ -64,11 +64,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of (raw, pre-dedup) edges staged so far.
-    pub fn staged_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Range check, then the self-loop policy; shared by [`Self::build`]
     /// and the test-only reference build.
     fn checked_edges(mut self) -> Vec<(VertexId, VertexId)> {

@@ -161,16 +161,6 @@ impl CsrGraph {
     pub fn max_in_degree(&self) -> usize {
         self.in_degrees().into_iter().max().unwrap_or(0)
     }
-
-    /// Raw offsets array (length `n + 1`).
-    pub fn raw_offsets(&self) -> &[usize] {
-        &self.offsets
-    }
-
-    /// Raw targets array (length `m`).
-    pub fn raw_targets(&self) -> &[VertexId] {
-        &self.targets
-    }
 }
 
 #[cfg(test)]

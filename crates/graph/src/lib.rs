@@ -17,8 +17,6 @@
 //!   characterization in Table 1.
 //! * [`sample`] — source-vertex sampling (the paper samples a random
 //!   contiguous chunk of sources; see Section 5.1).
-//! * [`weighted`] — weighted CSR graphs and Dijkstra with path counts,
-//!   the substrate the weighted-capable baselines (ABBC, MFBC) assume.
 //! * [`io`] — plain edge-list text I/O.
 
 pub mod algo;
@@ -28,7 +26,6 @@ pub mod generators;
 pub mod io;
 pub mod properties;
 pub mod sample;
-pub mod weighted;
 
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;

@@ -100,12 +100,8 @@ pub enum Phase {
     Finalizer,
     /// Algorithm 5: reverse-timestamp dependency accumulation.
     Accumulation,
-    /// Per-host local compute inside a BSP round.
-    Compute,
     /// Gluon-style synchronization (reduce/broadcast exchange).
     Sync,
-    /// Fault recovery (checkpoint, rollback, re-init).
-    Recovery,
     /// Driver-level orchestration (whole runs, batches).
     Driver,
 }
@@ -117,9 +113,7 @@ impl Phase {
             Phase::Forward => "forward",
             Phase::Finalizer => "finalizer",
             Phase::Accumulation => "accumulation",
-            Phase::Compute => "compute",
             Phase::Sync => "sync",
-            Phase::Recovery => "recovery",
             Phase::Driver => "driver",
         }
     }
@@ -138,7 +132,7 @@ pub enum MessageClass {
     /// Retransmissions and acknowledgements from the reliable-delivery
     /// layer (`crates/faults` masking).
     RetryAck,
-    /// Anything else (setup, analytics baselines, tests).
+    /// Anything else (setup, baselines, tests).
     Control,
 }
 

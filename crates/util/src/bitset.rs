@@ -77,11 +77,6 @@ impl DenseBitset {
         self.words[i / 64] & (1 << (i % 64)) != 0
     }
 
-    /// Clears every bit, keeping the capacity.
-    pub fn clear_all(&mut self) {
-        self.words.fill(0);
-    }
-
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -151,12 +146,6 @@ impl DenseBitset {
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a &= b;
         }
-    }
-
-    /// Approximate heap footprint in bytes (used by communication-volume
-    /// accounting when a bitset is shipped as message metadata).
-    pub fn byte_size(&self) -> usize {
-        self.words.len() * 8
     }
 }
 

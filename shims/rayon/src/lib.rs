@@ -5,7 +5,7 @@
 //! levels, deliberately:
 //!
 //! * **Data-parallel iterators** (`par_iter`, `par_iter_mut`,
-//!   `par_chunks`, `into_par_iter`) run *sequentially*. Every algorithm
+//!   `into_par_iter`) run *sequentially*. Every algorithm
 //!   in this repository is deterministic and order-insensitive over these
 //!   loops, so sequential execution is semantically identical — only
 //!   wall-clock parallelism is lost, which the simulation's modeled times
@@ -15,8 +15,8 @@
 //!   concurrent workers stealing from a shared deque.
 //!
 //! [`SeqIter`] implements [`Iterator`] and adds inherent shims for the
-//! rayon-only methods used here (`map` keeps the wrapper type so a
-//! downstream rayon-style `reduce(identity, op)` resolves).
+//! rayon-style combinators used here (`map` keeps the wrapper type so
+//! later combinators in the chain resolve on it too).
 
 /// Sequential stand-in for a rayon parallel iterator.
 ///
@@ -65,20 +65,6 @@ impl<I: Iterator> SeqIter<I> {
     pub fn zip<J: IntoIterator>(self, other: J) -> SeqIter<std::iter::Zip<I, J::IntoIter>> {
         SeqIter(self.0.zip(other))
     }
-
-    /// rayon's `reduce`: identity + associative fold (std's `reduce`
-    /// takes no identity, hence the inherent shadow).
-    pub fn reduce<ID, OP>(mut self, identity: ID, op: OP) -> I::Item
-    where
-        ID: Fn() -> I::Item,
-        OP: Fn(I::Item, I::Item) -> I::Item,
-    {
-        let mut acc = identity();
-        for x in self.0.by_ref() {
-            acc = op(acc, x);
-        }
-        acc
-    }
 }
 
 /// The rayon prelude: the traits that hang `par_*` methods on std types.
@@ -95,21 +81,15 @@ pub mod prelude {
 
     impl<T: IntoIterator + Sized> IntoParallelIterator for T {}
 
-    /// `par_iter()` / `par_chunks()` on slices.
+    /// `par_iter()` on slices.
     pub trait ParallelSlice<T> {
         /// Shared parallel iteration (sequential here).
         fn par_iter(&self) -> SeqIter<std::slice::Iter<'_, T>>;
-        /// Parallel chunking (sequential here).
-        fn par_chunks(&self, chunk_size: usize) -> SeqIter<std::slice::Chunks<'_, T>>;
     }
 
     impl<T> ParallelSlice<T> for [T] {
         fn par_iter(&self) -> SeqIter<std::slice::Iter<'_, T>> {
             SeqIter(self.iter())
-        }
-
-        fn par_chunks(&self, chunk_size: usize) -> SeqIter<std::slice::Chunks<'_, T>> {
-            SeqIter(self.chunks(chunk_size))
         }
     }
 
@@ -190,16 +170,6 @@ mod tests {
                 *x += *y + i as i32;
             });
         assert_eq!(a, vec![11, 23, 35]);
-    }
-
-    #[test]
-    fn rayon_style_reduce() {
-        let v: Vec<u64> = (0..100).collect();
-        let total = v
-            .par_chunks(7)
-            .map(|c| c.iter().sum::<u64>())
-            .reduce(|| 0, |a, b| a + b);
-        assert_eq!(total, 4950);
     }
 
     #[test]

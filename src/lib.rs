@@ -45,7 +45,6 @@
 //! See `DESIGN.md` for the system inventory and the per-experiment index,
 //! and `EXPERIMENTS.md` for paper-vs-measured results.
 
-pub use mrbc_analytics as analytics;
 pub use mrbc_congest as congest;
 pub use mrbc_core::{bc, Algorithm, BcConfig, BcResult};
 pub use mrbc_dgalois as dgalois;
@@ -55,9 +54,7 @@ pub use mrbc_util as util;
 
 /// Convenient single-import surface for examples and downstream users.
 pub mod prelude {
-    pub use mrbc_core::{
-        bc, brandes, postprocess, tune_batch_size, weighted, Algorithm, BcConfig, BcResult,
-    };
+    pub use mrbc_core::{bc, brandes, postprocess, tune_batch_size, Algorithm, BcConfig, BcResult};
     pub use mrbc_dgalois::{partition, BspStats, CostModel, DistGraph, PartitionPolicy};
     pub use mrbc_faults::{FaultPlan, FaultSession, RecoveryStats};
     pub use mrbc_graph::generators::{

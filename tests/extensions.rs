@@ -1,26 +1,11 @@
-//! Integration tests for the paper-referenced extensions: weighted BC,
-//! the batch autotuner, σ-precision approximation, eager-vs-delayed
-//! synchronization, and the analytics programs sharing the substrate.
+//! Integration tests for the paper-referenced extensions: the batch
+//! autotuner, σ-precision approximation, and eager-vs-delayed
+//! synchronization.
 
 use mrbc::prelude::*;
-use mrbc_analytics::{connected_components, pagerank, pagerank_sequential, sssp, PageRankConfig};
 use mrbc_core::congest::mrbc::{mrbc_bc_with_precision, SigmaPrecision, TerminationMode};
 use mrbc_core::dist::mrbc::{mrbc_bc_with_options, MrbcOptions};
-use mrbc_core::weighted;
-use mrbc_graph::weighted::WeightedCsrGraph;
 use proptest::prelude::*;
-
-#[test]
-fn weighted_bc_agrees_across_sequential_and_parallel() {
-    let g = generators::web_crawl(WebCrawlConfig::new(400), 3);
-    let wg = WeightedCsrGraph::random(&g, 8, 5);
-    let sources = sample::uniform_sources(g.num_vertices(), 32, 2);
-    let seq = weighted::bc_sources_weighted(&wg, &sources);
-    let par = weighted::bc_sources_weighted_parallel(&wg, &sources);
-    for (a, b) in seq.iter().zip(&par) {
-        assert!((a - b).abs() < 1e-9 * b.abs().max(1.0));
-    }
-}
 
 #[test]
 fn tuner_agrees_with_exhaustive_sweep() {
@@ -67,33 +52,6 @@ fn sigma_precision_trades_bits_for_bounded_error() {
     }
 }
 
-#[test]
-fn analytics_share_one_partition() {
-    let g = generators::rmat(RmatConfig::new(8, 6), 11);
-    let dg = partition(&g, 4, PartitionPolicy::CartesianVertexCut);
-
-    let pr = pagerank(&g, &dg, &PageRankConfig::default());
-    let want = pagerank_sequential(&g, &PageRankConfig::default());
-    for (a, b) in pr.ranks.iter().zip(&want) {
-        assert!((a - b).abs() < 1e-9);
-    }
-
-    let cc = connected_components(&g, &dg);
-    assert!(cc.num_components >= 1);
-
-    let wg = WeightedCsrGraph::unit(&g);
-    let sp = sssp(&wg, &dg, 0);
-    let bfs = algo::bfs_distances(&g, 0);
-    for (v, &d) in bfs.iter().enumerate() {
-        let want = if d == mrbc_graph::INF_DIST {
-            mrbc_graph::weighted::INF_WDIST
-        } else {
-            d as u64
-        };
-        assert_eq!(sp.dist[v], want);
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -126,21 +84,5 @@ proptest! {
         }
         // Eager can never synchronize fewer items than delayed.
         prop_assert!(e.stats.total_sync_items() >= d.stats.total_sync_items());
-    }
-
-    #[test]
-    fn prop_weighted_unit_equals_unweighted_through_public_api(
-        n in 3usize..25,
-        raw in proptest::collection::vec((0u32..25, 0u32..25), 0..70),
-    ) {
-        let edges: Vec<(u32, u32)> =
-            raw.into_iter().map(|(u, v)| (u % n as u32, v % n as u32)).collect();
-        let g = GraphBuilder::new(n).edges(edges).build();
-        let wg = WeightedCsrGraph::unit(&g);
-        let got = weighted::bc_exact_weighted(&wg);
-        let want = brandes::bc_exact(&g);
-        for (a, b) in got.iter().zip(&want) {
-            prop_assert!((a - b).abs() < 1e-9 * b.abs().max(1.0));
-        }
     }
 }

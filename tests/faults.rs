@@ -1,72 +1,10 @@
-//! End-to-end fault-injection and recovery: crash + checkpoint runs of
-//! the BSP analytics programs must reproduce the fault-free results
-//! exactly, across a grid of (crash round, checkpoint interval) choices,
-//! and the whole-driver BC path must mask network faults bitwise.
+//! End-to-end fault injection: the whole-driver BC path must mask network
+//! faults bitwise under every distributed algorithm.
 
 use mrbc::prelude::*;
-use mrbc_analytics::{
-    connected_components, connected_components_with_faults, pagerank, pagerank_with_faults,
-    PageRankConfig,
-};
 
 fn plan(spec: &str) -> FaultPlan {
     spec.parse().unwrap_or_else(|e| panic!("{spec:?}: {e}"))
-}
-
-#[test]
-fn pagerank_crash_recovery_grid() {
-    // Rollback replay must be exact for every combination of when the
-    // crash fires and how stale the last checkpoint is.
-    let g = generators::rmat(RmatConfig::new(7, 6), 21);
-    let dg = partition(&g, 4, PartitionPolicy::CartesianVertexCut);
-    let cfg = PageRankConfig {
-        max_iterations: 40,
-        ..PageRankConfig::default()
-    };
-    let clean = pagerank(&g, &dg, &cfg);
-    for (crash_round, interval) in [(2u32, 1u32), (3, 2), (6, 4), (9, 3), (5, 8)] {
-        let spec = format!("crash:host=2@round={crash_round};seed=11");
-        let session = FaultSession::new(plan(&spec));
-        let (got, rec) = pagerank_with_faults(&g, &dg, &cfg, &session, interval);
-        assert_eq!(
-            clean.ranks, got.ranks,
-            "(r={crash_round}, k={interval}): ranks must be bitwise-identical"
-        );
-        assert_eq!(clean.iterations, got.iterations);
-        assert_eq!(rec.crashes, 1, "(r={crash_round}, k={interval})");
-        assert_eq!(rec.rollbacks, 1);
-        // Replay is bounded by the checkpoint staleness: at most
-        // interval − 1 committed rounds plus the crashed round itself,
-        // plus the round that observed the crash.
-        assert!(
-            rec.rounds_replayed <= interval as u64 + 1,
-            "(r={crash_round}, k={interval}): replayed {}",
-            rec.rounds_replayed
-        );
-        assert!(rec.checkpoints >= 1);
-    }
-}
-
-#[test]
-fn cc_phoenix_recovery_grid() {
-    // The self-correcting path absorbs crashes without any rollback and
-    // still lands on the exact fault-free fixpoint.
-    let g = generators::barabasi_albert(150, 2, 13);
-    let dg = partition(&g, 4, PartitionPolicy::BlockedEdgeCut);
-    let clean = connected_components(&g, &dg);
-    for (crash_round, interval) in [(1u32, 2u32), (2, 5), (4, 3)] {
-        let spec = format!("crash:host=1@round={crash_round};drop:p=0.02;seed=29");
-        let session = FaultSession::new(plan(&spec));
-        let (got, rec) = connected_components_with_faults(&g, &dg, &session, interval);
-        assert_eq!(
-            clean.num_components, got.num_components,
-            "(r={crash_round}, k={interval})"
-        );
-        assert_eq!(clean.labels, got.labels);
-        assert_eq!(rec.crashes, 1);
-        assert_eq!(rec.phoenix_restarts, 1, "self-correcting path, no rollback");
-        assert_eq!(rec.rollbacks, 0);
-    }
 }
 
 #[test]
@@ -108,28 +46,4 @@ fn driver_bc_masks_network_faults_under_every_algorithm() {
             alg.name()
         );
     }
-}
-
-#[test]
-fn crash_plus_network_faults_compose() {
-    // Crashes during a run that is *also* dropping and delaying messages:
-    // both recovery mechanisms fire and the result is still exact.
-    // An irregular graph, so PageRank actually iterates past the planned
-    // crash rounds (on a regular graph the uniform ranks converge
-    // immediately and no crash would fire).
-    let g = generators::barabasi_albert(120, 3, 33);
-    let dg = partition(&g, 4, PartitionPolicy::CartesianVertexCut);
-    let cfg = PageRankConfig {
-        max_iterations: 25,
-        ..PageRankConfig::default()
-    };
-    let clean = pagerank(&g, &dg, &cfg);
-    let spec =
-        "crash:host=0@round=4;crash:host=3@round=10;drop:p=0.05;delay:pair=1-2,rounds=1;seed=77";
-    let session = FaultSession::new(plan(spec));
-    let (got, rec) = pagerank_with_faults(&g, &dg, &cfg, &session, 3);
-    assert_eq!(clean.ranks, got.ranks);
-    assert_eq!(rec.crashes, 2);
-    assert_eq!(rec.rollbacks, 2);
-    assert!(rec.drops > 0 && rec.retry_bytes > 0);
 }
