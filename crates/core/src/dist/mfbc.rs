@@ -240,8 +240,8 @@ fn sync_dense(
     for &v in frontier {
         let own = dg.owner(v) as usize;
         for &mh in dg.mirror_hosts(v) {
-            reduce.send(mh as usize, own, (), row_bytes);
-            bcast.send(own, mh as usize, (), row_bytes);
+            reduce.count(mh as usize, own, 1, row_bytes);
+            bcast.count(own, mh as usize, 1, row_bytes);
         }
     }
     reduce.finish_reliable(dg, PhaseDir::Reduce, comm, link.as_deref_mut());

@@ -21,27 +21,28 @@
 //! [`MrbcSpmd`], the only MRBC state machine (the TCP mesh steps the same
 //! machine). [`mrbc_bc`] steps it in-process on typed per-host
 //! `Pushes`, with no serialization. Each round the machine first picks
-//! the labels whose send condition fires; the driver then accounts
-//! Gluon's reduce/broadcast for them (reduce mirrors → master, sum σ / δ
-//! partials, broadcast the reconciled value to every mirror that consumes
-//! it); every host applies that broadcast to its proxies and pushes the
-//! finalized labels along its local edges; and the machine merges the
-//! pushes in host order. Hosts run one after another on one thread. The
-//! authoritative pipelining schedule is kept per global vertex, which is
-//! exactly the CONGEST semantics the correctness lemmas are stated for
-//! (each host's flag is a subset of the global flag; Gluon synchronizes
-//! the union).
+//! the labels whose send condition fires and buckets them by the hosts
+//! that hold a proxy of their vertex; every host then applies Gluon's
+//! reduce/broadcast (reduce mirrors → master, sum σ / δ partials,
+//! broadcast the reconciled value to every mirror that consumes it) to
+//! the proxies of its bucket and pushes those labels along its local
+//! edges; and the machine merges the pushes in host order. Hosts run one
+//! after another on one thread. The authoritative pipelining schedule is
+//! kept per global vertex, which is exactly the CONGEST semantics the
+//! correctness lemmas are stated for (each host's flag is a subset of the
+//! global flag; Gluon synchronizes the union).
 //!
-//! Traffic is only counted: the [`ReliableLink`] of
+//! Traffic is only counted, where the proxy is touched: each host's
+//! apply pass counts the sync items it moves, and the [`ReliableLink`] of
 //! [`mrbc_bc_with_faults`] retries the counted messages, while the labels
-//! move through the typed pushes. Eager mode (the ablation) accounts
-//! every proxy label a step pushed and never writes the reconciled value
-//! back to mirror proxies, so its column charges broadcasts to mirrors
-//! that never receive them.
+//! move through the typed pushes. Eager mode (the ablation) counts every
+//! proxy label a step pushed and never writes the reconciled value back
+//! to mirror proxies, so its column charges broadcasts to mirrors that
+//! never receive them.
 
 use super::spmd::{self, MrbcSpmd};
 use super::{DistBcOutcome, MRBC_ITEM_BYTES};
-use crate::schedule::SendSchedule;
+use crate::schedule::{Flag, SendSchedule};
 use mrbc_dgalois::comm::{Exchange, PhaseDir, RoundComm};
 use mrbc_dgalois::spmd::SpmdProgram;
 use mrbc_dgalois::{BspStats, DistGraph, ReliableLink};
@@ -174,7 +175,6 @@ fn run(
         if let Some(l) = link.as_deref_mut() {
             l.begin_round(stats.num_rounds() + 1);
         }
-        let mut comm = RoundComm::new(dg.num_hosts);
         if let Some((_, run)) = prog.current() {
             if let spmd::Phase::Forward { round } = run.phase {
                 if mrbc_obs::verbose_enabled() {
@@ -185,20 +185,27 @@ fn run(
                     ));
                 }
             }
-            // SYNC: delayed mode reduces + broadcasts exactly the flagged
-            // labels; eager mode synchronizes whatever the previous step
-            // pushed (Gluon's default behavior).
-            if options.delayed_sync {
-                run.batch
-                    .sync_flags(&run.flags, &mut comm, forward, link.as_deref_mut());
-            } else {
-                eager_sync(dg, &mut eager, &mut comm, link.as_deref_mut());
+            // Debug builds check Gluon's reduce before the apply passes
+            // overwrite the partials it sums.
+            if cfg!(debug_assertions) && options.delayed_sync {
+                let (flags, buckets) = (&run.flags, &run.buckets);
+                run.batch.check_reduce(flags, buckets, forward);
             }
         }
-        // COMPUTE: every host applies the sync to its proxies and pushes
-        // the flagged labels along its local edges.
+        // COMPUTE: every host applies the sync to its proxies, counting
+        // it, and pushes the flagged labels along its local edges.
         let pushes: Vec<Pushes> = (0..dg.num_hosts).map(|h| prog.push(h)).collect();
-        if !options.delayed_sync {
+        // SYNC: delayed mode prices exactly the flagged labels the apply
+        // passes counted; eager mode synchronizes whatever the previous
+        // step pushed (Gluon's default behavior).
+        let mut comm = RoundComm::new(dg.num_hosts);
+        if options.delayed_sync {
+            if let Some((reduce, bcast)) = prog.take_sync() {
+                reduce.finish_reliable(dg, PhaseDir::Reduce, &mut comm, link.as_deref_mut());
+                bcast.finish_reliable(dg, PhaseDir::Broadcast, &mut comm, link.as_deref_mut());
+            }
+        } else {
+            eager_sync(dg, &mut eager, &mut comm, link.as_deref_mut());
             for (h, (records, _)) in pushes.iter().enumerate() {
                 eager.extend(records.iter().map(|&(gu, j, _, _)| (h as u16, gu, j)));
             }
@@ -261,7 +268,7 @@ fn eager_sync(
     for &(h, v, _) in &contributors {
         let own = dg.owner(v) as usize;
         if h as usize != own {
-            reduce.send(h as usize, own, (), MRBC_ITEM_BYTES);
+            reduce.count(h as usize, own, 1, MRBC_ITEM_BYTES);
         }
     }
     // ... and each distinct (v, j) broadcasts to every mirror.
@@ -271,7 +278,7 @@ fn eager_sync(
     for &(v, _) in &labels {
         let own = dg.owner(v) as usize;
         for &mh in dg.mirror_hosts(v) {
-            bcast.send(own, mh as usize, (), MRBC_ITEM_BYTES);
+            bcast.count(own, mh as usize, 1, MRBC_ITEM_BYTES);
         }
     }
     reduce.finish_reliable(dg, PhaseDir::Reduce, comm, link.as_deref_mut());
@@ -283,6 +290,29 @@ fn eager_sync(
 /// candidate distance and `value` the σ contribution; backward, `x` is
 /// the pushing vertex and `value` its δ contribution.
 pub(crate) type Pushes = (Vec<(u32, u32, u32, f64)>, u64);
+
+/// One flag as a host holding a proxy of its vertex sees it: `(index into
+/// the step's flags, the host's local id of the vertex, the vertex's owner
+/// host)`.
+pub(crate) type ProxyFlag = (u32, u32, u16);
+
+/// Buckets a step's flags by proxy host (§4.3's proxy rule): `buckets[h]`
+/// lists, in flag order, every flag whose vertex has its master or a
+/// mirror on `h`. One walk over the owner + mirrors of each flag replaces
+/// a filter of the whole flag list per host. Keeps the buckets' capacity.
+pub(crate) fn bucket_flags(dg: &DistGraph, flags: &[Flag], buckets: &mut [Vec<ProxyFlag>]) {
+    for bucket in buckets.iter_mut() {
+        bucket.clear();
+    }
+    for (i, &(v, _, _)) in flags.iter().enumerate() {
+        let own = dg.owner(v);
+        for h in std::iter::once(own).chain(dg.mirror_hosts(v).iter().copied()) {
+            // lint: allow(unwrap): the owner and every mirror host hold a proxy of `v`
+            let l = dg.local(h as usize, v).expect("proxy on owner or mirror");
+            buckets[h as usize].push((i as u32, l, own));
+        }
+    }
+}
 
 /// Per-host proxy labels for one batch: the partial (pre-reduce) values
 /// accumulated from local edges, flat over `(local proxy, source)`.
@@ -314,22 +344,23 @@ pub(crate) struct Batch<'a> {
     pub(crate) hosts: Vec<HostState>,
 }
 
-/// Forward push kernel for one host: relax the flagged labels along the
-/// host's local out-edges, updating its proxy partials. Runs inside
-/// [`MrbcSpmd`]'s step for host `h`.
+/// Forward push kernel for one host: relax the flagged labels of the
+/// host's `bucket` along its local out-edges, updating its proxy
+/// partials. Runs inside [`MrbcSpmd`]'s step for host `h`.
 pub(crate) fn fwd_push_host(
     dg: &DistGraph,
     h: usize,
     k: usize,
     sigma_g: &[f64],
     hs: &mut HostState,
-    flags: &[(u32, u32, u32)],
+    flags: &[Flag],
+    bucket: &[ProxyFlag],
 ) -> Pushes {
     let topo = &dg.hosts[h];
     let mut out: Vec<(u32, u32, u32, f64)> = Vec::new();
     let mut w = 0u64;
-    for &(v, j, d) in flags {
-        let Some(lv) = dg.local(h, v) else { continue };
+    for &(i, lv, _) in bucket {
+        let (v, j, d) = flags[i as usize];
         // Schedule scan + sync bookkeeping for this label.
         w += 2;
         let sig = sigma_g[v as usize * k + j as usize];
@@ -358,9 +389,9 @@ pub(crate) fn fwd_push_host(
     (out, w)
 }
 
-/// Backward push kernel for one host: push `(1 + δ)/σ` to shortest-path
-/// predecessors along the host's local in-edges. Runs inside
-/// [`MrbcSpmd`]'s step for host `h`.
+/// Backward push kernel for one host: push `(1 + δ)/σ` of the flagged
+/// labels in the host's `bucket` to shortest-path predecessors along its
+/// local in-edges. Runs inside [`MrbcSpmd`]'s step for host `h`.
 #[allow(clippy::too_many_arguments)] // kernel boundary: three global views + per-host state
 pub(crate) fn bwd_push_host(
     dg: &DistGraph,
@@ -370,13 +401,14 @@ pub(crate) fn bwd_push_host(
     sigma_g: &[f64],
     delta_g: &[f64],
     hs: &mut HostState,
-    flags: &[(u32, u32, u32)],
+    flags: &[Flag],
+    bucket: &[ProxyFlag],
 ) -> Pushes {
     let topo = &dg.hosts[h];
     let mut out = Vec::new();
     let mut w = 0u64;
-    for &(v, j, dv) in flags {
-        let Some(lv) = dg.local(h, v) else { continue };
+    for &(i, lv, _) in bucket {
+        let (v, j, dv) = flags[i as usize];
         w += 2;
         let gidx = v as usize * k + j as usize;
         let m = (1.0 + delta_g[gidx]) / sigma_g[gidx];
@@ -478,138 +510,95 @@ impl<'a> Batch<'a> {
         }
     }
 
-    /// Applies the broadcast leg of one delayed sync to a single host: for
-    /// every flagged `(v, j)` with a proxy on `h` that consumes the value
-    /// (or is the master), overwrite the proxy partial with the reconciled
-    /// authoritative value. This is the *only* state mutation a sync
-    /// performs; [`MrbcSpmd`]'s step runs it for host `h` just before
-    /// `h`'s pushes. Eager mode never calls it.
+    /// Applies one delayed sync to host `h`'s proxies of the flagged labels
+    /// in its `bucket`, and counts it there: a mirror proxy that holds a
+    /// partial (`d ≠ ∞` forward, `δ ≠ 0` backward) counts one `reduce`
+    /// item to the owner before it is overwritten; every proxy that
+    /// consumes the reconciled value (or is the master) takes it, and a
+    /// consuming mirror counts one `bcast` item from the owner. This is the
+    /// *only* state mutation a sync performs; [`MrbcSpmd`]'s step runs it
+    /// for host `h` just before `h`'s pushes, and each flag touches its own
+    /// `(v, j)` slots only (at most one flag per vertex per round). Eager
+    /// mode never calls it.
     pub(crate) fn apply_sync_to_host(
         &mut self,
         h: usize,
-        flags: &[(u32, u32, u32)],
+        flags: &[Flag],
+        bucket: &[ProxyFlag],
         forward: bool,
+        reduce: &mut Exchange<()>,
+        bcast: &mut Exchange<()>,
     ) {
         let k = self.k;
-        for &(v, j, _) in flags {
-            let own = self.dg.owner(v) as usize;
-            let Some(l) = self.dg.local(h, v) else {
-                continue;
-            };
-            let consumes = if forward {
-                self.dg.hosts[h].graph.out_degree(l) > 0
-            } else {
-                self.dg.hosts[h].in_graph.out_degree(l) > 0
-            };
-            if !consumes && h != own {
-                continue;
-            }
+        let topo = &self.dg.hosts[h];
+        let hs = &mut self.hosts[h];
+        for &(i, l, own) in bucket {
+            let (v, j, _) = flags[i as usize];
+            let own = own as usize;
             let gidx = v as usize * k + j as usize;
             let lidx = l as usize * k + j as usize;
-            let d_final = self.dist_g[gidx];
-            let sig = self.sigma_g[gidx];
-            let del = self.delta_g[gidx];
-            let hs = &mut self.hosts[h];
+            if h != own {
+                let partial = if forward {
+                    hs.dist[lidx] != INF_DIST
+                } else {
+                    hs.delta[lidx] != 0.0
+                };
+                if partial {
+                    reduce.count(h, own, 1, MRBC_ITEM_BYTES);
+                }
+                // Gluon "automatically exploits partitioning constraints
+                // to avoid the default all-reduce" (Section 4.1): a proxy
+                // consumes the forward (d, σ) only to push along local
+                // out-edges, and the backward δ only to push along local
+                // in-edges, so mirrors without such edges are skipped —
+                // e.g. under the Cartesian vertex-cut, forward values flow
+                // only to the owner's grid row and δ only to its column.
+                let local_edges = if forward { &topo.graph } else { &topo.in_graph };
+                if local_edges.out_degree(l) == 0 {
+                    continue;
+                }
+                bcast.count(own, h, 1, MRBC_ITEM_BYTES);
+            }
             if forward {
-                hs.dist[lidx] = d_final;
-                hs.sigma[lidx] = sig;
+                hs.dist[lidx] = self.dist_g[gidx];
+                hs.sigma[lidx] = self.sigma_g[gidx];
                 hs.synced.set(lidx);
             } else {
-                hs.delta[lidx] = del;
+                hs.delta[lidx] = self.delta_g[gidx];
             }
         }
     }
 
-    /// Accounts one delayed reduce + broadcast cycle for the flagged
-    /// labels: in the forward phase (d, σ) is reconciled; in the backward
-    /// phase δ. Read-only: it runs before the step's pushes, whose
-    /// [`Self::apply_sync_to_host`] performs the broadcast's writes. The
-    /// two commute because each flag touches its own `(v, j)` slots only
-    /// (at most one flag per vertex per round).
-    pub(crate) fn sync_flags(
-        &self,
-        flags: &[(u32, u32, u32)],
-        comm: &mut RoundComm,
-        forward: bool,
-        mut link: Option<&mut ReliableLink<'_>>,
-    ) {
+    /// Checks Gluon's reduce for the flagged labels before any host
+    /// applies it: each label's partials, summed over every proxy in
+    /// `buckets`, must match its authoritative σ (forward; only partials
+    /// at the final distance count) or δ (backward).
+    pub(crate) fn check_reduce(&self, flags: &[Flag], buckets: &[Vec<ProxyFlag>], forward: bool) {
         let k = self.k;
-        let mut reduce: Exchange<()> = Exchange::new(self.dg.num_hosts);
-        let mut bcast: Exchange<()> = Exchange::new(self.dg.num_hosts);
-        for &(v, j, _) in flags {
-            let gidx = v as usize * k + j as usize;
-            let own = self.dg.owner(v) as usize;
-            let mut reduced_sigma = 0.0f64;
-            let mut reduced_delta = 0.0f64;
-            let d_final = self.dist_g[gidx];
-            // Reduce: every proxy (mirrors and master alike) contributes
-            // its partial; mirror contributions cross the network.
-            for h in std::iter::once(own).chain(self.dg.mirror_hosts(v).iter().map(|&m| m as usize))
-            {
-                let Some(l) = self.dg.local(h, v) else {
-                    continue;
-                };
+        let mut sums = vec![0.0f64; flags.len()];
+        for (hs, bucket) in self.hosts.iter().zip(buckets) {
+            for &(i, l, _) in bucket {
+                let (v, j, _) = flags[i as usize];
                 let lidx = l as usize * k + j as usize;
-                let hs = &self.hosts[h];
-                if forward {
-                    if hs.dist[lidx] == d_final {
-                        reduced_sigma += hs.sigma[lidx];
-                    }
-                    if h != own && hs.dist[lidx] != INF_DIST {
-                        reduce.send(h, own, (), MRBC_ITEM_BYTES);
-                    }
-                } else {
-                    reduced_delta += hs.delta[lidx];
-                    if h != own && hs.delta[lidx] != 0.0 {
-                        reduce.send(h, own, (), MRBC_ITEM_BYTES);
-                    }
-                }
-            }
-            if forward {
-                debug_assert!(
-                    (reduced_sigma - self.sigma_g[gidx]).abs()
-                        <= 1e-9 * self.sigma_g[gidx].max(1.0),
-                    "σ reduce mismatch: {} vs {}",
-                    reduced_sigma,
-                    self.sigma_g[gidx]
-                );
-            } else {
-                debug_assert!(
-                    (reduced_delta - self.delta_g[gidx]).abs()
-                        <= 1e-9 * self.delta_g[gidx].abs().max(1.0),
-                    "δ reduce mismatch: {} vs {}",
-                    reduced_delta,
-                    self.delta_g[gidx]
-                );
-            }
-            // Broadcast the reconciled value to every proxy that can use
-            // it. Gluon "automatically exploits partitioning constraints
-            // to avoid the default all-reduce" (Section 4.1): a proxy
-            // consumes the forward (d, σ) only to push along local
-            // out-edges, and the backward δ only to push along local
-            // in-edges, so mirrors without such edges are skipped —
-            // e.g. under the Cartesian vertex-cut, forward values flow
-            // only to the owner's grid row and δ only to its column.
-            for h in std::iter::once(own).chain(self.dg.mirror_hosts(v).iter().map(|&m| m as usize))
-            {
-                let Some(l) = self.dg.local(h, v) else {
-                    continue;
-                };
-                let consumes = if forward {
-                    self.dg.hosts[h].graph.out_degree(l) > 0
-                } else {
-                    self.dg.hosts[h].in_graph.out_degree(l) > 0
-                };
-                if !consumes && h != own {
-                    continue;
-                }
-                if h != own {
-                    bcast.send(own, h, (), MRBC_ITEM_BYTES);
+                if !forward {
+                    sums[i as usize] += hs.delta[lidx];
+                } else if hs.dist[lidx] == self.dist_g[v as usize * k + j as usize] {
+                    sums[i as usize] += hs.sigma[lidx];
                 }
             }
         }
-        reduce.finish_reliable(self.dg, PhaseDir::Reduce, comm, link.as_deref_mut());
-        bcast.finish_reliable(self.dg, PhaseDir::Broadcast, comm, link);
+        for (&(v, j, _), got) in flags.iter().zip(sums) {
+            let gidx = v as usize * k + j as usize;
+            let want = if forward {
+                self.sigma_g[gidx]
+            } else {
+                self.delta_g[gidx]
+            };
+            assert!(
+                (got - want).abs() <= 1e-9 * want.abs().max(1.0),
+                "reduce mismatch for ({v}, {j}): {got} vs {want}"
+            );
+        }
     }
 
     /// Buckets the accumulation agenda by backward round:
@@ -679,6 +668,12 @@ mod tests {
     use mrbc_graph::generators;
     use proptest::prelude::*;
 
+    const POLICIES: [PartitionPolicy; 3] = [
+        PartitionPolicy::BlockedEdgeCut,
+        PartitionPolicy::HashedEdgeCut,
+        PartitionPolicy::CartesianVertexCut,
+    ];
+
     fn assert_bc_close(got: &[f64], want: &[f64]) {
         for (i, (g, w)) in got.iter().zip(want).enumerate() {
             assert!(
@@ -693,11 +688,7 @@ mod tests {
         let g = generators::rmat(generators::RmatConfig::new(6, 5), 21);
         let sources: Vec<u32> = (0..16).collect();
         let want = brandes::bc_sources(&g, &sources);
-        for policy in [
-            PartitionPolicy::BlockedEdgeCut,
-            PartitionPolicy::HashedEdgeCut,
-            PartitionPolicy::CartesianVertexCut,
-        ] {
+        for policy in POLICIES {
             for hosts in [1, 2, 4] {
                 let dg = partition(&g, hosts, policy);
                 let out = mrbc_bc(&g, &dg, &sources, 8);
@@ -836,10 +827,16 @@ mod tests {
             prop_assert_eq!(&flags, &b.schedule.scan_flags(round), "round {}", round);
             sent += flags.len() as u64;
             b.mark_flags(&flags, round);
+            let mut buckets = vec![Vec::new(); dg.num_hosts];
+            bucket_flags(dg, &flags, &mut buckets);
+            b.check_reduce(&flags, &buckets, true);
+            let mut reduce: Exchange<()> = Exchange::new(dg.num_hosts);
+            let mut bcast: Exchange<()> = Exchange::new(dg.num_hosts);
             let pushes: Vec<Pushes> = (0..dg.num_hosts)
                 .map(|h| {
-                    b.apply_sync_to_host(h, &flags, true);
-                    fwd_push_host(dg, h, b.k, &b.sigma_g, &mut b.hosts[h], &flags)
+                    let bucket = &buckets[h];
+                    b.apply_sync_to_host(h, &flags, bucket, true, &mut reduce, &mut bcast);
+                    fwd_push_host(dg, h, b.k, &b.sigma_g, &mut b.hosts[h], &flags, bucket)
                 })
                 .collect();
             for (gu, j, d_new, sig) in pushes.into_iter().flat_map(|(p, _)| p) {
@@ -849,6 +846,147 @@ mod tests {
         let reachable = b.dist_g.iter().filter(|&&d| d != INF_DIST).count() as u64;
         prop_assert_eq!(sent, reachable);
         Ok(())
+    }
+
+    /// Reference for the delayed sync the apply passes count: two walks
+    /// over every flag's owner + mirrors, staging one item per send, run
+    /// before the step's pushes on the pre-step proxies.
+    fn sync_flags(b: &Batch<'_>, flags: &[Flag], comm: &mut RoundComm, forward: bool) {
+        let (dg, k) = (b.dg, b.k);
+        let mut reduce: Exchange<()> = Exchange::new(dg.num_hosts);
+        let mut bcast: Exchange<()> = Exchange::new(dg.num_hosts);
+        for &(v, j, _) in flags {
+            let own = dg.owner(v) as usize;
+            let proxies =
+                std::iter::once(own).chain(dg.mirror_hosts(v).iter().map(|&m| m as usize));
+            // Reduce: mirror partials cross the network.
+            for h in proxies.clone() {
+                let Some(l) = dg.local(h, v) else { continue };
+                let lidx = l as usize * k + j as usize;
+                let hs = &b.hosts[h];
+                let partial = if forward {
+                    hs.dist[lidx] != INF_DIST
+                } else {
+                    hs.delta[lidx] != 0.0
+                };
+                if h != own && partial {
+                    reduce.send(h, own, (), MRBC_ITEM_BYTES);
+                }
+            }
+            // Broadcast to every mirror that consumes the value.
+            for h in proxies {
+                let Some(l) = dg.local(h, v) else { continue };
+                let consumes = if forward {
+                    dg.hosts[h].graph.out_degree(l) > 0
+                } else {
+                    dg.hosts[h].in_graph.out_degree(l) > 0
+                };
+                if h != own && consumes {
+                    bcast.send(own, h, (), MRBC_ITEM_BYTES);
+                }
+            }
+        }
+        reduce.finish(dg, PhaseDir::Reduce, comm);
+        bcast.finish(dg, PhaseDir::Broadcast, comm);
+    }
+
+    /// Reference for [`eager_sync`]: one staged item per distinct
+    /// `(host, v, j)` reduce and per mirror of each distinct `(v, j)`.
+    fn eager_sync_staged(dg: &DistGraph, updates: &mut Vec<(u16, u32, u32)>, comm: &mut RoundComm) {
+        if updates.is_empty() {
+            return;
+        }
+        let mut reduce: Exchange<()> = Exchange::new(dg.num_hosts);
+        let mut bcast: Exchange<()> = Exchange::new(dg.num_hosts);
+        let mut contributors = std::mem::take(updates);
+        contributors.sort_unstable();
+        contributors.dedup();
+        for &(h, v, _) in &contributors {
+            reduce.send(h as usize, dg.owner(v) as usize, (), MRBC_ITEM_BYTES);
+        }
+        let mut labels: Vec<(u32, u32)> = contributors.iter().map(|&(_, v, j)| (v, j)).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        for &(v, _) in &labels {
+            for &mh in dg.mirror_hosts(v) {
+                bcast.send(dg.owner(v) as usize, mh as usize, (), MRBC_ITEM_BYTES);
+            }
+        }
+        reduce.finish(dg, PhaseDir::Reduce, comm);
+        bcast.finish(dg, PhaseDir::Broadcast, comm);
+    }
+
+    /// Per-round traffic by the reference walks: steps the machine as
+    /// [`run`] does, but accounts each round before its pushes.
+    fn reference_rounds(
+        g: &CsrGraph,
+        dg: &DistGraph,
+        sources: &[VertexId],
+        options: &MrbcOptions,
+    ) -> Vec<RoundComm> {
+        let mut prog = MrbcSpmd::with_options(g, dg, sources, options);
+        let mut eager: Vec<(u16, u32, u32)> = Vec::new();
+        let mut seeded = None;
+        let mut rounds = Vec::new();
+        let mut step = 0;
+        while let Some((bi, run)) = prog.current() {
+            if !options.delayed_sync && run.is_forward() && seeded != Some(bi) {
+                seeded = Some(bi);
+                let seeds = prog.batch_sources(bi).iter().enumerate();
+                eager.extend(seeds.map(|(j, &s)| (dg.owner(s), s, j as u32)));
+            }
+            prog.begin_step(step);
+            step += 1;
+            let mut comm = RoundComm::new(dg.num_hosts);
+            let (_, run) = prog.current().expect("a step in progress");
+            if options.delayed_sync {
+                sync_flags(&run.batch, &run.flags, &mut comm, run.is_forward());
+            } else {
+                eager_sync_staged(dg, &mut eager, &mut comm);
+            }
+            let pushes: Vec<Pushes> = (0..dg.num_hosts).map(|h| prog.push(h)).collect();
+            if !options.delayed_sync {
+                for (h, (records, _)) in pushes.iter().enumerate() {
+                    eager.extend(records.iter().map(|&(gu, j, _, _)| (h as u16, gu, j)));
+                }
+            }
+            rounds.push(comm);
+            prog.fold_pushes(pushes).expect("fold");
+        }
+        rounds
+    }
+
+    /// Every round the driver records equals the reference walks' round.
+    fn rounds_match_reference(
+        g: &CsrGraph,
+        dg: &DistGraph,
+        sources: &[VertexId],
+        options: &MrbcOptions,
+    ) -> proptest::TestCaseResult {
+        let got = mrbc_bc_with_options(g, dg, sources, options).stats;
+        let want = reference_rounds(g, dg, sources, options);
+        prop_assert_eq!(got.rounds.len(), want.len());
+        for (r, (got, want)) in got.rounds.iter().map(|r| &r.comm).zip(&want).enumerate() {
+            prop_assert_eq!(&got.sent_bytes, &want.sent_bytes, "round {}", r);
+            prop_assert_eq!(&got.recv_bytes, &want.recv_bytes, "round {}", r);
+            prop_assert_eq!(&got.msgs_per_host, &want.msgs_per_host, "round {}", r);
+            prop_assert_eq!(got.items, want.items, "round {}", r);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn counted_sync_matches_the_walks_on_rmat_at_sixteen_hosts() {
+        let g = generators::rmat(generators::RmatConfig::new(7, 8), 31);
+        let sources: Vec<u32> = (0..24).collect();
+        let dg = partition(&g, 16, PartitionPolicy::CartesianVertexCut);
+        for delayed_sync in [true, false] {
+            let options = MrbcOptions {
+                batch_size: 8,
+                delayed_sync,
+            };
+            rounds_match_reference(&g, &dg, &sources, &options).unwrap();
+        }
     }
 
     proptest! {
@@ -869,6 +1007,29 @@ mod tests {
                 for batch in [1, 3, sources.len()] {
                     for chunk in sources.chunks(batch) {
                         forward_matches_scan(&g, &dg, chunk)?;
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn prop_counted_sync_matches_the_walks_every_round(
+            n in 2usize..24,
+            raw in proptest::collection::vec((0u32..24, 0u32..24), 0..80),
+            picks in proptest::collection::vec(0u32..24, 1..8),
+        ) {
+            let g = mrbc_graph::GraphBuilder::new(n)
+                .edges(raw.into_iter().map(|(u, v)| (u % n as u32, v % n as u32)))
+                .build();
+            let sources: Vec<u32> = picks.into_iter().map(|s| s % n as u32).collect();
+            for policy in POLICIES {
+                for hosts in 1..=4 {
+                    let dg = partition(&g, hosts, policy);
+                    for batch_size in [1, 3, sources.len()] {
+                        for delayed_sync in [true, false] {
+                            let options = MrbcOptions { batch_size, delayed_sync };
+                            rounds_match_reference(&g, &dg, &sources, &options)?;
+                        }
                     }
                 }
             }

@@ -149,7 +149,7 @@ impl<'a> SourceState<'a> {
                     reduced += self.host_sigma[h][l as usize];
                 }
                 if h != own && self.host_dist[h][l as usize] != INF_DIST {
-                    reduce.send(h, own, (), SBBC_ITEM_BYTES);
+                    reduce.count(h, own, 1, SBBC_ITEM_BYTES);
                 }
             }
             debug_assert!(
@@ -168,7 +168,7 @@ impl<'a> SourceState<'a> {
                     continue;
                 }
                 if h != own {
-                    bcast.send(own, h, (), SBBC_ITEM_BYTES);
+                    bcast.count(own, h, 1, SBBC_ITEM_BYTES);
                 }
                 self.host_dist[h][l as usize] = d;
                 self.host_sigma[h][l as usize] = sig;
@@ -269,7 +269,7 @@ impl<'a> SourceState<'a> {
                 };
                 reduced += self.host_delta[h][l as usize];
                 if h != own && self.host_delta[h][l as usize] != 0.0 {
-                    reduce.send(h, own, (), SBBC_ITEM_BYTES);
+                    reduce.count(h, own, 1, SBBC_ITEM_BYTES);
                 }
             }
             debug_assert!(
@@ -286,7 +286,7 @@ impl<'a> SourceState<'a> {
                     continue;
                 }
                 if h != own {
-                    bcast.send(own, h, (), SBBC_ITEM_BYTES);
+                    bcast.count(own, h, 1, SBBC_ITEM_BYTES);
                 }
                 self.host_delta[h][l as usize] = total;
             }

@@ -14,27 +14,33 @@
 //!
 //! One SPMD step = one BSP round. `begin_step` computes the round's flag
 //! set (forward: the labels whose send condition fires, stamping τ;
-//! backward: the agenda bucket, folding parked δ). Host `h`'s push
-//! applies the sync broadcast to `h`'s proxies and runs the
-//! [`fwd_push_host`] / [`bwd_push_host`] kernel for `h`'s local edges.
-//! The fold merges every host's pushes in canonical host order, so the
-//! `f64` evolution is **bit-identical** however the hosts are spread over
-//! processes — that is the property the chaos test pins: SIGKILL a worker
-//! mid-forward, restore it from a checkpoint, and the final scores still
-//! match [`mrbc_bc`](super::mrbc::mrbc_bc) exactly. The pushes are typed;
+//! backward: the agenda bucket, folding parked δ) and buckets it by proxy
+//! host. Host `h`'s push reads only bucket `h`: it applies (and counts)
+//! the sync on `h`'s proxies and runs the [`fwd_push_host`] /
+//! [`bwd_push_host`] kernel for `h`'s local edges. The fold merges every
+//! host's pushes in canonical host order, so the `f64` evolution is
+//! **bit-identical** however the hosts are spread over processes — that
+//! is the property the chaos test pins: SIGKILL a worker mid-forward,
+//! restore it from a checkpoint, and the final scores still match
+//! [`mrbc_bc`](super::mrbc::mrbc_bc) exactly. The pushes are typed;
 //! `local_step` / `fold` only encode and decode them, and `fold` checks
 //! every payload before it folds any.
 //!
 //! Snapshots are only taken between steps (before a `begin_step`), so the
-//! in-flight flag set is never serialized. Nor is the forward calendar
-//! (per-vertex cursors and round lists): it is derived state, and
-//! `restore` rebuilds it from `M_v` and τ. [`MrbcSpmd::new`] always runs
-//! the paper's delayed synchronization. The eager ablation is a mode only
-//! the in-process driver selects: its steps skip the broadcast
-//! write-back, and a forward phase whose last step pushed anything runs
-//! one empty step more, in which the driver accounts the final sync.
+//! in-flight flag set, its per-host buckets and the pushes' sync counts
+//! are never serialized: the next `begin_step` rebuilds all three. Nor is
+//! the forward calendar (per-vertex cursors and round lists): it is
+//! derived state, and `restore` rebuilds it from `M_v` and τ.
+//! [`MrbcSpmd::new`] always runs the paper's delayed synchronization. The
+//! eager ablation is a mode only the in-process driver selects: its steps
+//! skip the broadcast write-back, and a forward phase whose last step
+//! pushed anything runs one empty step more, in which the driver accounts
+//! the final sync.
 
-use super::mrbc::{bwd_push_host, fwd_push_host, Batch, MrbcOptions, Pushes};
+use super::mrbc::{
+    bucket_flags, bwd_push_host, fwd_push_host, Batch, MrbcOptions, ProxyFlag, Pushes,
+};
+use mrbc_dgalois::comm::Exchange;
 use mrbc_dgalois::spmd::SpmdProgram;
 use mrbc_dgalois::DistGraph;
 use mrbc_graph::{CsrGraph, VertexId};
@@ -65,6 +71,13 @@ pub(crate) struct BatchRun<'a> {
     /// The current step's flag set, computed by `begin_step` and consumed
     /// by the pushes and the fold. Empty between steps.
     pub(crate) flags: Vec<(u32, u32, u32)>,
+    /// `buckets[h]`: the step's flags with a proxy on host `h`, rebuilt
+    /// from `flags` by every `begin_step`; never serialized.
+    pub(crate) buckets: Vec<Vec<ProxyFlag>>,
+    /// The reduce and broadcast items the step's pushes counted, staged
+    /// nowhere; never serialized.
+    reduce: Exchange<()>,
+    bcast: Exchange<()>,
     /// Backward agenda buckets (empty during the forward phase).
     agenda: Vec<Vec<(u32, u32, u32)>>,
     /// Parked δ contributions per `(v, j)` (empty during forward).
@@ -179,30 +192,45 @@ impl<'a> MrbcSpmd<'a> {
             batch: Batch::new(self.g, self.dg, self.batch_sources(bi)),
             phase: Phase::Forward { round: 1 },
             flags: Vec::new(),
+            buckets: vec![Vec::new(); self.dg.num_hosts],
+            reduce: Exchange::new(self.dg.num_hosts),
+            bcast: Exchange::new(self.dg.num_hosts),
             agenda: Vec::new(),
             pending: Vec::new(),
         }
     }
 
-    /// Host `h`'s share of the current step: apply the sync broadcast to
-    /// its proxies (delayed mode only) and push the flagged labels along
-    /// its local edges. Mutates only host `h`'s partials.
+    /// Host `h`'s share of the current step, over the flags of its bucket
+    /// only: apply the sync to its proxies and count it (delayed mode
+    /// only), then push the flagged labels along its local edges. Mutates
+    /// only host `h`'s partials and its counts.
     pub(crate) fn push(&mut self, h: usize) -> Pushes {
         let Some(run) = self.run.as_mut() else {
             return Pushes::default();
         };
         let forward = run.is_forward();
+        let (flags, bucket) = (&run.flags, &run.buckets[h]);
         let b = &mut run.batch;
         if self.delayed_sync {
-            b.apply_sync_to_host(h, &run.flags, forward);
+            b.apply_sync_to_host(h, flags, bucket, forward, &mut run.reduce, &mut run.bcast);
         }
         let hs = &mut b.hosts[h];
         if forward {
-            fwd_push_host(b.dg, h, b.k, &b.sigma_g, hs, &run.flags)
+            fwd_push_host(b.dg, h, b.k, &b.sigma_g, hs, flags, bucket)
         } else {
             let (dist_g, sigma_g, delta_g) = (&b.dist_g, &b.sigma_g, &b.delta_g);
-            bwd_push_host(b.dg, h, b.k, dist_g, sigma_g, delta_g, hs, &run.flags)
+            bwd_push_host(b.dg, h, b.k, dist_g, sigma_g, delta_g, hs, flags, bucket)
         }
+    }
+
+    /// Takes the reduce and broadcast items the current step's pushes
+    /// counted: the whole round's once every host has pushed in this
+    /// process.
+    pub(crate) fn take_sync(&mut self) -> Option<(Exchange<()>, Exchange<()>)> {
+        let run = self.run.as_mut()?;
+        let h = self.dg.num_hosts;
+        let reduce = std::mem::replace(&mut run.reduce, Exchange::new(h));
+        Some((reduce, std::mem::replace(&mut run.bcast, Exchange::new(h))))
     }
 
     /// Folds every host's pushes in canonical host order, then makes the
@@ -382,6 +410,9 @@ impl SpmdProgram for MrbcSpmd<'_> {
                 run.batch.fold_pending_flags(&run.flags, &mut run.pending);
             }
         }
+        bucket_flags(self.dg, &run.flags, &mut run.buckets);
+        run.reduce = Exchange::new(self.dg.num_hosts);
+        run.bcast = Exchange::new(self.dg.num_hosts);
     }
 
     fn local_step(&mut self, _step: u64, host: usize) -> Vec<u8> {

@@ -255,6 +255,18 @@ impl<M> Exchange<M> {
         self.staged[to].push((from, item));
     }
 
+    /// Accounts `items` proxy items from `from` to `to` carrying
+    /// `payload_bytes` of label data between them, without staging any:
+    /// the wire cost of `items` [`Exchange::send`] calls, for a simulated
+    /// sync whose labels never travel through the inboxes.
+    pub fn count(&mut self, from: usize, to: usize, items: u32, payload_bytes: u64) {
+        if from != to {
+            let idx = from * self.num_hosts + to;
+            self.pair_payload[idx] += payload_bytes;
+            self.pair_items[idx] += items;
+        }
+    }
+
     /// Finalizes the phase: applies the metadata-compression model,
     /// accumulates into `comm`, and returns the per-host inboxes.
     pub fn finish(
@@ -389,6 +401,27 @@ mod tests {
         assert_eq!(comm.sent_bytes[0], comm.bytes());
         assert_eq!(comm.recv_bytes[1], comm.bytes());
         assert_eq!(inboxes[1].len(), 3);
+    }
+
+    #[test]
+    fn counted_items_cost_what_sent_items_cost() {
+        let dg = two_host_dg();
+        let (mut sent, mut counted) = (RoundComm::new(2), RoundComm::new(2));
+        let mut ex: Exchange<()> = Exchange::new(2);
+        for _ in 0..3 {
+            ex.send(0, 1, (), 10);
+        }
+        ex.send(1, 1, (), 10);
+        ex.finish(&dg, PhaseDir::Broadcast, &mut sent);
+        let mut ex: Exchange<()> = Exchange::new(2);
+        ex.count(0, 1, 3, 30);
+        ex.count(1, 1, 1, 10);
+        let inboxes = ex.finish(&dg, PhaseDir::Broadcast, &mut counted);
+        assert!(inboxes.iter().all(Vec::is_empty), "counting stages nothing");
+        assert_eq!(counted.sent_bytes, sent.sent_bytes);
+        assert_eq!(counted.recv_bytes, sent.recv_bytes);
+        assert_eq!(counted.msgs_per_host, sent.msgs_per_host);
+        assert_eq!(counted.items, sent.items);
     }
 
     #[test]
