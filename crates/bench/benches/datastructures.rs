@@ -3,7 +3,7 @@
 //! standard red-black-tree map for `M_v` "even with O(k) insertion
 //! complexity due to improved locality" (footnote 1). This bench
 //! replicates that comparison for our `FlatMap` vs `std::BTreeMap`, plus
-//! the bitset rank/select operations on MRBC's scheduling hot path.
+//! set-bit iteration over `DenseBitset`.
 
 // Benches panic on bad fixtures exactly like tests do.
 #![allow(clippy::unwrap_used)]
@@ -73,27 +73,8 @@ fn bench_bitset_ops(c: &mut Criterion) {
     for _ in 0..48 {
         bits.set(rng.gen_range(0..k));
     }
-    let ones = bits.count_ones();
 
     let mut group = c.benchmark_group("bitset");
-    group.bench_function("select", |b| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for r in 0..ones {
-                acc += bits.select(r).unwrap();
-            }
-            black_box(acc)
-        })
-    });
-    group.bench_function("rank", |b| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for i in (0..k).step_by(3) {
-                acc += bits.rank(i);
-            }
-            black_box(acc)
-        })
-    });
     group.bench_function("iter_ones", |b| {
         b.iter(|| black_box(bits.iter_ones().sum::<usize>()))
     });

@@ -11,11 +11,11 @@
 //! before sends). Since `d` is non-decreasing along the list, `d_i + i`
 //! is strictly increasing, so at most one entry matches any round.
 //!
-//! `L_v` is represented as the paper's optimized structure (Section 4.3):
-//! a flat map from distance to a dense bitvector over source indices.
-//! It lives in the `SendSchedule` this engine shares with `dist::mrbc`,
-//! whose per-vertex cursor answers "what does `v` send in round `r`" in
-//! `O(1)` instead of by an ordered scan of the distance blocks.
+//! `L_v` is not stored as a list: it is the finite entries of `v`'s row
+//! of `dist`, in `(distance, source)` order. The `SendSchedule` this
+//! engine shares with `dist::mrbc` keeps `v`'s sent count and a min-heap
+//! of its unsent labels, and answers "what does `v` send in round `r`"
+//! in `O(1)` instead of by sorting the row.
 //!
 //! # Algorithm 4 — `APSP-Finalizer`
 //!
@@ -323,8 +323,9 @@ struct Forward {
     preds: Vec<Vec<Vec<VertexId>>>,
     /// Send timestamps `τ_sv` (u32::MAX = not sent).
     tau: Vec<Vec<u32>>,
-    /// The list `L_v` as distance → bitvector over source indices, with
-    /// the cursor that says which entry is sent next and when.
+    /// The send calendar of every `L_v` (whose labels are the finite
+    /// entries of `dist[v]`): which entry each vertex sends next, and
+    /// when.
     schedule: SendSchedule,
     fin: Option<FinState>,
     precision: SigmaPrecision,
@@ -547,7 +548,7 @@ impl VertexProgram for Forward {
 
         // Step 8: send the unique entry scheduled for this round, with the
         // σ value reflecting all receives processed so far.
-        if let Some((j, d)) = self.schedule.due(vi, round) {
+        if let Some((j, d)) = self.schedule.due(vi, round, &self.dist[vi]) {
             let ji = j as usize;
             debug_assert_eq!(
                 self.dist[vi][ji], d,
@@ -586,7 +587,10 @@ impl VertexProgram for Forward {
                 // lint: allow(unwrap): Finalizer mode always constructs fin
                 !self.fin.as_ref().expect("finalizer mode").halted[v as usize]
             }
-            _ => self.schedule.due(v as usize, round).is_some(),
+            _ => {
+                let v = v as usize;
+                self.schedule.due(v, round, &self.dist[v]).is_some()
+            }
         }
     }
 

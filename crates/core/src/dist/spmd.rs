@@ -6,8 +6,8 @@
 //! [`SpmdProgram`](mrbc_dgalois::spmd::SpmdProgram) contract:
 //!
 //! * **replicated state** — the authoritative labels (`dist_g`, `sigma_g`,
-//!   `delta_g`), the schedule `M_v`, τ, the backward agenda, the parked δ
-//!   contributions and the BC accumulator. Every worker holds all of it
+//!   `delta_g`), τ, the forward calendar, the backward agenda, the parked
+//!   δ contributions and the BC accumulator. Every worker holds all of it
 //!   and mutates it identically in `begin_step` / `fold`.
 //! * **partial state** — one host's proxy labels (`HostState`). A worker
 //!   only ever advances its own host's partials in `local_step`.
@@ -29,8 +29,13 @@
 //! Snapshots are only taken between steps (before a `begin_step`), so the
 //! in-flight flag set, its per-host buckets and the pushes' sync counts
 //! are never serialized: the next `begin_step` rebuilds all three. Nor is
-//! the forward calendar (per-vertex cursors and round lists): it is
-//! derived state, and `restore` rebuilds it from `M_v` and τ.
+//! the forward calendar (per-vertex heaps and round lists): it is derived
+//! state, and `restore` rebuilds it from `dist_g` and τ. The snapshot
+//! still carries the paper's `M_v` per vertex, written from `dist_g`
+//! (format version 1, unchanged). `restore` refuses a section that
+//! differs from the one `dist_g` derives, a τ whose sent labels are not a
+//! prefix of `L_v` fired in their rounds, and a backward agenda other
+//! than the one τ derives.
 //! [`MrbcSpmd::new`] always runs the paper's delayed synchronization. The
 //! eager ablation is a mode only the in-process driver selects: its steps
 //! skip the broadcast write-back, and a forward phase whose last step
@@ -40,13 +45,14 @@
 use super::mrbc::{
     bucket_flags, bwd_push_host, fwd_push_host, Batch, MrbcOptions, ProxyFlag, Pushes,
 };
+use crate::schedule::{sorted_labels, SendSchedule};
 use mrbc_dgalois::comm::Exchange;
 use mrbc_dgalois::spmd::SpmdProgram;
 use mrbc_dgalois::DistGraph;
 use mrbc_graph::{CsrGraph, VertexId};
 use mrbc_util::crc::{crc32, digest64};
 use mrbc_util::wire::{WireError, WireReader, WireWriter};
-use mrbc_util::{DenseBitset, FlatMap};
+use mrbc_util::DenseBitset;
 
 /// Snapshot magic: `"MSPD"` little-endian.
 const SNAP_MAGIC: u32 = 0x4450_534D;
@@ -258,9 +264,11 @@ impl<'a> MrbcSpmd<'a> {
                 }
             }
         }
-        run.flags = Vec::new();
+        run.flags.clear();
         match run.phase {
             Phase::Forward { round } if run.batch.pending_total == 0 && !flush => {
+                // The schedule is forward-phase state.
+                run.batch.schedule = SendSchedule::default();
                 run.batch.r_term = round;
                 run.agenda = run.batch.build_agenda();
                 run.pending = vec![Vec::new(); n * k];
@@ -340,6 +348,22 @@ fn get_bitset(r: &mut WireReader<'_>) -> Result<DenseBitset, WireError> {
     Ok(bits)
 }
 
+/// Writes `M_v` from `v`'s distance row `row`: the labels grouped by
+/// distance, in ascending order, each group as a bitset over the sources.
+fn put_schedule(w: &mut WireWriter, row: &[u32]) {
+    let labels = sorted_labels(row);
+    let blocks = labels.chunk_by(|a, b| a.0 == b.0);
+    w.u32(blocks.clone().count() as u32);
+    for block in blocks {
+        w.u32(block[0].0);
+        w.u32(row.len() as u32);
+        w.u32(block.len() as u32);
+        for &(_, j) in block {
+            w.u32(j);
+        }
+    }
+}
+
 fn put_u32s(w: &mut WireWriter, xs: &[u32]) {
     for &x in xs {
         w.u32(x);
@@ -402,8 +426,9 @@ impl SpmdProgram for MrbcSpmd<'_> {
         let Some(run) = self.run.as_mut() else { return };
         match run.phase {
             Phase::Forward { round } => {
-                run.flags = run.batch.schedule.flags(round);
-                run.batch.mark_flags(&run.flags, round);
+                let b = &mut run.batch;
+                b.schedule.flags(round, &b.dist_g, &mut run.flags);
+                b.mark_flags(&run.flags, round);
             }
             Phase::Backward { round } => {
                 run.flags = std::mem::take(&mut run.agenda[round as usize]);
@@ -480,13 +505,8 @@ impl SpmdProgram for MrbcSpmd<'_> {
             put_u32s(&mut w, &b.tau);
             w.u64(b.pending_total);
             w.u32(b.r_term);
-            for v in 0..n {
-                let map = b.schedule.map(v);
-                w.u32(map.len() as u32);
-                for (d, bits) in map.iter() {
-                    w.u32(*d);
-                    put_bitset(&mut w, bits);
-                }
+            for row in b.dist_g.chunks(k) {
+                put_schedule(&mut w, row);
             }
             for hs in &b.hosts {
                 w.u32((hs.dist.len() / k.max(1)) as u32);
@@ -572,24 +592,39 @@ impl SpmdProgram for MrbcSpmd<'_> {
             b.tau = get_u32s(&mut r, n * k)?;
             b.pending_total = r.u64()?;
             b.r_term = r.u32()?;
-            let mut maps = Vec::with_capacity(n);
-            for _ in 0..n {
-                let mut map = FlatMap::new();
-                let entries = r.u32()? as usize;
-                for _ in 0..entries {
-                    let d = r.u32()?;
-                    let bits = get_bitset(&mut r)?;
-                    if bits.len() != k {
-                        return Err(WireError::Invalid("schedule bitset width mismatch"));
-                    }
-                    map.insert(d, bits);
+            // The phase must agree with the state it carries: forward has
+            // no agenda and no parked δ; backward round `1..=R + 1` has
+            // `R + 2` agenda buckets, the full `n·k` pending table and
+            // nothing left to send.
+            let r_term = b.r_term as usize;
+            let (backward, next_round) = match phase {
+                Phase::Forward { round } => (false, round),
+                Phase::Backward { round } if (1..=r_term + 1).contains(&(round as usize)) => {
+                    (true, b.r_term.saturating_add(1))
                 }
-                maps.push(map);
+                Phase::Backward { .. } => {
+                    return Err(WireError::Invalid("backward round outside 1..=R + 1"))
+                }
+            };
+            // `M_v` is a view of the labels, so the section must be the
+            // one `dist_g` derives; the calendar is rebuilt from the
+            // labels and τ, which must agree with them and the phase.
+            let mut mv = WireWriter::new();
+            for row in b.dist_g.chunks(k) {
+                put_schedule(&mut mv, row);
             }
-            // The calendar is derived state: rebuilt from M_v and τ.
-            b.schedule
-                .restore(maps, &b.tau)
+            if r.take(mv.len())? != mv.into_bytes() {
+                return Err(WireError::Invalid("schedule contradicts the labels"));
+            }
+            let schedule = SendSchedule::restore(&b.dist_g, &b.tau, k, next_round)
                 .map_err(WireError::Invalid)?;
+            let unsent: u64 = (0..n).map(|v| u64::from(schedule.pending(v))).sum();
+            if unsent != b.pending_total || backward && unsent != 0 {
+                return Err(WireError::Invalid("pending count contradicts the schedule"));
+            }
+            if !backward {
+                b.schedule = schedule;
+            }
             for (h, hs) in b.hosts.iter_mut().enumerate() {
                 let p = r.u32()? as usize;
                 if p != self.dg.hosts[h].num_proxies() {
@@ -603,17 +638,6 @@ impl SpmdProgram for MrbcSpmd<'_> {
                     return Err(WireError::Invalid("synced bitset width mismatch"));
                 }
             }
-            // The phase must agree with the state it carries: forward has
-            // no agenda and no parked δ; backward round `1..=R + 1` has
-            // `R + 2` agenda buckets and the full `n·k` pending table.
-            let r_term = b.r_term as usize;
-            let backward = match phase {
-                Phase::Forward { .. } => false,
-                Phase::Backward { round } if (1..=r_term + 1).contains(&(round as usize)) => true,
-                Phase::Backward { .. } => {
-                    return Err(WireError::Invalid("backward round outside 1..=R + 1"))
-                }
-            };
             let buckets = r.u32()? as usize;
             if buckets != if backward { r_term + 2 } else { 0 } {
                 return Err(WireError::Invalid("agenda size contradicts the phase"));
@@ -623,13 +647,18 @@ impl SpmdProgram for MrbcSpmd<'_> {
                 let cnt = r.u32()? as usize;
                 let mut bucket = Vec::new();
                 for _ in 0..cnt {
-                    let (v, j, d) = (r.u32()?, r.u32()?, r.u32()?);
-                    if v as usize >= n || j as usize >= k {
-                        return Err(WireError::Invalid("agenda entry out of range"));
-                    }
-                    bucket.push((v, j, d));
+                    bucket.push((r.u32()?, r.u32()?, r.u32()?));
                 }
                 agenda.push(bucket);
+            }
+            // What is left of the agenda is derived from τ: the buckets
+            // `build_agenda` files, from the current backward round on.
+            if let Phase::Backward { round } = phase {
+                let mut want = b.build_agenda();
+                want[..round as usize].iter_mut().for_each(Vec::clear);
+                if agenda != want {
+                    return Err(WireError::Invalid("agenda contradicts the send stamps"));
+                }
             }
             let pending_len = r.u32()? as usize;
             if pending_len != if backward { n * k } else { 0 } {
@@ -696,7 +725,8 @@ mod tests {
     use crate::dist::mrbc::mrbc_bc;
     use mrbc_dgalois::spmd::run_local;
     use mrbc_dgalois::{partition, PartitionPolicy};
-    use mrbc_graph::generators;
+    use mrbc_graph::{generators, INF_DIST};
+    use std::collections::BTreeMap;
 
     #[test]
     fn run_local_matches_in_process_engine_bitwise() {
@@ -825,6 +855,45 @@ mod tests {
     }
 
     #[test]
+    fn backward_and_batch_boundary_snapshot_bytes_are_pinned() {
+        // Captured while the schedule still stored `M_v` itself: the
+        // snapshot's `M_v` section is derived from the labels now, so
+        // these bytes must not move.
+        let g = generators::grid_road_network(generators::RoadNetworkConfig::new(3, 8), 5);
+        let dg = partition(&g, 2, PartitionPolicy::BlockedEdgeCut);
+        let sources: Vec<u32> = (0..6).collect();
+        for (cut, at, len, digest) in [
+            (
+                18,
+                "batch 1/2 backward round 7",
+                6_775,
+                0x2293_87e3_8cc6_10c4,
+            ),
+            (
+                26,
+                "batch 2/2 forward round 2",
+                4_699,
+                0x728a_dd2f_a616_f1bb,
+            ),
+            (
+                40,
+                "batch 2/2 backward round 6",
+                6_815,
+                0x064d_16a8_5abd_b6a6,
+            ),
+        ] {
+            let mut prog = MrbcSpmd::new(&g, &dg, &sources, 3);
+            run_steps(&mut prog, 2, cut);
+            assert_eq!(prog.describe(cut), at);
+            let snap = prog.snapshot();
+            assert_eq!((snap.len(), digest64(&snap)), (len, digest), "cut {cut}");
+            let mut back = MrbcSpmd::new(&g, &dg, &sources, 3);
+            back.restore(&snap).expect("restore");
+            assert_eq!(back.snapshot(), snap, "cut {cut}");
+        }
+    }
+
+    #[test]
     fn restore_rejects_config_mismatch_and_corruption() {
         let g = generators::cycle(12);
         let dg = partition(&g, 2, PartitionPolicy::BlockedEdgeCut);
@@ -864,6 +933,155 @@ mod tests {
         let mut other = MrbcSpmd::new(&g, &dg, &sources, 2);
         assert!(other.restore(&forged).is_err());
         assert!(other.restore(&prog.snapshot()).is_ok());
+    }
+
+    /// A mid-forward replica of the road grid: 6 sources in one batch,
+    /// stopped before forward round 8.
+    fn mid_forward<'a>(g: &'a CsrGraph, dg: &'a DistGraph) -> MrbcSpmd<'a> {
+        let sources: Vec<u32> = (0..6).collect();
+        let mut prog = MrbcSpmd::new(g, dg, &sources, 6);
+        run_steps(&mut prog, 2, 7);
+        prog
+    }
+
+    /// `(v, (d0, j0), (d1, j1))`: a vertex with both sent and unsent
+    /// labels, its last sent label and its first unsent one.
+    fn half_sent_vertex(prog: &MrbcSpmd<'_>) -> (usize, (u32, u32), (u32, u32)) {
+        let b = &prog.run.as_ref().expect("a batch in progress").batch;
+        let k = b.k;
+        (0..prog.g.num_vertices())
+            .find_map(|v| {
+                let mut labels: Vec<(u32, u32)> = (0..k as u32)
+                    .map(|j| (b.dist_g[v * k + j as usize], j))
+                    .filter(|&(d, _)| d != INF_DIST)
+                    .collect();
+                labels.sort_unstable();
+                let sent = |&(_, j): &(u32, u32)| b.tau[v * k + j as usize] != u32::MAX;
+                let cut = labels.iter().take_while(|l| sent(l)).count();
+                (cut > 0 && cut < labels.len()).then(|| (v, labels[cut - 1], labels[cut]))
+            })
+            .expect("a vertex with a sent and an unsent label")
+    }
+
+    /// Byte offset of the `M_v` section in a snapshot taken mid-batch.
+    fn schedule_offset(n: usize, k: usize) -> usize {
+        // Header, bc, done, batch index, has-run, phase, round, k; the
+        // four n·k label tables; pending total and R.
+        7 * 4 + n * 8 + 1 + 4 + 1 + 1 + 4 + 4 + n * k * (4 + 8 + 8 + 4) + 8 + 4
+    }
+
+    /// `prog`'s snapshot with its `M_v` section (distance → sources, per
+    /// vertex) rewritten by `edit`.
+    fn forge_schedule(
+        prog: &MrbcSpmd<'_>,
+        edit: impl FnOnce(&mut [BTreeMap<u32, Vec<u32>>]),
+    ) -> Vec<u8> {
+        let b = &prog.run.as_ref().expect("a batch in progress").batch;
+        let (n, k) = (prog.g.num_vertices(), b.k);
+        let mut maps = vec![BTreeMap::<u32, Vec<u32>>::new(); n];
+        for (i, &d) in b.dist_g.iter().enumerate() {
+            if d != INF_DIST {
+                maps[i / k].entry(d).or_default().push((i % k) as u32);
+            }
+        }
+        let encode = |maps: &[BTreeMap<u32, Vec<u32>>]| {
+            let mut w = WireWriter::new();
+            for map in maps {
+                w.u32(map.len() as u32);
+                for (&d, js) in map {
+                    w.u32(d);
+                    w.u32(k as u32);
+                    w.u32(js.len() as u32);
+                    put_u32s(&mut w, js);
+                }
+            }
+            w.into_bytes()
+        };
+        let snap = prog.snapshot();
+        let (start, section) = (schedule_offset(n, k), encode(&maps));
+        let end = start + section.len();
+        assert_eq!(snap[start..end], section[..], "M_v section located");
+        edit(&mut maps);
+        [&snap[..start], &encode(&maps)[..], &snap[end..]].concat()
+    }
+
+    /// Restoring `forged` into a replica mid-way through the same run
+    /// fails and leaves that replica as it was.
+    fn assert_refused(g: &CsrGraph, dg: &DistGraph, forged: &[u8]) {
+        let sources: Vec<u32> = (0..6).collect();
+        let mut other = MrbcSpmd::new(g, dg, &sources, 6);
+        run_steps(&mut other, 2, 3);
+        let before = other.snapshot();
+        assert!(other.restore(forged).is_err(), "forged schedule restored");
+        assert!(
+            other.snapshot() == before,
+            "a refused restore changed the replica"
+        );
+    }
+
+    fn road_grid() -> (CsrGraph, DistGraph) {
+        let g = generators::grid_road_network(generators::RoadNetworkConfig::new(3, 8), 5);
+        let dg = partition(&g, 2, PartitionPolicy::BlockedEdgeCut);
+        (g, dg)
+    }
+
+    #[test]
+    fn restore_rejects_a_source_listed_under_two_distances() {
+        let (g, dg) = road_grid();
+        let prog = mid_forward(&g, &dg);
+        let (v, _, (d1, j1)) = half_sent_vertex(&prog);
+        let forged = forge_schedule(&prog, |maps| {
+            maps[v].entry(d1 + 1).or_default().push(j1);
+        });
+        assert_refused(&g, &dg, &forged);
+    }
+
+    #[test]
+    fn restore_rejects_a_label_at_a_distance_dist_does_not_hold() {
+        let (g, dg) = road_grid();
+        let prog = mid_forward(&g, &dg);
+        let (v, _, (d1, j1)) = half_sent_vertex(&prog);
+        let forged = forge_schedule(&prog, |maps| {
+            let block = maps[v].get_mut(&d1).expect("block of the label");
+            block.retain(|&j| j != j1);
+            if block.is_empty() {
+                maps[v].remove(&d1);
+            }
+            maps[v].entry(d1 + 1).or_default().push(j1);
+        });
+        assert_refused(&g, &dg, &forged);
+    }
+
+    #[test]
+    fn restore_rejects_sent_labels_that_are_not_a_prefix() {
+        let (g, dg) = road_grid();
+        let prog = mid_forward(&g, &dg);
+        let (v, (_, j0), (_, j1)) = half_sent_vertex(&prog);
+        // Swap the two labels' send stamps: the second is sent, the first
+        // is not.
+        let (n, k) = (g.num_vertices(), 6);
+        let tau = schedule_offset(n, k) - 8 - 4 - n * k * 4;
+        let at = |j: u32| tau + (v * k + j as usize) * 4;
+        let mut forged = prog.snapshot();
+        for i in 0..4 {
+            forged.swap(at(j0) + i, at(j1) + i);
+        }
+        assert_refused(&g, &dg, &forged);
+    }
+
+    #[test]
+    fn restore_rejects_an_agenda_that_contradicts_the_send_stamps() {
+        let (g, dg) = road_grid();
+        let mut prog = mid_forward(&g, &dg);
+        while prog.run.as_ref().is_some_and(BatchRun::is_forward) {
+            run_steps(&mut prog, 2, 1);
+        }
+        run_steps(&mut prog, 2, 2);
+        let run = prog.run.as_mut().expect("a batch in progress");
+        let entry = run.agenda.iter_mut().flatten().next();
+        // One label accumulated at a distance one off its own.
+        entry.expect("a label left to accumulate").2 += 1;
+        assert_refused(&g, &dg, &prog.snapshot());
     }
 
     #[test]

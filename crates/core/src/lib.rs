@@ -9,7 +9,7 @@
 //! | [`brandes`] | sequential Brandes BC (the correctness oracle) | — |
 //! | [`congest::mrbc`] | MRBC: Algorithms 3 (Directed-APSP), 4 (APSP-Finalizer) and 5 (timestamped accumulation) | CONGEST simulator |
 //! | [`congest::sbbc`] | synchronous Brandes (level-by-level BFS) | CONGEST simulator |
-//! | [`dist::mrbc`] | MRBC with the paper's D-Galois optimizations: `A_v`/`M_v` data structures, delayed synchronization, proxy sync rule | simulated D-Galois |
+//! | [`dist::mrbc`] | MRBC with the paper's D-Galois optimizations: flat label arrays and a send calendar in place of `A_v`/`M_v`, delayed synchronization, proxy sync rule | simulated D-Galois |
 //! | [`dist::sbbc`] | Synchronous-Brandes BC (SBBC) | simulated D-Galois |
 //! | [`dist::mfbc`] | Maximal-Frontier BC (Solomonik et al.) | simulated D-Galois |
 //! | [`shared::abbc`] | Asynchronous-Brandes BC (Lonestar) | shared memory + Rayon |

@@ -1,38 +1,40 @@
-//! The send schedule `M_v` of Algorithm 3 and its forward calendar — one
-//! type shared by the CONGEST engine ([`crate::congest::mrbc`]) and the
-//! D-Galois engine ([`crate::dist::mrbc`], and through it `dist::spmd`).
+//! The forward send calendar of Algorithm 3 — one type shared by the
+//! CONGEST engine ([`crate::congest::mrbc`]) and the D-Galois engine
+//! ([`crate::dist::mrbc`], and through it `dist::spmd`).
 //!
-//! `M_v` is the paper's Section 4.3 structure: a flat map from distance to
-//! a bitvector over source indices, whose labels `(d, j)` in key-then-bit
-//! order are the lexicographically sorted list `L_v`. Algorithm 3 sends
-//! the label at 1-based position `ℓ` exactly in round `d + ℓ`.
+//! Algorithm 3 keeps at each vertex `v` the lexicographically sorted list
+//! `L_v` of its labels `(d, j)` and sends the label at 1-based position
+//! `ℓ` exactly in round `d + ℓ`. The paper stores `L_v` as `M_v`, a flat
+//! map from distance to a bitvector over source indices (Section 4.3).
+//! Neither is stored here: source `j` has a label at `v` exactly when
+//! `v`'s distance to it is finite, at that distance, so `L_v` is the
+//! finite entries of `v`'s distance row, sorted ([`sorted_labels`]), and
+//! `M_v` is the same labels grouped by distance.
 //!
-//! Walking `M_v` to find that label costs `O(|M_v|)` per vertex per round
-//! ([`SendSchedule::scheduled_send`], kept as the reference that debug
-//! assertions and tests compare against). The calendar finds it in
-//! `O(1)`, from two facts the lemmas give:
+//! The calendar keeps only what it reads, by two facts the lemmas give:
 //!
 //! * the sent labels are always a *prefix* of `L_v`: sends go in position
 //!   order (`d + ℓ` strictly increases along the list), and Lemma 2
 //!   (`d + ℓ ≥ r + 1` for a label inserted in round `r`) puts every
 //!   insertion after every sent label;
-//! * so with `sent` labels fired, the next one sits at position
-//!   `sent + 1`, in the first block holding an unsent label (block index
-//!   `skip`, `below` labels before it), and fires in round
-//!   `d_skip + sent + 1`.
+//! * so with `sent` labels fired, the next one is the smallest unsent
+//!   label, at position `sent + 1`, and it fires in round `d + sent + 1`.
 //!
-//! Every vertex with an unsent label is filed in the intrusive list of
-//! that round (`head` per round, `next`/`prev` in the vertex's slot — flat
-//! `u32` arrays allocated once per batch). An insertion, an improvement or
-//! a send re-files only the vertex it touched, and reading round `r`'s
-//! flags walks list `r`. So a forward round costs what it sends, not
-//! `O(n)`.
+//! Per vertex it holds `sent` and a binary min-heap of the unsent labels,
+//! keyed `(d << 32) | j` (whose order is `L_v`'s), in the vertex's `k`
+//! slots of one flat array. An insertion is a push, an improvement
+//! (Steps 16–17) a find and a sift-up, a send a pop. Every vertex with an
+//! unsent label is filed in the intrusive list of the round its heap root
+//! fires in (`head` per round, `next`/`prev` in the vertex's slot); each
+//! of those operations re-files only the vertex it touched, and reading
+//! round `r`'s flags walks list `r`. So a forward round costs what it
+//! sends, not `O(n)`.
 //!
-//! One case needs care: Lemma 2 allows `d + ℓ = r + 1`, so a label can be
-//! appended to the last block whose labels have all been sent. That block
-//! is reopened (`skip -= 1`, `below -= cnt - 1`).
+//! [`scheduled_send`] is the reference that debug assertions and tests
+//! check the calendar against: it sorts the vertex's distance row, so it
+//! shares no storage with the structure it checks.
 
-use mrbc_util::{DenseBitset, FlatMap};
+use mrbc_graph::INF_DIST;
 
 /// No vertex / no round.
 const NONE: u32 = u32::MAX;
@@ -40,12 +42,14 @@ const NONE: u32 = u32::MAX;
 /// A label due in some round: `(vertex, source index, distance)`.
 pub(crate) type Flag = (u32, u32, u32);
 
-/// `M_v` for every vertex plus the forward calendar derived from it.
+/// The forward calendar of every vertex. Forward-phase state only.
+#[derive(Default)]
 pub(crate) struct SendSchedule {
     k: usize,
-    /// `M_v`: distance → bitvector over source indices.
-    maps: Vec<FlatMap<u32, DenseBitset>>,
-    /// Per vertex: its cursor and its links in the round lists.
+    /// Per vertex `v`, the heap of its unsent labels in
+    /// `heap[v·k .. v·k + len]`.
+    heap: Vec<u64>,
+    /// Per vertex: its counts and its links in the round lists.
     cal: Vec<Slot>,
     /// First vertex of each round's list.
     head: Vec<u32>,
@@ -54,14 +58,10 @@ pub(crate) struct SendSchedule {
 /// One vertex's calendar state (all `u32`, so `cal` is one flat array).
 #[derive(Clone, Copy)]
 struct Slot {
-    /// Labels in `M_v`.
-    labels: u32,
-    /// Labels of `M_v` already sent (a prefix of `L_v`).
+    /// Unsent labels (the heap's length).
+    len: u32,
+    /// Labels already sent (a prefix of `L_v`).
     sent: u32,
-    /// Index of the first `M_v` block holding an unsent label.
-    skip: u32,
-    /// Labels in the blocks before `skip`.
-    below: u32,
     /// The round the vertex is filed under (`NONE`: nothing left to send).
     due: u32,
     /// Neighbours in that round's list.
@@ -70,27 +70,45 @@ struct Slot {
 }
 
 const EMPTY: Slot = Slot {
-    labels: 0,
+    len: 0,
     sent: 0,
-    skip: 0,
-    below: 0,
     due: NONE,
     next: NONE,
     prev: NONE,
 };
 
-/// `(skip, below)` for a vertex that has sent `sent` labels of `map`.
-fn cursor_of(map: &FlatMap<u32, DenseBitset>, sent: u32) -> (u32, u32) {
-    let (mut skip, mut below) = (0u32, 0u32);
-    for (_, bits) in map.iter() {
-        let cnt = bits.count_ones() as u32;
-        if below + cnt > sent {
-            break;
-        }
-        skip += 1;
-        below += cnt;
-    }
-    (skip, below)
+/// The heap key of label `(d, j)`: ordered as `L_v` orders labels.
+fn key(j: u32, d: u32) -> u64 {
+    u64::from(d) << 32 | u64::from(j)
+}
+
+/// `L_v` from `v`'s distance row: its finite entries as `(d, j)`, sorted.
+pub(crate) fn sorted_labels(row: &[u32]) -> Vec<(u32, u32)> {
+    let mut labels: Vec<(u32, u32)> = (0..row.len() as u32)
+        .map(|j| (row[j as usize], j))
+        .filter(|&(d, _)| d != INF_DIST)
+        .collect();
+    labels.sort_unstable();
+    labels
+}
+
+/// Reference for [`SendSchedule::due`]: the `(j, d)` at the position `ℓ`
+/// of `L_v` with `d + ℓ = round`, if any, from `v`'s distance row.
+pub(crate) fn scheduled_send(row: &[u32], round: u32) -> Option<(u32, u32)> {
+    sorted_labels(row)
+        .into_iter()
+        .zip(1..)
+        .find(|&((d, _), l)| d + l == round)
+        .map(|((d, j), _)| (j, d))
+}
+
+/// Reference for [`SendSchedule::flags`]: [`scheduled_send`] on every row
+/// of `dist` (flat over `(v, j)`, `k` sources).
+pub(crate) fn scan_flags(dist: &[u32], k: usize, round: u32) -> Vec<Flag> {
+    dist.chunks(k.max(1))
+        .enumerate()
+        .filter_map(|(v, row)| scheduled_send(row, round).map(|(j, d)| (v as u32, j, d)))
+        .collect()
 }
 
 impl SendSchedule {
@@ -98,7 +116,7 @@ impl SendSchedule {
     pub(crate) fn new(n: usize, k: usize) -> Self {
         Self {
             k,
-            maps: (0..n).map(|_| FlatMap::new()).collect(),
+            heap: vec![0; n * k],
             cal: vec![EMPTY; n],
             // A label fires in round d + ℓ ≤ (n − 1) + k, inside the
             // forward phase's 2n + k bound.
@@ -106,94 +124,69 @@ impl SendSchedule {
         }
     }
 
-    /// `M_v`.
-    pub(crate) fn map(&self, v: usize) -> &FlatMap<u32, DenseBitset> {
-        &self.maps[v]
-    }
-
-    /// Labels in `M_v` (the length of `L_v`).
+    /// Labels of `v` (the length of `L_v`).
     pub(crate) fn labels(&self, v: usize) -> u32 {
-        self.cal[v].labels
+        self.cal[v].sent + self.cal[v].len
     }
 
-    /// Labels in `M_v` not yet sent.
+    /// Labels of `v` not yet sent.
     pub(crate) fn pending(&self, v: usize) -> u32 {
-        let c = self.cal[v];
-        c.labels - c.sent
+        self.cal[v].len
     }
 
-    /// Adds the label `(d, j)` to `M_v` (source `j` has none there yet).
+    /// Adds the label `(d, j)` (source `j` has none at `v` yet).
     pub(crate) fn insert(&mut self, v: usize, j: u32, d: u32) {
-        let k = self.k;
-        let map = &mut self.maps[v];
-        // The key of the last block whose labels have all been sent.
-        let spent = (self.cal[v].skip as usize)
-            .checked_sub(1)
-            .and_then(|i| map.nth(i))
-            .map(|&(fd, _)| fd);
-        debug_assert!(
-            spent.is_none_or(|fd| fd <= d),
-            "label inserted ahead of a sent one (Lemma 2)"
-        );
-        let bits = map.get_or_insert_with(d, || DenseBitset::new(k));
-        let fresh = bits.set(j as usize);
-        debug_assert!(fresh, "source already has a label in M_v");
-        let c = &mut self.cal[v];
-        if spent == Some(d) {
-            // Appended to the fully sent block: reopen it.
-            let cnt = bits.count_ones() as u32;
-            debug_assert_eq!(bits.rank(j as usize) as u32, cnt - 1);
-            c.skip -= 1;
-            c.below -= cnt - 1;
-        }
-        c.labels += 1;
+        let len = self.cal[v].len as usize;
+        // Past `k` labels the heap would spill into the next vertex's.
+        assert!(len < self.k, "more labels than sources at vertex {v}");
+        self.cal[v].len += 1;
+        self.sift_up(v, len, key(j, d));
         self.refile(v);
     }
 
     /// Moves source `j`'s unsent label from distance `from` to the
     /// shorter `to` (Steps 16–17 of Algorithm 3).
     pub(crate) fn improve(&mut self, v: usize, j: u32, from: u32, to: u32) {
-        let map = &mut self.maps[v];
-        // lint: allow(unwrap): callers move only the label they just read at `from`
-        let bits = map.get_mut(&from).expect("label to move must exist");
-        bits.clear(j as usize);
-        if bits.none() {
-            // The block held no sent label, so it is at or after `skip`
-            // and removing it leaves the cursor valid.
-            map.remove(&from);
-        }
-        self.cal[v].labels -= 1;
-        self.insert(v, j, to);
+        let (base, len) = (v * self.k, self.cal[v].len as usize);
+        let at = self.heap[base..base + len]
+            .iter()
+            .position(|&x| x == key(j, from));
+        // lint: allow(unwrap): callers move only the unsent label they just read at `from`
+        let i = at.expect("label to move is unsent");
+        self.sift_up(v, i, key(j, to));
+        self.refile(v);
     }
 
     /// Records that `v` sent its next label.
     pub(crate) fn mark_sent(&mut self, v: usize) {
-        let (_, bits) = self.cursor_block(v);
-        let cnt = bits.count_ones() as u32;
+        let base = v * self.k;
         let c = &mut self.cal[v];
+        debug_assert!(c.len > 0, "vertex {v} has nothing to send");
+        c.len -= 1;
         c.sent += 1;
-        if c.sent == c.below + cnt {
-            c.skip += 1;
-            c.below += cnt;
-        }
+        let last = self.heap[base + c.len as usize];
+        self.sift_down(v, last);
         self.refile(v);
     }
 
-    /// The `(j, d)` that `v` sends in `round`, if any. `O(1)`.
-    pub(crate) fn due(&self, v: usize, round: u32) -> Option<(u32, u32)> {
+    /// The `(j, d)` that `v` sends in `round`, if any. `O(1)`; `row` is
+    /// `v`'s distance row, read only by the debug check.
+    pub(crate) fn due(&self, v: usize, round: u32, row: &[u32]) -> Option<(u32, u32)> {
         let got = (self.cal[v].due == round).then(|| self.next_label(v));
         debug_assert_eq!(
             got,
-            self.scheduled_send(v, round),
-            "calendar disagrees with the M_v scan at vertex {v}, round {round}"
+            scheduled_send(row, round),
+            "calendar disagrees with L_v at vertex {v}, round {round}"
         );
         got
     }
 
-    /// Every label due in `round`, in ascending vertex order (the order
-    /// is replicated state in `dist::spmd`). Costs the list's length.
-    pub(crate) fn flags(&self, round: u32) -> Vec<Flag> {
-        let mut flags = Vec::new();
+    /// Fills `flags` with every label due in `round`, in ascending vertex
+    /// order (the order is replicated state in `dist::spmd`). Costs the
+    /// list's length; `dist` (flat over `(v, j)`) is read only by the
+    /// debug check.
+    pub(crate) fn flags(&self, round: u32, dist: &[u32], flags: &mut Vec<Flag>) {
+        flags.clear();
         let mut v = self.head.get(round as usize).copied().unwrap_or(NONE);
         while v != NONE {
             let (j, d) = self.next_label(v as usize);
@@ -202,116 +195,115 @@ impl SendSchedule {
         }
         flags.sort_unstable_by_key(|&(v, _, _)| v);
         debug_assert_eq!(
-            flags,
-            self.scan_flags(round),
-            "calendar disagrees with the M_v scan in round {round}"
+            *flags,
+            scan_flags(dist, self.k, round),
+            "calendar disagrees with L_v in round {round}"
         );
-        flags
     }
 
-    /// Reference for [`Self::flags`]: [`Self::scheduled_send`] on every
-    /// vertex.
-    pub(crate) fn scan_flags(&self, round: u32) -> Vec<Flag> {
-        (0..self.maps.len())
-            .filter_map(|v| self.scheduled_send(v, round).map(|(j, d)| (v as u32, j, d)))
-            .collect()
-    }
-
-    /// Reference for [`Self::due`]: the unique `(j, d)` of `M_v` at a
-    /// position `ℓ` with `d + ℓ = round`, found by scanning the distance
-    /// blocks in order. The 1-based position of `(d, j)` is (labels at
-    /// smaller distances) + (rank of `j` in its block) + 1.
-    pub(crate) fn scheduled_send(&self, v: usize, round: u32) -> Option<(u32, u32)> {
-        let mut below: u32 = 0;
-        for (d, bits) in self.maps[v].iter() {
-            let cnt = bits.count_ones() as u32;
-            let lo = d + below + 1;
-            if round < lo {
-                return None;
-            }
-            if round <= d + below + cnt {
-                // lint: allow(unwrap): rank < cnt == bits.count_ones() by the bound just checked
-                let j = bits.select((round - lo) as usize).expect("rank in block") as u32;
-                return Some((j, *d));
-            }
-            below += cnt;
-        }
-        None
-    }
-
-    /// Replaces every `M_v` with `maps` and rebuilds the cursors and the
-    /// calendar from them and the send stamps `tau` (flat over
-    /// `(v, j)`, `u32::MAX` = not sent). Errors name what is inconsistent.
+    /// Rebuilds the calendar from the labels `dist` and the send stamps
+    /// `tau` (both flat over `(v, j)` with `k` sources; `u32::MAX` = not
+    /// sent), where every send happened before round `next_round`.
+    /// Errors name what the stamps contradict.
     pub(crate) fn restore(
-        &mut self,
-        maps: Vec<FlatMap<u32, DenseBitset>>,
+        dist: &[u32],
         tau: &[u32],
-    ) -> Result<(), &'static str> {
-        let (n, k) = (maps.len(), self.k);
-        if tau.len() != n * k {
-            return Err("send stamps do not match the schedule");
+        k: usize,
+        next_round: u32,
+    ) -> Result<Self, &'static str> {
+        if k == 0 || tau.len() != dist.len() {
+            return Err("send stamps do not match the labels");
         }
-        *self = Self::new(n, k);
-        for (v, map) in maps.into_iter().enumerate() {
-            let labels: u32 = map.iter().map(|(_, b)| b.count_ones() as u32).sum();
-            let sent = tau[v * k..(v + 1) * k]
+        let n = dist.len() / k;
+        let mut s = Self::new(n, k);
+        for (v, (row, stamps)) in dist.chunks(k).zip(tau.chunks(k)).enumerate() {
+            let labels = sorted_labels(row);
+            // Distances < n keep every fire round inside the calendar.
+            if labels.last().is_some_and(|&(d, _)| d as usize >= n) {
+                return Err("label distance out of range");
+            }
+            let sent = labels
                 .iter()
-                .filter(|&&t| t != NONE)
-                .count() as u32;
-            // Labels ≤ k and distances < n keep every fire round inside
-            // the calendar.
-            if sent > labels || labels as usize > k {
-                return Err("schedule label count out of range");
+                .take_while(|&&(_, j)| stamps[j as usize] != NONE)
+                .count();
+            if stamps.iter().filter(|&&t| t != NONE).count() != sent {
+                return Err("sent labels are not a prefix of L_v");
             }
-            if map.last().is_some_and(|&(d, _)| d as usize >= n) {
-                return Err("schedule distance out of range");
-            }
-            let (skip, below) = cursor_of(&map, sent);
-            self.cal[v] = Slot {
-                labels,
-                sent,
-                skip,
-                below,
-                ..EMPTY
+            // The label at position ℓ fired in round d + ℓ.
+            let stamped = |(&(d, j), l): (&(u32, u32), u32)| {
+                stamps[j as usize] == d + l && d + l < next_round
             };
-            self.maps[v] = map;
-            self.refile(v);
+            if !labels[..sent].iter().zip(1..).all(stamped) {
+                return Err("send stamp contradicts the label's position");
+            }
+            s.cal[v].sent = sent as u32;
+            for &(d, j) in &labels[sent..] {
+                s.insert(v, j, d);
+            }
         }
-        Ok(())
+        Ok(s)
     }
 
-    /// The `M_v` block holding `v`'s next unsent label.
-    fn cursor_block(&self, v: usize) -> &(u32, DenseBitset) {
-        let skip = self.cal[v].skip as usize;
-        // lint: allow(unwrap): only called while v has an unsent label, which sits in block `skip`
-        self.maps[v].nth(skip).expect("vertex has an unsent label")
-    }
-
-    /// `(j, d)` of `v`'s next unsent label.
+    /// `(j, d)` of `v`'s next unsent label: its heap root.
     fn next_label(&self, v: usize) -> (u32, u32) {
-        let (d, bits) = self.cursor_block(v);
-        let c = self.cal[v];
-        let rank = (c.sent - c.below) as usize;
-        // lint: allow(unwrap): sent − below < the block's count while it holds an unsent label
-        let j = bits.select(rank).expect("cursor inside its block") as u32;
-        (j, *d)
+        debug_assert!(self.cal[v].len > 0, "vertex {v} has nothing to send");
+        let root = self.heap[v * self.k];
+        (root as u32, (root >> 32) as u32)
     }
 
     /// The round `v` sends its next label in (`NONE` if all are sent).
     fn next_round(&self, v: usize) -> u32 {
-        self.maps[v]
-            .nth(self.cal[v].skip as usize)
-            .map_or(NONE, |(d, _)| d + self.cal[v].sent + 1)
+        let c = self.cal[v];
+        if c.len == 0 {
+            return NONE;
+        }
+        (self.heap[v * self.k] >> 32) as u32 + c.sent + 1
+    }
+
+    /// Places `x` at heap position `i` of `v`, or above it while it is
+    /// smaller than its parent.
+    fn sift_up(&mut self, v: usize, mut i: usize, x: u64) {
+        let heap = &mut self.heap[v * self.k..];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if heap[parent] <= x {
+                break;
+            }
+            heap[i] = heap[parent];
+            i = parent;
+        }
+        heap[i] = x;
+    }
+
+    /// Places `x` at the root of `v`'s heap, or below it while a child is
+    /// smaller.
+    fn sift_down(&mut self, v: usize, x: u64) {
+        let base = v * self.k;
+        let heap = &mut self.heap[base..base + self.cal[v].len as usize];
+        if heap.is_empty() {
+            return;
+        }
+        let mut i = 0;
+        loop {
+            let mut c = 2 * i + 1;
+            if c >= heap.len() {
+                break;
+            }
+            if c + 1 < heap.len() && heap[c + 1] < heap[c] {
+                c += 1;
+            }
+            if x <= heap[c] {
+                break;
+            }
+            heap[i] = heap[c];
+            i = c;
+        }
+        heap[i] = x;
     }
 
     /// Moves `v` to the list of the round it sends next in.
     fn refile(&mut self, v: usize) {
         let c = self.cal[v];
-        debug_assert_eq!(
-            cursor_of(&self.maps[v], c.sent),
-            (c.skip, c.below),
-            "stale cursor at vertex {v}"
-        );
         let r = self.next_round(v);
         if r == c.due {
             return;
@@ -343,78 +335,139 @@ impl SendSchedule {
 mod tests {
     use super::*;
 
-    /// Sends every label due in `round`, as both engines do.
-    fn send_round(s: &mut SendSchedule, round: u32) -> Vec<Flag> {
-        let flags = s.flags(round);
-        assert_eq!(flags, s.scan_flags(round), "round {round}");
-        for &(v, _, _) in &flags {
-            s.mark_sent(v as usize);
+    /// A schedule beside the distance table and send stamps its labels
+    /// come from, updated as both engines update theirs.
+    struct Vertices {
+        s: SendSchedule,
+        k: usize,
+        dist: Vec<u32>,
+        tau: Vec<u32>,
+    }
+
+    impl Vertices {
+        fn new(n: usize, k: usize) -> Self {
+            let (dist, tau) = (vec![INF_DIST; n * k], vec![NONE; n * k]);
+            let s = SendSchedule::new(n, k);
+            Self { s, k, dist, tau }
         }
-        flags
+
+        fn insert(&mut self, v: usize, j: u32, d: u32) {
+            self.dist[v * self.k + j as usize] = d;
+            self.s.insert(v, j, d);
+        }
+
+        fn improve(&mut self, v: usize, j: u32, to: u32) {
+            let from = std::mem::replace(&mut self.dist[v * self.k + j as usize], to);
+            self.s.improve(v, j, from, to);
+        }
+
+        fn flags(&self, round: u32) -> Vec<Flag> {
+            let mut flags = Vec::new();
+            self.s.flags(round, &self.dist, &mut flags);
+            flags
+        }
+
+        /// Sends every label due in `round`, as both engines do.
+        fn send_round(&mut self, round: u32) -> Vec<Flag> {
+            let flags = self.flags(round);
+            assert_eq!(
+                flags,
+                scan_flags(&self.dist, self.k, round),
+                "round {round}"
+            );
+            for &(v, j, _) in &flags {
+                self.tau[v as usize * self.k + j as usize] = round;
+                self.s.mark_sent(v as usize);
+            }
+            flags
+        }
     }
 
     #[test]
     fn label_appended_to_a_fully_sent_block_reopens_it() {
         // Lemma 2's boundary case d + ℓ = r + 1: (1, j0) fires in round
-        // 2, then (1, j1) joins the same, fully sent block and must fire
-        // in round 1 + 2 = 3. A cursor that does not step back over that
-        // block never sends it.
-        let mut s = SendSchedule::new(1, 2);
+        // 2, then (1, j1) joins the distance-1 block, all of whose labels
+        // have been sent, and must fire in round 1 + 2 = 3.
+        let mut s = Vertices::new(1, 2);
         s.insert(0, 0, 1);
-        assert_eq!(send_round(&mut s, 1), vec![]);
-        assert_eq!(send_round(&mut s, 2), vec![(0, 0, 1)]);
-        assert_eq!(s.pending(0), 0);
+        assert_eq!(s.send_round(1), vec![]);
+        assert_eq!(s.send_round(2), vec![(0, 0, 1)]);
+        assert_eq!(s.s.pending(0), 0);
         s.insert(0, 1, 1);
-        assert_eq!(s.due(0, 3), Some((1, 1)));
-        assert_eq!(send_round(&mut s, 3), vec![(0, 1, 1)]);
-        assert_eq!((s.labels(0), s.pending(0)), (2, 0));
+        assert_eq!(s.s.due(0, 3, &s.dist), Some((1, 1)));
+        assert_eq!(s.send_round(3), vec![(0, 1, 1)]);
+        assert_eq!((s.s.labels(0), s.s.pending(0)), (2, 0));
     }
 
     #[test]
     fn a_new_block_after_the_sent_ones_does_not_reopen() {
-        let mut s = SendSchedule::new(2, 3);
+        let mut s = Vertices::new(2, 3);
         s.insert(1, 2, 0);
-        assert_eq!(send_round(&mut s, 1), vec![(1, 2, 0)]);
-        s.insert(1, 0, 2);
+        assert_eq!(s.send_round(1), vec![(1, 2, 0)]);
         s.insert(1, 1, 2);
-        // Positions 2 and 3 at distance 2: rounds 4 and 5.
-        assert_eq!(send_round(&mut s, 3), vec![]);
-        assert_eq!(send_round(&mut s, 4), vec![(1, 0, 2)]);
-        assert_eq!(send_round(&mut s, 5), vec![(1, 1, 2)]);
-        assert_eq!(s.pending(1), 0);
+        s.insert(1, 0, 2);
+        // Positions 2 and 3 at distance 2: rounds 4 and 5, in source order
+        // whatever the insertion order.
+        assert_eq!(s.send_round(3), vec![]);
+        assert_eq!(s.send_round(4), vec![(1, 0, 2)]);
+        assert_eq!(s.send_round(5), vec![(1, 1, 2)]);
+        assert_eq!(s.s.pending(1), 0);
     }
 
     #[test]
     fn improvement_refiles_only_the_moved_vertex() {
-        let mut s = SendSchedule::new(3, 2);
+        let mut s = Vertices::new(3, 2);
         s.insert(0, 0, 3);
         s.insert(2, 1, 1);
         assert_eq!(s.flags(4), vec![(0, 0, 3)]);
         assert_eq!(s.flags(2), vec![(2, 1, 1)]);
-        s.improve(0, 0, 3, 1);
+        s.improve(0, 0, 1);
         assert_eq!(s.flags(4), vec![]);
         assert_eq!(s.flags(2), vec![(0, 0, 1), (2, 1, 1)]);
-        assert_eq!(s.map(0).len(), 1);
+        assert_eq!(s.s.labels(0), 1);
     }
 
     #[test]
-    fn restore_rebuilds_the_calendar_from_maps_and_send_stamps() {
-        let mut live = SendSchedule::new(2, 2);
+    fn improvement_moves_a_label_ahead_of_the_unsent_ones() {
+        // A vertex with many unsent labels: an improvement sifts the
+        // moved label up the heap to its place in L_v.
+        let k = 9;
+        let mut s = Vertices::new(8, k);
+        for j in (0..k as u32).rev() {
+            s.insert(0, j, 5 + j % 3);
+        }
+        s.improve(0, 7, 2);
+        s.improve(0, 4, 3);
+        let sent: Vec<Flag> = (1..=20).flat_map(|r| s.send_round(r)).collect();
+        let order: Vec<u32> = sent.iter().map(|&(_, j, _)| j).collect();
+        assert_eq!(order, vec![7, 4, 0, 3, 6, 1, 2, 5, 8]);
+        assert_eq!(s.s.pending(0), 0);
+    }
+
+    #[test]
+    fn restore_rebuilds_the_calendar_from_dist_and_send_stamps() {
+        let mut live = Vertices::new(2, 2);
         live.insert(0, 0, 0);
         live.insert(0, 1, 1);
         live.insert(1, 1, 0);
-        send_round(&mut live, 1);
-        let tau = [1, NONE, NONE, 1];
-        let maps = (0..2).map(|v| live.map(v).clone()).collect();
-        let mut back = SendSchedule::new(2, 2);
-        back.restore(maps, &tau).expect("consistent");
-        // Rounds still to come (the scan would also report round 1's
+        live.send_round(1);
+        assert_eq!(live.tau, [1, NONE, NONE, 1]);
+        let back = SendSchedule::restore(&live.dist, &live.tau, 2, 2).expect("consistent");
+        // Rounds still to come (the oracle would also report round 1's
         // labels, which are already sent).
         for r in 2..8 {
-            assert_eq!(back.flags(r), live.flags(r), "round {r}");
+            let mut flags = Vec::new();
+            back.flags(r, &live.dist, &mut flags);
+            assert_eq!(flags, live.flags(r), "round {r}");
         }
         assert_eq!(back.pending(0), 1);
-        let maps = (0..2).map(|v| live.map(v).clone()).collect();
-        assert!(back.restore(maps, &[1, 1, 1, 1]).is_err());
+        // Stamps that contradict the labels: vertex 0's second label sent
+        // but not its first; both sent in round 1; a label sent after the
+        // round restored into.
+        let restore = |tau: &[u32], next| SendSchedule::restore(&live.dist, tau, 2, next).err();
+        assert!(restore(&[NONE, 3, NONE, 1], 4).is_some());
+        assert!(restore(&[1, 1, NONE, 1], 2).is_some());
+        assert!(restore(&live.tau, 1).is_some());
+        assert!(restore(&[1, NONE, NONE, NONE], 2).is_none());
     }
 }

@@ -1,4 +1,4 @@
-//! A dense, fixed-capacity bitset with rank/select support.
+//! A dense, fixed-capacity bitset.
 
 /// A dense bitset over `u64` words.
 ///
@@ -16,7 +16,6 @@
 /// assert!(b.get(3));
 /// assert_eq!(b.count_ones(), 2);
 /// assert_eq!(b.iter_ones().collect::<Vec<_>>(), vec![3, 64]);
-/// assert_eq!(b.select(1), Some(64)); // 0-based rank
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DenseBitset {
@@ -87,42 +86,6 @@ impl DenseBitset {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// Number of set bits strictly below `i` (the *rank* of `i`).
-    pub fn rank(&self, i: usize) -> usize {
-        assert!(
-            i <= self.len,
-            "rank index {i} out of range 0..={}",
-            self.len
-        );
-        let (w, b) = (i / 64, i % 64);
-        let mut r: usize = self.words[..w]
-            .iter()
-            .map(|x| x.count_ones() as usize)
-            .sum();
-        if b > 0 && w < self.words.len() {
-            r += (self.words[w] & ((1u64 << b) - 1)).count_ones() as usize;
-        }
-        r
-    }
-
-    /// Position of the `k`-th set bit (0-based), or `None` if fewer than
-    /// `k + 1` bits are set.
-    pub fn select(&self, mut k: usize) -> Option<usize> {
-        for (wi, &w) in self.words.iter().enumerate() {
-            let ones = w.count_ones() as usize;
-            if k < ones {
-                // Select within the word by peeling low set bits.
-                let mut word = w;
-                for _ in 0..k {
-                    word &= word - 1; // clear lowest set bit
-                }
-                return Some(wi * 64 + word.trailing_zeros() as usize);
-            }
-            k -= ones;
-        }
-        None
-    }
-
     /// Iterator over the indices of set bits in increasing order.
     pub fn iter_ones(&self) -> IterOnes<'_> {
         IterOnes {
@@ -186,7 +149,6 @@ mod tests {
         assert!(b.is_empty());
         assert_eq!(b.count_ones(), 0);
         assert_eq!(b.iter_ones().count(), 0);
-        assert_eq!(b.select(0), None);
     }
 
     #[test]
@@ -209,22 +171,6 @@ mod tests {
     fn out_of_range_panics() {
         let mut b = DenseBitset::new(10);
         b.set(10);
-    }
-
-    #[test]
-    fn rank_select_consistency() {
-        let mut b = DenseBitset::new(300);
-        for i in [0usize, 5, 64, 65, 127, 128, 255, 299] {
-            b.set(i);
-        }
-        let ones: Vec<usize> = b.iter_ones().collect();
-        assert_eq!(ones, vec![0, 5, 64, 65, 127, 128, 255, 299]);
-        for (k, &pos) in ones.iter().enumerate() {
-            assert_eq!(b.select(k), Some(pos));
-            assert_eq!(b.rank(pos), k);
-        }
-        assert_eq!(b.select(ones.len()), None);
-        assert_eq!(b.rank(300), ones.len());
     }
 
     #[test]
@@ -254,10 +200,6 @@ mod tests {
             let got: Vec<usize> = b.iter_ones().collect();
             let want: Vec<usize> = bits.iter().copied().collect();
             prop_assert_eq!(&got, &want);
-            for (k, &pos) in want.iter().enumerate() {
-                prop_assert_eq!(b.select(k), Some(pos));
-                prop_assert_eq!(b.rank(pos), k);
-            }
         }
 
         #[test]

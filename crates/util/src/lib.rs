@@ -3,15 +3,16 @@
 //! This crate contains the small, dependency-free building blocks that the
 //! rest of the workspace is built on:
 //!
-//! * [`DenseBitset`] — a fixed-capacity bitset over `u64` words with rank /
-//!   select support. MRBC's per-vertex map `M_v : distance → bitvector over
-//!   sources` (Section 4.3 of the paper) stores one of these per distinct
-//!   distance, and the Gluon-style synchronization layer uses them to track
-//!   which vertices were updated in a round.
+//! * [`DenseBitset`] — a fixed-capacity bitset over `u64` words. The
+//!   Gluon-style synchronization layer uses them to track which vertices
+//!   were updated in a round, and MRBC to mark the proxy labels already
+//!   synchronized.
 //! * [`FlatMap`] — a sorted-vector map. The paper explicitly uses a *Boost
-//!   flat map* for `M_v` because the improved locality of a sorted vector
-//!   beats a red-black tree even with `O(k)` insertion; this is the Rust
-//!   equivalent.
+//!   flat map* for its `M_v : distance → bitvector over sources` (Section
+//!   4.3) because the improved locality of a sorted vector beats a
+//!   red-black tree even with `O(k)` insertion; this is the Rust
+//!   equivalent, kept for the benches that replay that comparison (MRBC
+//!   itself derives `M_v` from its distance table).
 //! * [`stats`] — running statistics, load-imbalance ratios, and formatting
 //!   helpers used by the benchmark harness.
 //! * [`sync`] — the CAS primitives of the asynchronous execution paths
