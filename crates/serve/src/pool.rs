@@ -1417,8 +1417,12 @@ mod tests {
     }
 
     fn test_pool(workers: usize) -> Pool {
+        pool_over(test_graph(), workers)
+    }
+
+    fn pool_over(graph: CsrGraph, workers: usize) -> Pool {
         let spawn = WorkerSpawn::InProcess {
-            graph: test_graph(),
+            graph,
             bc: Box::default(),
             sched: SchedConfig::default(),
         };
@@ -1481,6 +1485,45 @@ mod tests {
             .expect("subset again");
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&merged), bits(&again), "merge is deterministic");
+    }
+
+    /// Every pooled `SubsetBc` carries one daemon's bits, whatever the
+    /// worker count and however many shards its sources span.
+    #[test]
+    fn pooled_subset_bc_is_bit_equal_to_one_daemon() {
+        use mrbc_graph::generators::{grid_road_network, rmat, RmatConfig, RoadNetworkConfig};
+        let rmat7 = rmat(RmatConfig::new(7, 8), 1);
+        let road = grid_road_network(RoadNetworkConfig::new(12, 24), 1);
+        let all = |g: &CsrGraph| (0..g.num_vertices() as u32).collect::<Vec<_>>();
+        let cases = [
+            (&rmat7, 2, all(&rmat7)),
+            (&rmat7, 4, all(&rmat7)),
+            (&rmat7, 2, (0..128).step_by(7).collect()),
+            (&road, 3, all(&road)),
+        ];
+        for (graph, workers, sources) in cases {
+            let pool = pool_over(graph.clone(), workers);
+            let daemon = start(graph.clone(), ServeConfig::default()).expect("daemon");
+            let (_, pooled) = quick_client(pool.local_addr())
+                .subset_bc(0, &sources)
+                .expect("pooled subset");
+            let (_, alone) = quick_client(daemon.local_addr())
+                .subset_bc(0, &sources)
+                .expect("single subset");
+            assert_eq!(pooled.len(), alone.len());
+            let differ = pooled
+                .iter()
+                .zip(&alone)
+                .filter(|(a, b)| a.to_bits() != b.to_bits())
+                .count();
+            assert_eq!(
+                differ,
+                0,
+                "{workers} workers, {} of {} sources: vertices whose bits differ",
+                sources.len(),
+                graph.num_vertices()
+            );
+        }
     }
 
     #[test]
