@@ -12,8 +12,8 @@
 //! * **Pool** — the serve pool's supervision/failover loop
 //!   (`mrbc-serve`): heartbeat verdicts kill-for-certain and respawn,
 //!   mutation-log replay under the broadcast lock republishes a
-//!   respawned worker, in-flight shards fail over (refetch, `Retry`,
-//!   `Partial`), and merges must reflect a single epoch.
+//!   respawned worker, and the in-flight `SubsetBc`, routed whole to
+//!   one worker, fails over to its sibling or resolves to `Retry`.
 //! * **Wal** — the pool front-end's write-ahead-log ack protocol
 //!   (`mrbc-serve` with `--wal-dir`): append, group-commit fsync, ack,
 //!   crash (discarding the un-fsynced tail), recover-by-replay. The
@@ -92,7 +92,6 @@ pub mod adapters {
             Response::Error { .. } => 9,
             Response::Bye => 10,
             Response::Retry { .. } => 11,
-            Response::Partial { .. } => 12,
             Response::WalFault { .. } => 13,
         }
     }
@@ -126,7 +125,6 @@ pub mod adapters {
             Response::Error { .. } => "Error",
             Response::Bye => "Bye",
             Response::Retry { .. } => "Retry",
-            Response::Partial { .. } => "Partial",
             Response::WalFault { .. } => "WalFault",
         }
     }
@@ -798,7 +796,7 @@ impl Model for RecoveryModel {
 // Model 2: pool supervision / failover (mrbc-serve)
 // ---------------------------------------------------------------------
 
-/// Workers in the pool model (one shard each).
+/// Workers in the pool model.
 const POOL_W: usize = 2;
 
 /// One pool worker: up with a mutation-log prefix applied, dead, or
@@ -834,24 +832,21 @@ enum PoolLock {
     },
 }
 
-/// One shard of the in-flight `SubsetBc` query.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Shard {
-    Todo,
-    InFlight,
-    Got { epoch: u8 },
-    Lost,
-}
-
-/// The client-visible query lifecycle.
+/// The in-flight `SubsetBc`, routed whole to one worker as
+/// `call_worker` routes it: ranks are tried from worker 0 (the owner of
+/// its smallest source) upward, skipping one with no live link and
+/// moving on when one dies with the request in flight.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Query {
-    Open([Shard; POOL_W]),
-    /// Merged answer; records the two shard epochs it merged.
-    Done {
-        epochs: [u8; POOL_W],
+    /// The next rank to try; `POOL_W` once every worker was tried.
+    Routing {
+        next: u8,
     },
-    Partial,
+    /// Sent to worker `at`, awaiting its answer.
+    InFlight {
+        at: u8,
+    },
+    Done,
     Retry,
 }
 
@@ -889,7 +884,7 @@ impl Model for PoolModel {
             muts_left: 1,
             kills_left: 1,
             detector_stale: [false; POOL_W],
-            query: Query::Open([(); POOL_W].map(|()| Shard::Todo)),
+            query: Query::Routing { next: 0 },
         }
     }
 
@@ -1023,122 +1018,64 @@ impl Model for PoolModel {
             }
         }
 
-        // --- the in-flight SubsetBc query --------------------------
-        if let Query::Open(shards) = &s.query {
-            for w in 0..POOL_W {
-                match &shards[w] {
-                    Shard::Todo => {
-                        if s.workers[w].applied().is_some() {
-                            let mut t = s.clone();
-                            if let Query::Open(sh) = &mut t.query {
-                                sh[w] = Shard::InFlight;
-                            }
-                            let req = Request::SubsetBc {
-                                epoch: 0,
-                                sources: vec![w as u32],
-                            };
-                            out.push((
-                                format!(
-                                    "pool -> worker {w}: {} shard (tag {})",
-                                    adapters::request_name(&req),
-                                    adapters::request_tag(&req),
-                                ),
-                                t,
-                            ));
-                        }
-                    }
-                    Shard::InFlight => {
-                        if let Some(applied) = s.workers[w].applied() {
-                            let mut t = s.clone();
-                            if let Query::Open(sh) = &mut t.query {
-                                sh[w] = Shard::Got { epoch: applied };
-                            }
-                            let resp = Response::SubsetBc {
-                                epoch: u64::from(applied),
-                                scores: Vec::new(),
-                            };
-                            out.push((
-                                format!(
-                                    "worker {w} -> pool: {} (tag {}, epoch {applied})",
-                                    adapters::response_name(&resp),
-                                    adapters::response_tag(&resp),
-                                ),
-                                t,
-                            ));
-                        } else {
-                            let mut t = s.clone();
-                            if let Query::Open(sh) = &mut t.query {
-                                sh[w] = Shard::Lost;
-                            }
-                            out.push((
-                                format!("pool: worker {w} conn dead -> shard {w} lost in flight"),
-                                t,
-                            ));
-                        }
-                    }
-                    Shard::Got { .. } => {}
-                    Shard::Lost => {
-                        let mut t = s.clone();
-                        if let Query::Open(sh) = &mut t.query {
-                            sh[w] = Shard::Todo;
-                        }
-                        out.push((format!("pool: failover -> redispatch shard {w}"), t));
-                    }
-                }
+        // --- the routed SubsetBc query -----------------------------
+        let retry = |why: &str| {
+            let resp = Response::Retry { after_ms: 50 };
+            let mut t = s.clone();
+            t.query = Query::Retry;
+            let line = format!(
+                "pool -> client: {} (tag {}) — {why}",
+                adapters::response_name(&resp),
+                adapters::response_tag(&resp),
+            );
+            (line, t)
+        };
+        match s.query {
+            Query::Routing { next } if usize::from(next) == POOL_W => {
+                out.push(retry("no live worker left to try"));
             }
-            // Merge / degrade decisions over the shard set.
-            if let [Shard::Got { epoch: e0 }, Shard::Got { epoch: e1 }] = shards {
+            Query::Routing { next } => {
+                let w = usize::from(next);
                 let mut t = s.clone();
-                if e0 == e1 {
-                    t.query = Query::Done { epochs: [*e0, *e1] };
-                    out.push((
-                        format!("pool -> client: merged SubsetBc (single epoch {e0})"),
-                        t,
-                    ));
+                let line = if s.workers[w].applied().is_some() {
+                    t.query = Query::InFlight { at: next };
+                    let req = Request::SubsetBc {
+                        epoch: 0,
+                        sources: vec![0],
+                    };
+                    format!(
+                        "pool -> worker {w}: {} (tag {})",
+                        adapters::request_name(&req),
+                        adapters::request_tag(&req),
+                    )
                 } else {
-                    let stale = usize::from(e0 > e1);
-                    if let Query::Open(sh) = &mut t.query {
-                        sh[stale] = Shard::Todo;
-                    }
-                    out.push((
-                        format!(
-                            "pool: merge sees epochs ({e0},{e1}) -> refetch stale shard {stale}"
-                        ),
-                        t,
-                    ));
-                }
-            }
-            let lost = (0..POOL_W).filter(|&w| shards[w] == Shard::Lost).count();
-            if lost > 0 {
-                let retry = Response::Retry { after_ms: 50 };
-                let mut t = s.clone();
-                t.query = Query::Retry;
-                out.push((
-                    format!(
-                        "pool -> client: {} (tag {}) — shard lost, respawn in flight",
-                        adapters::response_name(&retry),
-                        adapters::response_tag(&retry),
-                    ),
-                    t,
-                ));
-            }
-            if lost == 1 && shards.iter().any(|sh| matches!(sh, Shard::Got { .. })) {
-                let partial = Response::Partial {
-                    epoch: 0,
-                    scores: Vec::new(),
-                    missing_sources: Vec::new(),
+                    t.query = Query::Routing { next: next + 1 };
+                    format!("pool: worker {w} has no live link -> try the next rank")
                 };
-                let mut t = s.clone();
-                t.query = Query::Partial;
-                out.push((
-                    format!(
-                        "pool -> client: {} (tag {}) — completed shards only",
-                        adapters::response_name(&partial),
-                        adapters::response_tag(&partial),
-                    ),
-                    t,
-                ));
+                out.push((line, t));
             }
+            Query::InFlight { at } => {
+                let w = usize::from(at);
+                let mut t = s.clone();
+                let line = if let Some(applied) = s.workers[w].applied() {
+                    t.query = Query::Done;
+                    let resp = Response::SubsetBc {
+                        epoch: u64::from(applied),
+                        scores: Vec::new(),
+                    };
+                    format!(
+                        "worker {w} -> pool -> client: {} (tag {}, epoch {applied})",
+                        adapters::response_name(&resp),
+                        adapters::response_tag(&resp),
+                    )
+                } else {
+                    t.query = Query::Routing { next: at + 1 };
+                    format!("pool: worker {w} conn dead -> failover to the next rank")
+                };
+                out.push((line, t));
+                out.push(retry("dispatch deadline spent"));
+            }
+            Query::Done | Query::Retry => {}
         }
         out
     }
@@ -1157,12 +1094,6 @@ impl Model for PoolModel {
                 }
             }
         }
-        // A merged answer must reflect one epoch.
-        if let Query::Done { epochs: [a, b] } = &s.query {
-            if a != b {
-                return Some("single-epoch-merge");
-            }
-        }
         None
     }
 
@@ -1170,14 +1101,13 @@ impl Model for PoolModel {
         vec![
             "no-lost-mutation",
             "no-duplicate-mutation",
-            "single-epoch-merge",
             "liveness",
             "deadlock",
         ]
     }
 
     fn resolved(&self, s: &PoolState) -> bool {
-        matches!(s.query, Query::Done { .. } | Query::Partial | Query::Retry)
+        matches!(s.query, Query::Done | Query::Retry)
             && s.lock == PoolLock::Free
             && s.muts_left == 0
             && s.detector_stale.iter().all(|stale| !stale)
@@ -1552,6 +1482,7 @@ mod tests {
     use super::*;
     use mrbc_net::frame::FrameKind;
     use mrbc_net::launch::{parse_control_line, parse_worker_line};
+    use mrbc_serve::proto::{decode_response, encode_response};
 
     #[test]
     fn clean_recovery_model_holds_exhaustively() {
@@ -1692,8 +1623,9 @@ mod tests {
 
     #[test]
     fn adapters_cover_the_wire_tag_spaces() {
-        // Requests 0..=7, responses 0..=13, frames 0..=5: the adapter
-        // projections are bijections onto the encoder tag ranges.
+        // Requests 0..=7, responses 0..=13 but the retired 12, frames
+        // 0..=5: the adapter projections are bijections onto the
+        // encoder tag ranges.
         let requests = [
             Request::Hello { generation: 0 },
             Request::BcScore { epoch: 0, v: 0 },
@@ -1731,20 +1663,62 @@ mod tests {
 
         assert_eq!(adapters::mutate_op_tag(&MutateOp::AddEdge), 0);
         assert_eq!(adapters::mutate_op_tag(&MutateOp::RemoveEdge), 1);
-        assert_eq!(
-            adapters::response_tag(&Response::Partial {
+
+        let responses = [
+            Response::Welcome {
+                epoch: 0,
+                vertices: 0,
+                edges: 0,
+                now_us: 0,
+                pid: 0,
+                generation: 0,
+            },
+            Response::BcValue {
+                epoch: 0,
+                score: 0.0,
+            },
+            Response::TopKList {
+                epoch: 0,
+                entries: Vec::new(),
+            },
+            Response::PathInfo {
+                epoch: 0,
+                dist: 0,
+                sigma: 0.0,
+            },
+            Response::SubsetBc {
                 epoch: 0,
                 scores: Vec::new(),
-                missing_sources: Vec::new(),
-            }),
-            12
-        );
-        assert_eq!(
-            adapters::response_tag(&Response::WalFault {
+            },
+            Response::Mutated {
+                epoch: 0,
+                applied: false,
+            },
+            Response::Stats(Default::default()),
+            Response::Busy {
+                queued: 0,
+                capacity: 0,
+            },
+            Response::Stale {
+                requested: 0,
+                current: 0,
+            },
+            Response::Error {
                 message: String::new(),
-            }),
-            13
-        );
+            },
+            Response::Bye,
+            Response::Retry { after_ms: 0 },
+            Response::WalFault {
+                message: String::new(),
+            },
+        ];
+        let tags: Vec<u8> = responses.iter().map(adapters::response_tag).collect();
+        let live: Vec<u8> = (0..=13).filter(|&t| t != 12).collect();
+        assert_eq!(tags, live, "tag 12 (Partial up to v5) stays retired");
+        for resp in &responses {
+            let (_, back) = decode_response(&encode_response(7, resp)).expect("decodes");
+            assert_eq!(adapters::response_tag(&back), adapters::response_tag(resp));
+        }
         assert_eq!(
             adapters::response_name(&Response::WalFault {
                 message: String::new(),

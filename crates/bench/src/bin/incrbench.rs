@@ -54,7 +54,6 @@ struct Measurement {
     reuse_ratio: f64,
     /// Median over mutations of `affected_sources / n`.
     affected_fraction_p50: f64,
-    fallback_full: u64,
 }
 
 fn cases(quick: bool) -> Vec<Case> {
@@ -115,7 +114,6 @@ struct StreamResult {
     lat_us: Vec<u64>,
     reused: u64,
     rebuilt: u64,
-    fallback_full: u64,
     affected_fractions: Vec<f64>,
 }
 
@@ -129,7 +127,6 @@ fn run_stream(store: &EpochStore, want: usize) -> StreamResult {
         lat_us: Vec::with_capacity(want),
         reused: 0,
         rebuilt: 0,
-        fallback_full: 0,
         affected_fractions: Vec::with_capacity(want),
     };
     let mut i = 0usize;
@@ -146,7 +143,6 @@ fn run_stream(store: &EpochStore, want: usize) -> StreamResult {
         if let Some(o) = m.maintenance {
             out.reused += o.sources_reused;
             out.rebuilt += o.sources_rebuilt;
-            out.fallback_full += u64::from(o.fallback_full);
             out.affected_fractions
                 .push(o.affected as f64 / f64::from(n.max(1)));
         }
@@ -213,7 +209,6 @@ fn run_case(case: Case) -> Measurement {
             incr.reused as f64 / denom as f64
         },
         affected_fraction_p50: percentile(&incr.affected_fractions, 0.50),
-        fallback_full: incr.fallback_full,
     }
 }
 
@@ -248,8 +243,6 @@ fn to_json(ms: &[Measurement], min_speedup: f64, within_budget: bool) -> String 
         w.float(m.reuse_ratio);
         w.key("affected_fraction_p50");
         w.float(m.affected_fraction_p50);
-        w.key("fallback_full");
-        w.number(m.fallback_full);
         w.end_object();
     }
     w.end_array();
@@ -294,7 +287,6 @@ fn main() {
             "speedup",
             "reuse",
             "affected p50",
-            "fallbacks",
         ],
     );
     let mut measurements = Vec::new();
@@ -310,7 +302,6 @@ fn main() {
             format!("{:.1}x", m.speedup),
             format!("{:.2}", m.reuse_ratio),
             format!("{:.2}", m.affected_fraction_p50),
-            m.fallback_full.to_string(),
         ]);
         measurements.push(m);
     }

@@ -52,12 +52,12 @@ USAGE:
       supervised pool of W serve-worker child processes behind one
       front-end: source-range sharded routing, heartbeat failure
       detection, SIGKILL -> respawn -> mutation replay recovery; worker
-      death surfaces as structured Retry/Partial, never a hung client;
+      death surfaces as a structured Retry, never a hung client;
       each worker exits when the front-end does, even after kill -9
       --trace-dir D: each worker writes D/trace-worker-<rank>.json
       (combine with the front-end's own --trace and `mrbc obs merge`)
       --flight-dir D: dump the flight-recorder ring to D on panic,
-      worker death, and every Retry/Partial emission
+      worker death, and every Retry emission
       --wal-dir DIR: every acknowledged mutation is fsynced into a
       write-ahead log in DIR before the ack leaves; a restart over DIR
       replays it to the exact pre-crash epoch (a log that cannot be
@@ -77,7 +77,7 @@ USAGE:
       (pass the front-end trace first: it holds the probes)
   mrbc obs last-flight [--dir D] [<file.mrfr>]
       print the most recent flight-recorder dump (written on panic,
-      worker death, or any Retry/Partial response when --flight-dir
+      worker death, or any Retry response when --flight-dir
       was given to serve / serve pool)
   mrbc help
 
@@ -86,7 +86,6 @@ EXIT CODES:
   3 corrupt or unreadable checkpoint (truncated file, CRC mismatch, ...)
   4 daemon busy (queue full; retry)   5 pinned epoch is stale
   6 pool is recovering (Retry exhausted; resend later)
-  7 partial result (a shard was lost mid-query; missing sources listed)
   8 durability broken (the write-ahead log is corrupt or cannot be synced)
 
 OBSERVABILITY (any command):

@@ -5,7 +5,7 @@
 //! aligning worker clocks from the Hello-handshake probes the front-end
 //! recorded. `obs last-flight` locates and pretty-prints the most
 //! recent flight-recorder dump, the first stop when a worker died or a
-//! query came back Retry/Partial.
+//! query came back Retry.
 
 use crate::args::ParsedArgs;
 use crate::commands::CmdError;

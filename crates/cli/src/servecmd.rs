@@ -2,13 +2,11 @@
 //! query daemon (single-process or supervised worker pool) and its
 //! client, bridging the `mrbc-serve` crate into the CLI's exit-code
 //! contract: structured `Busy` responses exit 4, `Stale` responses
-//! exit 5, pool-level `Retry` exhaustion exits 6, degraded
-//! `Partial` answers exit 7, and a corrupt or unsyncable write-ahead
-//! log exits 8 (both from `WalFault` refusals and from a pool that
-//! cannot open its `--wal-dir`), so shell scripts (and the CI smoke
-//! job) can distinguish "retry later", "re-pin your epoch", "pool is
-//! recovering", "shard lost mid-query", and "durability broken" from
-//! hard failures.
+//! exit 5, pool-level `Retry` exhaustion exits 6, and a corrupt or
+//! unsyncable write-ahead log exits 8 (both from `WalFault` refusals and
+//! from a pool that cannot open its `--wal-dir`), so shell scripts (and
+//! the CI smoke job) can distinguish "retry later", "re-pin your epoch",
+//! "pool is recovering" and "durability broken" from hard failures.
 
 use std::io::BufRead;
 use std::process::Command;
@@ -25,7 +23,7 @@ use mrbc_serve::{
 };
 
 /// Arms the flight recorder when `--flight-dir DIR` was given: every
-/// subsequent panic, worker Dead verdict, or Retry/Partial emission
+/// subsequent panic, worker Dead verdict, or Retry emission
 /// dumps the in-memory event ring to `DIR/flight-<pid>.mrfr`.
 fn arm_flight(p: &ParsedArgs) -> Result<(), CmdError> {
     if let Some(dir) = p.get_str("flight-dir") {
@@ -142,8 +140,8 @@ fn watch_stdin_for_quit(quit: ShutdownHandle) {
 /// Starts `W` serve-worker child processes (each a full `mrbc serve`
 /// daemon of this same binary) behind a supervising front-end router:
 /// source-range sharded routing, heartbeat failure detection, SIGKILL →
-/// respawn → mutation-log replay recovery, and structured `Retry` /
-/// `Partial` degradation instead of hangs. Prints the same
+/// respawn → mutation-log replay recovery, and a structured `Retry`
+/// instead of a hang. Prints the same
 /// `SERVE <addr>` readiness line as the single-process daemon; clients
 /// cannot tell the difference until a worker dies under them.
 ///
@@ -284,7 +282,7 @@ fn cmd_pool(p: &ParsedArgs) -> Result<String, CmdError> {
     let recoveries = pool.recoveries_ms();
     Ok(format!(
         "pool exited cleanly: {} workers, {} sessions, {} routed, \
-         {} failovers, {} respawns, {} retries emitted, {} partials emitted, \
+         {} failovers, {} respawns, {} retries emitted, \
          {} mutations replayed, recoveries {:?} ms\n",
         workers,
         stats.sessions,
@@ -292,7 +290,6 @@ fn cmd_pool(p: &ParsedArgs) -> Result<String, CmdError> {
         stats.failovers,
         stats.respawns,
         stats.retries_emitted,
-        stats.partials_emitted,
         stats.replayed_mutations,
         recoveries,
     ))
@@ -470,19 +467,6 @@ pub fn cmd_query(p: &ParsedArgs) -> Result<String, CmdError> {
             message: format!("pool is recovering; retry after {after_ms} ms (or pass --retries N)"),
             code: 6,
         }),
-        Response::Partial {
-            epoch,
-            scores,
-            missing_sources,
-        } => Err(CmdError {
-            message: format!(
-                "partial result @ epoch {epoch}: scores cover {} vertices but \
-                 {} requested source(s) were lost mid-query: {missing_sources:?}",
-                scores.len(),
-                missing_sources.len(),
-            ),
-            code: 7,
-        }),
         Response::WalFault { message } => Err(CmdError {
             message: format!("durability broken: {message}"),
             code: 8,
@@ -531,7 +515,6 @@ mod tests {
             replay_mutations: 12,
             sources_reused: 120,
             sources_rebuilt: 13,
-            fallback_full: 14,
             hists: vec![
                 ("serve.exec_us".to_string(), obs::Histogram::default()),
                 ("serve.total_us".to_string(), h),
@@ -554,7 +537,6 @@ replayed mutations: 12
 sources reused:     120
 sources rebuilt:    13
 reuse ratio:        0.90
-full fallbacks:     14
 serve.exec_us       n=0 p50=0us p99=0us p999=0us max=0us
 serve.total_us      n=2 p50=120us p99=81920us p999=81920us max=90000us
 ";

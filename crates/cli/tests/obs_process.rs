@@ -65,9 +65,9 @@ fn stop_pool(mut child: Child, addr: &str) {
     let _ = child.wait();
 }
 
-/// One front-end + two workers, each with its own `--trace` export; a
-/// subset query whose sources straddle the shard boundary fans out to
-/// both workers, so a single client trace id must appear on all three
+/// One front-end + two workers, each with its own `--trace` export. A
+/// subset query goes whole to one worker; a mutation is broadcast to
+/// both under its client's trace id, so that id must appear on all three
 /// process tracks of the merged timeline — and the merged document must
 /// pass `mrbc check-json` unchanged.
 #[test]
@@ -85,14 +85,19 @@ fn merged_trace_correlates_one_query_across_three_processes() {
         ],
     );
 
-    // 64-vertex graph over 2 workers shards at vertex 32: sources on
-    // both sides force the subset fan-out to touch both workers inside
-    // one routed query.
+    // 64-vertex graph over 2 workers shards at vertex 32: the smallest
+    // source, 1, routes this subset query to worker 0 alone.
     let out = bin()
         .args(["query", &addr, "subset", "--sources", "1,5,9,33,50"])
         .output()
         .expect("subset query");
     assert!(out.status.success(), "subset query failed: {out:?}");
+    // A mutation reaches both workers inside one routed query.
+    let out = bin()
+        .args(["query", &addr, "mutate", "--add", "1-50"])
+        .output()
+        .expect("mutate query");
+    assert!(out.status.success(), "mutate query failed: {out:?}");
 
     // A clean shutdown makes every process flush its trace file.
     stop_pool(pool, &addr);
@@ -137,9 +142,9 @@ fn merged_trace_correlates_one_query_across_three_processes() {
         String::from_utf8_lossy(&check.stderr)
     );
 
-    // Golden property: some trace id appears in span args on all three
-    // merged process tracks (front-end pool.route + both workers'
-    // serve.query spans).
+    // Golden property: some trace id (the mutation's) appears in span
+    // args on all three merged process tracks (front-end pool.route +
+    // both workers' serve.query spans).
     let doc = std::fs::read_to_string(&merged_path).expect("read merged");
     let v = json::parse(&doc).expect("parse merged");
     let events = v

@@ -624,6 +624,34 @@ impl<'a> Batch<'a> {
         agenda
     }
 
+    /// The parked δ table a replica holds before backward round `round`.
+    /// For each edge `u → v` on source `j`'s shortest-path DAG whose head
+    /// has fired (`A_v = R − τ_v + 1 < round`) and whose tail has not,
+    /// `pending[u·k + j]` holds `(v, σ_u · ((1 + δ_v) / σ_v))`, the value
+    /// [`bwd_push_host`] pushed; lists are in ascending `v`.
+    pub(crate) fn parked_deltas(&self, round: u32) -> Vec<Vec<(u32, f64)>> {
+        let (n, k) = (self.g.num_vertices(), self.k);
+        let fired = |idx: usize| {
+            let tau = self.tau[idx];
+            tau != u32::MAX && u64::from(self.r_term) + 1 < u64::from(round) + u64::from(tau)
+        };
+        let mut pending = vec![Vec::new(); n * k];
+        for u in 0..n {
+            for &v in self.g.out_neighbors(u as VertexId) {
+                for j in 0..k {
+                    let (uidx, vidx) = (u * k + j, v as usize * k + j);
+                    let du = self.dist_g[uidx];
+                    if du != INF_DIST && self.dist_g[vidx] == du + 1 && fired(vidx) && !fired(uidx)
+                    {
+                        let m = (1.0 + self.delta_g[vidx]) / self.sigma_g[vidx];
+                        pending[uidx].push((v, self.sigma_g[uidx] * m));
+                    }
+                }
+            }
+        }
+        pending
+    }
+
     /// Folds the parked δ contributions of the flagged labels into
     /// `delta_g`, in canonical pushing-vertex order.
     ///

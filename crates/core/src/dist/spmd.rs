@@ -34,8 +34,8 @@
 //! still carries the paper's `M_v` per vertex, written from `dist_g`
 //! (format version 1, unchanged). `restore` refuses a section that
 //! differs from the one `dist_g` derives, a τ whose sent labels are not a
-//! prefix of `L_v` fired in their rounds, and a backward agenda other
-//! than the one τ derives.
+//! prefix of `L_v` fired in their rounds, and a backward agenda or
+//! parked-δ table other than the one the labels and τ derive.
 //! [`MrbcSpmd::new`] always runs the paper's delayed synchronization. The
 //! eager ablation is a mode only the in-process driver selects: its steps
 //! skip the broadcast write-back, and a forward phase whose last step
@@ -678,6 +678,24 @@ impl SpmdProgram for MrbcSpmd<'_> {
                 }
                 pending[idx] = contribs;
             }
+            // So is the parked δ: each list, in pusher order (the order
+            // `fold_pending_flags` folds it in), must be the one the
+            // labels and τ derive, value for value in bits.
+            if let Phase::Backward { round } = phase {
+                let want = b.parked_deltas(round);
+                let same = pending.iter().zip(&want).all(|(got, want)| {
+                    let mut got = got.clone();
+                    got.sort_by_key(|&(v, _)| v);
+                    got.len() == want.len()
+                        && got
+                            .iter()
+                            .zip(want)
+                            .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
+                });
+                if !same {
+                    return Err(WireError::Invalid("parked δ contradicts the labels"));
+                }
+            }
             run.phase = phase;
             run.agenda = agenda;
             run.pending = pending;
@@ -1006,13 +1024,14 @@ mod tests {
     }
 
     /// Restoring `forged` into a replica mid-way through the same run
-    /// fails and leaves that replica as it was.
-    fn assert_refused(g: &CsrGraph, dg: &DistGraph, forged: &[u8]) {
+    /// (6 sources in batches of `batch`) fails and leaves that replica as
+    /// it was.
+    fn assert_refused(g: &CsrGraph, dg: &DistGraph, batch: usize, forged: &[u8]) {
         let sources: Vec<u32> = (0..6).collect();
-        let mut other = MrbcSpmd::new(g, dg, &sources, 6);
+        let mut other = MrbcSpmd::new(g, dg, &sources, batch);
         run_steps(&mut other, 2, 3);
         let before = other.snapshot();
-        assert!(other.restore(forged).is_err(), "forged schedule restored");
+        assert!(other.restore(forged).is_err(), "forged snapshot restored");
         assert!(
             other.snapshot() == before,
             "a refused restore changed the replica"
@@ -1033,7 +1052,7 @@ mod tests {
         let forged = forge_schedule(&prog, |maps| {
             maps[v].entry(d1 + 1).or_default().push(j1);
         });
-        assert_refused(&g, &dg, &forged);
+        assert_refused(&g, &dg, 6, &forged);
     }
 
     #[test]
@@ -1049,7 +1068,7 @@ mod tests {
             }
             maps[v].entry(d1 + 1).or_default().push(j1);
         });
-        assert_refused(&g, &dg, &forged);
+        assert_refused(&g, &dg, 6, &forged);
     }
 
     #[test]
@@ -1066,7 +1085,7 @@ mod tests {
         for i in 0..4 {
             forged.swap(at(j0) + i, at(j1) + i);
         }
-        assert_refused(&g, &dg, &forged);
+        assert_refused(&g, &dg, 6, &forged);
     }
 
     #[test]
@@ -1081,7 +1100,28 @@ mod tests {
         let entry = run.agenda.iter_mut().flatten().next();
         // One label accumulated at a distance one off its own.
         entry.expect("a label left to accumulate").2 += 1;
-        assert_refused(&g, &dg, &prog.snapshot());
+        assert_refused(&g, &dg, 6, &prog.snapshot());
+    }
+
+    #[test]
+    fn restore_rejects_a_doubled_parked_contribution() {
+        let (g, dg) = road_grid();
+        let sources: Vec<u32> = (0..6).collect();
+        let mut prog = MrbcSpmd::new(&g, &dg, &sources, 3);
+        for step in 0.. {
+            if prog.describe(step) == "batch 1/2 backward round 5" {
+                break;
+            }
+            assert!(step < 100, "batch 1 never reached backward round 5");
+            run_steps(&mut prog, 2, 1);
+        }
+        let mut back = MrbcSpmd::new(&g, &dg, &sources, 3);
+        back.restore(&prog.snapshot())
+            .expect("the intact snapshot restores");
+        let run = prog.run.as_mut().expect("a batch in progress");
+        let parked = run.pending.iter_mut().flatten().next();
+        parked.expect("a parked contribution").1 *= 2.0;
+        assert_refused(&g, &dg, 3, &prog.snapshot());
     }
 
     #[test]

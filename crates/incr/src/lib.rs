@@ -30,10 +30,9 @@
 //!    O(n · sources) flat additions and keeps bit-identity by
 //!    construction.
 //!
-//! When the affected fraction exceeds a configurable threshold the
-//! engine falls back to rebuilding every source (`fallback_full`): the
-//! result is still bit-identical, the fallback is purely a cost
-//! decision. See DESIGN.md §16.
+//! Only the affected sources are ever rebuilt: rebuilding an unaffected
+//! one reproduces its cached bits, so it would cost time and change
+//! nothing. See DESIGN.md §16.
 
 use mrbc_core::brandes;
 use mrbc_graph::{CsrGraph, VertexId, INF_DIST};
@@ -58,10 +57,6 @@ pub struct IncrConfig {
     /// O(n²) memory (three length-n arrays per source), so the serving
     /// tier only opts in below this bound.
     pub max_vertices: usize,
-    /// Fall back to a full rebuild when more than this fraction of
-    /// sources is affected — at that point per-source reuse no longer
-    /// pays for the bookkeeping.
-    pub fallback_fraction: f64,
 }
 
 impl Default for IncrConfig {
@@ -69,24 +64,23 @@ impl Default for IncrConfig {
         IncrConfig {
             enabled: true,
             max_vertices: 1024,
-            fallback_fraction: 0.5,
         }
     }
 }
 
 /// What one [`IncrEngine::apply`] call did, for the serving tier's
-/// `sources_reused` / `sources_rebuilt` / `fallback_full` counters.
+/// `sources_reused` / `sources_rebuilt` counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IncrOutcome {
     /// Sources whose cached artifacts survived the epoch bump untouched.
     pub sources_reused: u64,
     /// Sources rebuilt with the canonical kernel this epoch.
     pub sources_rebuilt: u64,
-    /// Sources the cone test marked affected (before any fallback
-    /// widening) — the numerator of the affected fraction.
+    /// Sources the cone test marked affected — the numerator of the
+    /// affected fraction (every one of them is rebuilt).
     pub affected: u64,
-    /// True when the affected fraction exceeded the threshold and the
-    /// engine rebuilt every source instead.
+    /// Always `false`: the engine rebuilds only the affected sources.
+    /// Kept because the benchmark's incremental layer still reads it.
     pub fallback_full: bool,
 }
 
@@ -229,41 +223,23 @@ impl IncrEngine {
     /// Maintain the epoch across one edge mutation. `g` is the
     /// *post-mutation* graph; the affected-source test runs against the
     /// cached pre-mutation distances, then affected sources are rebuilt
-    /// on `g` and the BC vector is re-folded. When the affected
-    /// fraction exceeds `cfg.fallback_fraction`, every source is
-    /// rebuilt instead (same bits, different cost profile).
-    pub fn apply(
-        &mut self,
-        g: &CsrGraph,
-        op: EdgeOp,
-        u: VertexId,
-        v: VertexId,
-        cfg: &IncrConfig,
-    ) -> IncrOutcome {
+    /// on `g` and the BC vector is re-folded.
+    pub fn apply(&mut self, g: &CsrGraph, op: EdgeOp, u: VertexId, v: VertexId) -> IncrOutcome {
         let n = self.per_source.len();
         assert_eq!(g.num_vertices(), n, "mutations never change the vertex set");
         let affected: Vec<VertexId> = (0..n as VertexId)
             .filter(|&s| source_affected(&self.per_source[s as usize].dist, op, u, v))
             .collect();
-        let fallback_full = n > 0 && (affected.len() as f64) > cfg.fallback_fraction * (n as f64);
-        let rebuilt: u64;
-        if fallback_full {
-            for s in 0..n {
-                self.per_source[s] = canonical_source(g, s as VertexId);
-            }
-            rebuilt = n as u64;
-        } else {
-            for &s in &affected {
-                self.per_source[s as usize] = canonical_source(g, s);
-            }
-            rebuilt = affected.len() as u64;
+        for &s in &affected {
+            self.per_source[s as usize] = canonical_source(g, s);
         }
         self.refold_bc();
+        let rebuilt = affected.len() as u64;
         IncrOutcome {
             sources_reused: n as u64 - rebuilt,
             sources_rebuilt: rebuilt,
-            affected: affected.len() as u64,
-            fallback_full,
+            affected: rebuilt,
+            fallback_full: false,
         }
     }
 
@@ -381,7 +357,6 @@ mod tests {
                 "road",
             ),
         ] {
-            let cfg = IncrConfig::default();
             let mut engine = IncrEngine::build(&g);
             let mut applied = 0;
             for i in 0.. {
@@ -393,7 +368,7 @@ mod tests {
                 };
                 applied += 1;
                 g = mutate_graph(&g, op, u, v);
-                let out = engine.apply(&g, op, u, v, &cfg);
+                let out = engine.apply(&g, op, u, v);
                 assert_eq!(
                     out.sources_reused + out.sources_rebuilt,
                     g.num_vertices() as u64,
@@ -421,7 +396,6 @@ mod tests {
             .flat_map(|u| (0..n as VertexId).map(move |v| (u, v)))
             .filter(|&(u, v)| u != v)
             .collect();
-        let cfg = IncrConfig::default();
         for mask in 0..(1u32 << pairs.len()) {
             let edges: Vec<(VertexId, VertexId)> = pairs
                 .iter()
@@ -439,7 +413,7 @@ mod tests {
                 };
                 let g2 = mutate_graph(&g, op, u, v);
                 let mut engine = base.clone();
-                let out = engine.apply(&g2, op, u, v, &cfg);
+                let out = engine.apply(&g2, op, u, v);
                 let fresh = IncrEngine::build(&g2);
                 assert_eq!(bits(engine.bc()), bits(fresh.bc()), "mask={mask:#b}");
                 for s in 0..n as VertexId {
@@ -454,47 +428,6 @@ mod tests {
                 assert!(out.sources_rebuilt + out.sources_reused == n as u64);
             }
         }
-    }
-
-    /// The fallback threshold is honoured: fraction 0 forces every
-    /// mutation to a full rebuild, fraction 1 never falls back.
-    #[test]
-    fn fallback_threshold_controls_rebuild_scope() {
-        let g = generators::rmat(RmatConfig::new(5, 8), 29);
-        let (op, u, v) = (0..)
-            .find_map(|i| probe_mutation(&g, i))
-            .expect("probe stream yields a mutation");
-        let g2 = mutate_graph(&g, op, u, v);
-
-        let mut eager = IncrEngine::build(&g);
-        let out = eager.apply(
-            &g2,
-            op,
-            u,
-            v,
-            &IncrConfig {
-                fallback_fraction: 0.0,
-                ..IncrConfig::default()
-            },
-        );
-        assert!(out.fallback_full);
-        assert_eq!(out.sources_rebuilt, g.num_vertices() as u64);
-
-        let mut lazy = IncrEngine::build(&g);
-        let out = lazy.apply(
-            &g2,
-            op,
-            u,
-            v,
-            &IncrConfig {
-                fallback_fraction: 1.0,
-                ..IncrConfig::default()
-            },
-        );
-        assert!(!out.fallback_full);
-        assert_eq!(out.sources_rebuilt, out.affected);
-        // Both paths land on the same bits.
-        assert_eq!(bits(eager.bc()), bits(lazy.bc()));
     }
 
     /// Mutations touching a vertex unreachable from `s` leave `s`

@@ -1,9 +1,8 @@
 //! Crash flight recorder: a fixed-size in-memory ring of recent
 //! structured events, dumped to a CRC-protected file when something
-//! goes wrong (a panic, a worker declared dead, a degraded `Retry` /
-//! `Partial` response), so chaos-harness failures leave a black box
-//! behind even when the process that failed can no longer explain
-//! itself.
+//! goes wrong (a panic, a worker declared dead, a `Retry` response), so
+//! chaos-harness failures leave a black box behind even when the
+//! process that failed can no longer explain itself.
 //!
 //! Design constraints:
 //!

@@ -413,7 +413,7 @@ impl RetryClient {
 
     /// Sends `req`, absorbing `Retry` responses and transient socket
     /// failures up to `max_retries` times. Returns the first substantive
-    /// response (which may still be `Busy`/`Stale`/`Partial` — those are
+    /// response (which may still be `Busy`/`Stale` — those are
     /// decisions for the caller, not transport failures).
     pub fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
         self.call_traced(TraceCtx::NONE, req)

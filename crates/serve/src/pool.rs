@@ -11,10 +11,11 @@
 //! data partitioning: any worker can answer any query, which is exactly
 //! what makes failover a re-route instead of a data migration. The
 //! paper's Lemma 8 makes this cheap — a re-driven source batch costs
-//! `k + H` rounds, not `k · H` — and per-source BC contributions compose
-//! independently (Crescenzi–Fraigniaud–Paz), so a lost shard degrades a
-//! `SubsetBc` answer to a structured [`Response::Partial`] rather than
-//! poisoning the whole result.
+//! `k + H` rounds, not `k · H`. A `SubsetBc` goes whole to the owner of
+//! its smallest source, never split across shards: one daemon folds its
+//! sources in ascending order, and per-shard sums added afterwards would
+//! round differently, so only a single worker's answer has a single
+//! daemon's bits.
 //!
 //! Supervision reuses the [`mrbc_net::detector`] heartbeat machinery:
 //! the supervisor thread probes each worker on the detector's beat
@@ -174,7 +175,8 @@ crate::table::stat_table! {
         routed,
         /// `Retry` responses emitted (deadline or no live worker).
         retries_emitted,
-        /// `Partial` responses emitted (lost shard during `SubsetBc`).
+        /// Has no producer and reads 0: a `SubsetBc` is answered whole by
+        /// one worker. Kept because the `serve-churn` benchmark reports it.
         partials_emitted,
         /// Requests re-routed to a sibling after a worker died mid-flight.
         failovers,
@@ -721,17 +723,18 @@ fn worker_replied(
     ControlFlow::Continue(())
 }
 
-/// Sends `req` on `conn` (untraced — pool housekeeping traffic) and
-/// waits up to `timeout_ms` for its answer.
+/// Sends `req` carrying `ctx` on `conn` (`TraceCtx::NONE` for pool
+/// housekeeping traffic) and waits up to `timeout_ms` for its answer.
 fn call_conn(
     shared: &PoolShared,
     conn: &Arc<WorkerConn>,
+    ctx: TraceCtx,
     req: &Request,
     timeout_ms: u64,
 ) -> Option<Response> {
     let (tx, rx) = mpsc::channel();
     let id = shared.fresh_id();
-    if !conn.send(id, TraceCtx::NONE, req, tx) {
+    if !conn.send(id, ctx, req, tx) {
         return None;
     }
     match rx.recv_timeout(Duration::from_millis(timeout_ms)) {
@@ -766,7 +769,7 @@ fn bring_up_worker(
     let hello = Request::Hello {
         generation: shared.generation,
     };
-    let welcome = call_conn(shared, &conn, &hello, HANDSHAKE_MS);
+    let welcome = call_conn(shared, &conn, TraceCtx::NONE, &hello, HANDSHAKE_MS);
     let t2 = obs::now_us();
     let Some(Response::Welcome {
         vertices,
@@ -794,7 +797,8 @@ fn bring_up_worker(
             .lock()
             .map_err(|_| io::Error::other("mutation log poisoned"))?;
         for &(op, u, v) in log.iter() {
-            let replayed = call_conn(shared, &conn, &Request::Mutate { op, u, v }, HANDSHAKE_MS);
+            let replay = Request::Mutate { op, u, v };
+            let replayed = call_conn(shared, &conn, TraceCtx::NONE, &replay, HANDSHAKE_MS);
             let Some(Response::Mutated { epoch, .. }) = replayed else {
                 conn.drain_dead(shared);
                 return Err(io::Error::other("mutation replay failed during recovery"));
@@ -921,9 +925,9 @@ fn supervise_loop(
     // exit event, to flush its `--trace` / `--flight-dir` exports before
     // tear-down kills it.
     for (rank, w) in watch.iter().enumerate() {
-        let said_bye = shared
-            .conn_of(rank)
-            .is_some_and(|conn| call_conn(shared, &conn, &Request::Shutdown, 500).is_some());
+        let said_bye = shared.conn_of(rank).is_some_and(|conn| {
+            call_conn(shared, &conn, TraceCtx::NONE, &Request::Shutdown, 500).is_some()
+        });
         let backend = shared.slots[rank].backend.lock();
         let is_process = matches!(backend.as_deref(), Ok(Backend::Child(..)));
         drop(backend);
@@ -1089,7 +1093,7 @@ fn churn_loop(shared: &Arc<PoolShared>, clause: ChurnFault) {
             if shared.shutdown.load(Ordering::SeqCst) {
                 return;
             }
-            match broadcast_mutate(shared, op, u, v) {
+            match broadcast_mutate(shared, TraceCtx::NONE, op, u, v) {
                 Response::Mutated { .. } | Response::Error { .. } => break,
                 Response::WalFault { .. } => return,
                 _ => thread::sleep(Duration::from_millis(5)),
@@ -1163,7 +1167,9 @@ fn aggregate_stats(shared: &PoolShared) -> Response {
         let Some(conn) = shared.conn_of(rank) else {
             continue;
         };
-        if let Some(Response::Stats(s)) = call_conn(shared, &conn, &Request::Stats, 2_000) {
+        if let Some(Response::Stats(s)) =
+            call_conn(shared, &conn, TraceCtx::NONE, &Request::Stats, 2_000)
+        {
             total.fold(&s, Across::Workers);
             answered = true;
         }
@@ -1177,9 +1183,10 @@ fn aggregate_stats(shared: &PoolShared) -> Response {
     Response::Stats(total)
 }
 
-/// Broadcasts a mutation to every live worker in rank order, holding the
-/// mutation-log lock so recovery replay serializes against it.
-fn broadcast_mutate(shared: &PoolShared, op: MutateOp, u: u32, v: u32) -> Response {
+/// Broadcasts a mutation carrying `ctx` to every live worker in rank
+/// order, holding the mutation-log lock so recovery replay serializes
+/// against it.
+fn broadcast_mutate(shared: &PoolShared, ctx: TraceCtx, op: MutateOp, u: u32, v: u32) -> Response {
     let Ok(mut log) = shared.mutation_log.lock() else {
         return shared.retry();
     };
@@ -1192,6 +1199,7 @@ fn broadcast_mutate(shared: &PoolShared, op: MutateOp, u: u32, v: u32) -> Respon
         let resp = call_conn(
             shared,
             &conn,
+            ctx,
             &Request::Mutate { op, u, v },
             shared.dispatch_timeout_ms,
         );
@@ -1242,97 +1250,6 @@ fn broadcast_mutate(shared: &PoolShared, op: MutateOp, u: u32, v: u32) -> Respon
     }
 }
 
-/// `SubsetBc` fan-out: canonicalize, group by shard affinity, dispatch
-/// each group to its owner, merge per-group vectors in rank order. Lost
-/// groups degrade the answer to `Partial { missing_sources }`.
-fn fan_out_subset(shared: &PoolShared, ctx: TraceCtx, epoch_pin: u64, sources: &[u32]) -> Response {
-    let vertices = shared.graph_info.lock().map(|g| g.0).unwrap_or(0);
-    let mut canon: Vec<u32> = sources.to_vec();
-    canon.sort_unstable();
-    canon.dedup();
-    if canon.is_empty() {
-        // Zero sources → zero scores; answer locally at the current
-        // epoch without bothering a worker.
-        return Response::SubsetBc {
-            epoch: shared.epoch.load(Ordering::SeqCst),
-            scores: vec![0.0; vertices as usize],
-        };
-    }
-
-    // Group in rank order (canon is sorted, shards are contiguous, so
-    // groups are consecutive runs).
-    let mut groups: Vec<(usize, Vec<u32>)> = Vec::new();
-    for &s in &canon {
-        let rank = shard_of(s, vertices, shared.workers);
-        match groups.last_mut() {
-            Some((r, g)) if *r == rank => g.push(s),
-            _ => groups.push((rank, vec![s])),
-        }
-    }
-
-    let deadline = now_ms() + shared.dispatch_timeout_ms;
-    let mut merged: Option<Vec<f64>> = None;
-    let mut merged_epoch: Option<u64> = None;
-    let mut missing: Vec<u32> = Vec::new();
-
-    for (rank, group) in &groups {
-        let sub = Request::SubsetBc {
-            epoch: epoch_pin,
-            sources: group.clone(),
-        };
-        let remaining = deadline.saturating_sub(now_ms());
-        let resp = if remaining == 0 {
-            None
-        } else {
-            call_worker(shared, *rank, ctx, &sub, now_ms() + remaining)
-        };
-        match resp {
-            Some(Response::SubsetBc { epoch, scores }) => {
-                match merged_epoch {
-                    Some(e) if e != epoch => {
-                        // A mutation landed between groups; a merged
-                        // vector would be torn. Structured retreat.
-                        return shared.retry();
-                    }
-                    _ => merged_epoch = Some(epoch),
-                }
-                match &mut merged {
-                    None => merged = Some(scores),
-                    Some(acc) => {
-                        if acc.len() != scores.len() {
-                            return shared.retry();
-                        }
-                        for (a, s) in acc.iter_mut().zip(scores) {
-                            *a += s;
-                        }
-                    }
-                }
-            }
-            // Substantive refusals apply to the whole request.
-            Some(r @ (Response::Stale { .. } | Response::Busy { .. } | Response::Error { .. })) => {
-                return r;
-            }
-            _ => missing.extend_from_slice(group),
-        }
-    }
-
-    match (merged, merged_epoch) {
-        (Some(scores), Some(epoch)) if missing.is_empty() => Response::SubsetBc { epoch, scores },
-        (Some(scores), Some(epoch)) => {
-            bump(&shared.counters.partials_emitted);
-            // A degraded answer is a flight-recorder moment too.
-            obs::flight::note("pool.partial_emitted", ctx.trace, missing.len() as u64);
-            obs::flight::dump("partial-emitted");
-            Response::Partial {
-                epoch,
-                scores,
-                missing_sources: missing,
-            }
-        }
-        _ => shared.retry(),
-    }
-}
-
 /// Routes one decoded request; always returns, never hangs. `ctx` is
 /// the trace context the client sent; routed queries get a
 /// `pool.route` span in that trace, and workers receive a child
@@ -1361,23 +1278,23 @@ fn route(shared: &PoolShared, ctx: TraceCtx, req: &Request) -> Response {
                 .arg("span", span_id)
                 .arg("parent", ctx.parent);
             let down = ctx.child(span_id);
-            match req {
-                Request::Mutate { op, u, v } => broadcast_mutate(shared, *op, *u, *v),
-                Request::SubsetBc { epoch, sources } => {
-                    fan_out_subset(shared, down, *epoch, sources)
+            let shard = |s: u32| {
+                let vertices = shared.graph_info.lock().map(|g| g.0).unwrap_or(0);
+                shard_of(s, vertices, shared.workers)
+            };
+            let rank = match req {
+                Request::Mutate { op, u, v } => return broadcast_mutate(shared, down, *op, *u, *v),
+                // Source-scoped queries go to the owner of their smallest
+                // source (an empty subset to vertex 0's), which answers
+                // the whole query: one daemon's fold, so one daemon's bits.
+                Request::PathInfo { s, .. } => shard(*s),
+                Request::SubsetBc { sources, .. } => {
+                    shard(sources.iter().min().copied().unwrap_or(0))
                 }
-                Request::PathInfo { s, .. } => {
-                    let vertices = shared.graph_info.lock().map(|g| g.0).unwrap_or(0);
-                    let rank = shard_of(*s, vertices, shared.workers);
-                    let deadline = now_ms() + shared.dispatch_timeout_ms;
-                    call_worker(shared, rank, down, req, deadline).unwrap_or_else(|| shared.retry())
-                }
-                _ => {
-                    let rank = shared.first_alive().unwrap_or(0);
-                    let deadline = now_ms() + shared.dispatch_timeout_ms;
-                    call_worker(shared, rank, down, req, deadline).unwrap_or_else(|| shared.retry())
-                }
-            }
+                _ => shared.first_alive().unwrap_or(0),
+            };
+            let deadline = now_ms() + shared.dispatch_timeout_ms;
+            call_worker(shared, rank, down, req, deadline).unwrap_or_else(|| shared.retry())
         }
     }
 }
@@ -1417,10 +1334,10 @@ mod tests {
     }
 
     fn test_pool(workers: usize) -> Pool {
-        pool_over(test_graph(), workers)
+        pool_over(test_graph(), workers, None)
     }
 
-    fn pool_over(graph: CsrGraph, workers: usize) -> Pool {
+    fn pool_over(graph: CsrGraph, workers: usize, faults: Option<FaultPlan>) -> Pool {
         let spawn = WorkerSpawn::InProcess {
             graph,
             bc: Box::default(),
@@ -1434,6 +1351,7 @@ mod tests {
                 suspect_after_ms: 200,
                 dead_after_ms: 800,
             },
+            faults,
             ..PoolConfig::default()
         };
         start_pool(spawn, cfg).expect("pool starts")
@@ -1477,14 +1395,12 @@ mod tests {
         let (_, d2, s2) = single.1.path_info(0, 0, 11).expect("single path");
         assert_eq!((d, sigma.to_bits()), (d2, s2.to_bits()));
 
-        // Source sets spanning multiple shards merge deterministically.
+        // A source set spanning both shards answers with the daemon's bits.
         let sources = [0u32, 1, 5, 10, 11];
-        let (_, merged) = c.subset_bc(0, &sources).expect("subset");
-        let (_, again) = quick_client(pool.local_addr())
-            .subset_bc(0, &sources)
-            .expect("subset again");
+        let (_, pooled) = c.subset_bc(0, &sources).expect("subset");
+        let (_, alone) = single.1.subset_bc(0, &sources).expect("single subset");
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&merged), bits(&again), "merge is deterministic");
+        assert_eq!(bits(&pooled), bits(&alone), "subset diverged");
     }
 
     /// Every pooled `SubsetBc` carries one daemon's bits, whatever the
@@ -1502,7 +1418,7 @@ mod tests {
             (&road, 3, all(&road)),
         ];
         for (graph, workers, sources) in cases {
-            let pool = pool_over(graph.clone(), workers);
+            let pool = pool_over(graph.clone(), workers, None);
             let daemon = start(graph.clone(), ServeConfig::default()).expect("daemon");
             let (_, pooled) = quick_client(pool.local_addr())
                 .subset_bc(0, &sources)
@@ -1524,6 +1440,26 @@ mod tests {
                 graph.num_vertices()
             );
         }
+    }
+
+    /// A `SubsetBc` whose worker dies with it in flight is answered by
+    /// the sibling, with the same bits.
+    #[test]
+    fn a_subset_bc_fails_over_bit_equal_when_its_worker_dies() {
+        let kill = "kill:worker=0@query=1".parse().expect("chaos clause");
+        let pool = pool_over(test_graph(), 2, Some(kill));
+        let daemon = start(test_graph(), ServeConfig::default()).expect("daemon");
+        // Smallest source 1 routes to worker 0, which dies on receipt.
+        let sources = [1u32, 5, 9];
+        let (_, pooled) = quick_client(pool.local_addr())
+            .subset_bc(0, &sources)
+            .expect("answered by the sibling");
+        let (_, alone) = quick_client(daemon.local_addr())
+            .subset_bc(0, &sources)
+            .expect("single subset");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&pooled), bits(&alone));
+        assert_eq!(pool.pool_stats().failovers, 1);
     }
 
     #[test]

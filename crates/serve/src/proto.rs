@@ -40,7 +40,9 @@ pub const SERVE_MAGIC: u32 = 0x5653_524D;
 /// v4: epoch-maintenance counters in Stats (`sources_reused` /
 /// `sources_rebuilt` / `fallback_full` from the incremental engine).
 /// v5: `hedge_fired` removed from Stats (hedging is gone).
-pub const SERVE_VERSION: u32 = 5;
+/// v6: the `Partial` response is gone (its tag, 12, is retired, not
+/// reused) and so is `fallback_full` from Stats.
+pub const SERVE_VERSION: u32 = 6;
 
 /// Trace correlation context carried on every request: the originating
 /// query's trace id and the span id of the sender's enclosing span.
@@ -281,9 +283,6 @@ crate::table::stat_table! {
         sources_reused = ("sources reused", 13, [Max, Max]),
         /// Per-source artifacts the maintenance engine rebuilt.
         sources_rebuilt = ("sources rebuilt", 14, [Max, Max]),
-        /// Mutations that tripped the engine's full-rebuild fallback
-        /// (affected fraction over threshold).
-        fallback_full = ("full fallbacks", 16, [Max, Max]),
     }
 }
 
@@ -505,19 +504,6 @@ pub enum Response {
         /// Suggested client wait before resending, in milliseconds.
         after_ms: u32,
     },
-    /// Degraded answer to [`Request::SubsetBc`]: scores accumulated from
-    /// the sources that completed; `missing_sources` lists the requested
-    /// sources whose shard was lost mid-query. Per-source contributions
-    /// compose independently (Crescenzi–Fraigniaud–Paz), so the partial
-    /// vector is exact for the sources it covers.
-    Partial {
-        /// Epoch the completed contributions belong to.
-        epoch: u64,
-        /// Per-vertex scores from the completed sources only.
-        scores: Vec<f64>,
-        /// Requested sources with no contribution in `scores`.
-        missing_sources: Vec<u32>,
-    },
     /// Durability lost: the front-end's WAL cannot accept the mutation
     /// (fsync failed or the log is corrupt beyond the snapshot). The
     /// mutation was **not** acknowledged and was not applied durably;
@@ -736,23 +722,6 @@ pub fn encode_response(id: u64, resp: &Response) -> Vec<u8> {
             w.u64(id);
             w.u32(*after_ms);
         }
-        Response::Partial {
-            epoch,
-            scores,
-            missing_sources,
-        } => {
-            w.u8(12);
-            w.u64(id);
-            w.u64(*epoch);
-            w.u32(scores.len() as u32);
-            for s in scores {
-                w.f64(*s);
-            }
-            w.u32(missing_sources.len() as u32);
-            for s in missing_sources {
-                w.u32(*s);
-            }
-        }
         Response::WalFault { message } => {
             w.u8(13);
             w.u64(id);
@@ -832,30 +801,6 @@ pub fn decode_response(body: &[u8]) -> Result<(u64, Response), WireError> {
         },
         10 => Response::Bye,
         11 => Response::Retry { after_ms: r.u32()? },
-        12 => {
-            let epoch = r.u64()?;
-            let count = r.u32()? as usize;
-            if count > body.len() {
-                return Err(WireError::Invalid("score count exceeds body"));
-            }
-            let mut scores = Vec::with_capacity(count);
-            for _ in 0..count {
-                scores.push(r.f64()?);
-            }
-            let mcount = r.u32()? as usize;
-            if mcount > body.len() {
-                return Err(WireError::Invalid("missing-source count exceeds body"));
-            }
-            let mut missing_sources = Vec::with_capacity(mcount);
-            for _ in 0..mcount {
-                missing_sources.push(r.u32()?);
-            }
-            Response::Partial {
-                epoch,
-                scores,
-                missing_sources,
-            }
-        }
         13 => Response::WalFault {
             message: String::from_utf8_lossy(r.bytes()?).into_owned(),
         },
@@ -891,7 +836,6 @@ mod tests {
             replay_mutations: 12,
             sources_reused: 120,
             sources_rebuilt: 13,
-            fallback_full: 14,
             hists: vec![
                 ("serve.exec_us".to_string(), Histogram::default()),
                 ("serve.total_us".to_string(), h),
@@ -899,17 +843,15 @@ mod tests {
         }
     }
 
-    /// `encode_stats(full_stats())` as the hand-written v5 codec wrote it
-    /// (captured at the commit before the field table): 15 u64s in wire
-    /// order, then the histograms.
-    const FULL_STATS_V5: &str = "\
+    /// `encode_stats(full_stats())` in protocol v6: 14 u64s in wire order,
+    /// then the histograms.
+    const FULL_STATS_V6: &str = "\
         05000000000000000a000000000000000800000000000000020000000000000006000000000000000100\
         00000000000003000000000000000400000000000000090000000000000007000000000000000b000000\
-        000000000c0000000000000078000000000000000d000000000000000e00000000000000020000000d00\
-        000073657276652e657865635f7573000000000000000000000000000000000000000000000000000000\
-        0000000000000000000e00000073657276652e746f74616c5f7573020000000000000008600100000000\
-        007800000000000000905f01000000000002000000270000000100000000000000720000000100000000\
-        000000";
+        000000000c0000000000000078000000000000000d00000000000000020000000d00000073657276652e\
+        657865635f75730000000000000000000000000000000000000000000000000000000000000000000000\
+        000e00000073657276652e746f74616c5f75730200000000000000086001000000000078000000000000\
+        00905f01000000000002000000270000000100000000000000720000000100000000000000";
 
     #[test]
     fn stats_wire_bytes_are_pinned() {
@@ -917,8 +859,8 @@ mod tests {
         encode_stats(&mut w, &full_stats());
         let bytes = w.into_bytes();
         let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(hex, FULL_STATS_V5);
-        assert_eq!(SERVE_VERSION, 5, "new bytes need a new version");
+        assert_eq!(hex, FULL_STATS_V6);
+        assert_eq!(SERVE_VERSION, 6, "new bytes need a new version");
         // decode → encode is the identity on them.
         let back = decode_stats(&mut WireReader::new(&bytes)).expect("decode");
         assert_eq!(back, full_stats());
@@ -957,7 +899,6 @@ mod tests {
             replay_mutations: 9,
             sources_reused: 40,
             sources_rebuilt: 8,
-            fallback_full: 1,
             hists: hist(100),
         };
         let w1 = ServeStats {
@@ -975,7 +916,6 @@ mod tests {
             replay_mutations: 0,
             sources_reused: 30,
             sources_rebuilt: 6,
-            fallback_full: 0,
             hists: hist(900),
         };
         let mut total = own;
@@ -996,7 +936,6 @@ mod tests {
             replay_mutations: 5,
             sources_reused: 40,
             sources_rebuilt: 8,
-            fallback_full: 1,
             hists: total.hists.clone(),
         };
         assert_eq!(total, pool);
@@ -1017,7 +956,6 @@ mod tests {
             replay_mutations: 7,
             sources_reused: 10,
             sources_rebuilt: 90,
-            fallback_full: 2,
             hists: hist(50),
         };
         total.fold(&base, Across::Restarts);
@@ -1036,7 +974,6 @@ mod tests {
             replay_mutations: 12,
             sources_reused: 40,
             sources_rebuilt: 90,
-            fallback_full: 2,
             hists: total.hists.clone(),
         };
         assert_eq!(total, cumulative);
@@ -1169,16 +1106,6 @@ mod tests {
             },
             Response::Bye,
             Response::Retry { after_ms: 250 },
-            Response::Partial {
-                epoch: 6,
-                scores: vec![0.0, -0.0, 4.5],
-                missing_sources: vec![2, 9],
-            },
-            Response::Partial {
-                epoch: 7,
-                scores: vec![],
-                missing_sources: vec![],
-            },
             Response::WalFault {
                 message: "wal fsync failed: injected".into(),
             },
@@ -1225,6 +1152,21 @@ mod tests {
         w.u64(0);
         w.u32(u32::MAX);
         assert!(decode_request(&w.into_bytes()).is_err());
+    }
+
+    /// Tag 12 carried `Partial` up to v5; it is retired, not reused.
+    #[test]
+    fn the_retired_partial_tag_is_unknown() {
+        let mut w = WireWriter::new();
+        w.u8(12);
+        w.u64(1);
+        w.u64(6);
+        w.u32(0);
+        w.u32(0);
+        assert_eq!(
+            decode_response(&w.into_bytes()),
+            Err(WireError::Invalid("unknown response tag"))
+        );
     }
 
     #[test]

@@ -357,9 +357,6 @@ fn execute_job(shared: &Shared, req: &Request) -> Response {
                 counters
                     .sources_rebuilt
                     .fetch_add(m.sources_rebuilt, Ordering::Relaxed);
-                if m.fallback_full {
-                    counters.fallback_full.fetch_add(1, Ordering::Relaxed);
-                }
                 obs::counter_add("serve.incr.sources_reused", m.sources_reused);
                 obs::counter_add("serve.incr.sources_rebuilt", m.sources_rebuilt);
             }

@@ -265,7 +265,7 @@ impl EpochStore {
             MutateOp::AddEdge => EdgeOp::Add,
             MutateOp::RemoveEdge => EdgeOp::Remove,
         };
-        let outcome = engine.apply(&graph, edge_op, u, v, &self.incr_cfg);
+        let outcome = engine.apply(&graph, edge_op, u, v);
         let fresh_bc = Arc::new(engine.bc().to_vec());
         let mut inner = self.lock();
         // Same publish guard as the compute paths: only the scheduler

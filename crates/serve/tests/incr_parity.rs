@@ -9,7 +9,7 @@
 //! * random add/remove sequences on a seeded power-law (R-MAT) graph —
 //!   the serving tier's target workload, shallow cones, heavy reuse;
 //! * the same sequences on a road-network grid — large diameter, wide
-//!   cones, frequent cost-based fallback to full rebuild;
+//!   cones, often half the sources or more rebuilt per mutation;
 //! * exhaustive enumeration: every digraph on 3 vertices under every
 //!   applicable single-edge mutation, plus every ordered pair on an
 //!   8-vertex graph — the shapes where off-by-one cone tests and DAG
