@@ -1357,6 +1357,10 @@ mod tests {
         start_pool(spawn, cfg).expect("pool starts")
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     fn quick_client(addr: SocketAddr) -> ServeClient {
         ServeClient::connect_with(
             addr,
@@ -1399,7 +1403,6 @@ mod tests {
         let sources = [0u32, 1, 5, 10, 11];
         let (_, pooled) = c.subset_bc(0, &sources).expect("subset");
         let (_, alone) = single.1.subset_bc(0, &sources).expect("single subset");
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&pooled), bits(&alone), "subset diverged");
     }
 
@@ -1457,7 +1460,6 @@ mod tests {
         let (_, alone) = quick_client(daemon.local_addr())
             .subset_bc(0, &sources)
             .expect("single subset");
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&pooled), bits(&alone));
         assert_eq!(pool.pool_stats().failovers, 1);
     }
