@@ -1,14 +1,18 @@
 //! Process-level tests of the multi-process substrate through the real
-//! `mrbc-cli` binary: a chaos run (launch 4 workers, SIGKILL one
-//! mid-computation, recover from durable checkpoints, verify the result
-//! is bit-identical to the in-process engine), the structured
-//! exit-code contract for corrupt checkpoints, and the launcher's
-//! lifeline (a SIGKILLed launcher takes every rank with it).
+//! `mrbc-cli` binary: chaos runs (launch 4 workers, SIGKILL ranks
+//! mid-forward, mid-backward and after a batch boundary, recover from
+//! durable checkpoints, verify the result is bit-identical to the
+//! in-process engine), the structured exit-code contract for corrupt
+//! checkpoints, and the launcher's lifeline (a SIGKILLed launcher takes
+//! every rank with it).
 
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
-use mrbc_graph::{generators, io};
+use mrbc_core::dist::spmd::MrbcSpmd;
+use mrbc_dgalois::spmd::{run_local, SpmdProgram};
+use mrbc_dgalois::{partition, PartitionPolicy};
+use mrbc_graph::{generators, io, sample};
 use mrbc_net::CheckpointStore;
 
 mod common;
@@ -79,6 +83,63 @@ fn chaos_kill_recovers_to_bit_identical_result() {
             "{stdout}"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Recovery inside a backward phase and across a batch boundary. The
+/// kill steps come from the same problem run in-process, by what
+/// `describe` names each step boundary: rank 1 dies in batch 1's backward
+/// round 3, so every rank restores a backward snapshot and derives its
+/// agenda and parked δ; rank 2 dies in batch 2's first step. Both
+/// recover, and the result is bit-identical to the in-process engine.
+#[test]
+fn kills_in_a_backward_phase_and_after_a_batch_boundary_recover() {
+    let dir = tmpdir("backward");
+    let graph = write_test_graph(&dir);
+    let g = io::read_edge_list_file(&graph, None).expect("read graph");
+    let dg = partition(&g, 4, PartitionPolicy::CartesianVertexCut);
+    let sources = sample::contiguous_sources(g.num_vertices(), 8, 1);
+    let mut prog = MrbcSpmd::new(&g, &dg, &sources, 4);
+    let mut boundaries = Vec::new();
+    while !prog.done() {
+        boundaries.push(prog.describe(0));
+        run_local(&mut prog, 1).expect("step");
+    }
+    let step_of = |tag: &str| boundaries.iter().position(|d| d == tag).expect(tag);
+    let kills = format!(
+        "1@{},2@{}",
+        step_of("batch 1/2 backward round 3"),
+        step_of("batch 2/2 forward round 1")
+    );
+    let ckpts = dir.join("ckpts").to_string_lossy().into_owned();
+    let out = bin()
+        .args([
+            "launch",
+            &graph,
+            "--ranks",
+            "4",
+            "--sources",
+            "8",
+            "--batch",
+            "4",
+            "--kill",
+            &kills,
+            "--checkpoint-dir",
+            &ckpts,
+            "--timeout",
+            "90000",
+            "--verify",
+        ])
+        .output()
+        .expect("run launch");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "launch failed:\n{stdout}\n{stderr}");
+    assert!(stdout.contains("recoveries: 2"), "{stdout}");
+    assert!(
+        stdout.contains("bit-identical to the in-process engine"),
+        "{stdout}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

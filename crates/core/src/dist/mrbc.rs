@@ -51,7 +51,6 @@ use mrbc_dgalois::spmd::SpmdProgram;
 use mrbc_dgalois::{BspStats, DistGraph, ReliableLink};
 use mrbc_faults::{FaultSession, RecoveryStats};
 use mrbc_graph::{CsrGraph, VertexId, INF_DIST};
-use mrbc_util::DenseBitset;
 
 /// Tuning knobs for [`mrbc_bc_with_options`].
 #[derive(Clone, Copy, Debug)]
@@ -318,14 +317,14 @@ pub(crate) fn bucket_flags(dg: &DistGraph, flags: &[Flag], buckets: &mut [Vec<Pr
 }
 
 /// Per-host proxy labels for one batch: the partial (pre-reduce) values
-/// accumulated from local edges, flat over `(local proxy, source)`.
+/// accumulated from local edges, flat over `(local proxy, source)`. Once
+/// `(v, j)` syncs, its proxies hold the final `dist_g` and τ is stamped,
+/// so [`Batch::merge_global`]'s Lemma-5 checks catch any later
+/// contribution to it.
 pub(crate) struct HostState {
     pub(crate) dist: Vec<u32>,
     pub(crate) sigma: Vec<f64>,
     pub(crate) delta: Vec<f64>,
-    /// Forward-synced markers: after `(v, j)` syncs, the proxy value is
-    /// final and must never receive another shortest-path contribution.
-    pub(crate) synced: DenseBitset,
 }
 
 /// One batch's labels, schedule and proxies. [`MrbcSpmd`] owns it and
@@ -378,12 +377,10 @@ pub(crate) fn fwd_push_host(
             let idx = lu as usize * k + j as usize;
             let cur = hs.dist[idx];
             if d_new < cur {
-                debug_assert!(!hs.synced.get(idx), "proxy improved after its sync round");
                 hs.dist[idx] = d_new;
                 hs.sigma[idx] = sig;
                 out.push((gu, j, d_new, sig));
             } else if d_new == cur {
-                debug_assert!(!hs.synced.get(idx), "σ contribution after the sync round");
                 hs.sigma[idx] += sig;
                 out.push((gu, j, d_new, sig));
             }
@@ -445,7 +442,6 @@ impl<'a> Batch<'a> {
                     dist: vec![INF_DIST; p * k],
                     sigma: vec![0.0; p * k],
                     delta: vec![0.0; p * k],
-                    synced: DenseBitset::new(p * k),
                 }
             })
             .collect();
@@ -566,7 +562,6 @@ impl<'a> Batch<'a> {
             if forward {
                 hs.dist[lidx] = self.dist_g[gidx];
                 hs.sigma[lidx] = self.sigma_g[gidx];
-                hs.synced.set(lidx);
             } else {
                 hs.delta[lidx] = self.delta_g[gidx];
             }
@@ -672,21 +667,6 @@ impl<'a> Batch<'a> {
             contribs.sort_unstable_by_key(|&(w, _)| w);
             for (_, c) in contribs {
                 self.delta_g[gidx] += c;
-            }
-        }
-    }
-
-    /// Defensive terminal fold: drains whatever is still parked (nothing
-    /// should be — every contributed slot has finite τ and fires) so
-    /// `delta_g` is complete for the final BC read.
-    pub(crate) fn fold_all_pending(&mut self, pending: &mut [Vec<(u32, f64)>]) {
-        for (idx, contribs) in pending.iter_mut().enumerate() {
-            if !contribs.is_empty() {
-                contribs.sort_unstable_by_key(|&(w, _)| w);
-                for &(_, c) in contribs.iter() {
-                    self.delta_g[idx] += c;
-                }
-                contribs.clear();
             }
         }
     }

@@ -20,22 +20,24 @@
 //! [`bwd_push_host`] kernel for `h`'s local edges. The fold merges every
 //! host's pushes in canonical host order, so the `f64` evolution is
 //! **bit-identical** however the hosts are spread over processes — that
-//! is the property the chaos test pins: SIGKILL a worker mid-forward,
-//! restore it from a checkpoint, and the final scores still match
+//! is the property the chaos tests pin: SIGKILL a worker mid-forward or
+//! mid-backward, restore it from a checkpoint, and the final scores match
 //! [`mrbc_bc`](super::mrbc::mrbc_bc) exactly. The pushes are typed;
 //! `local_step` / `fold` only encode and decode them, and `fold` checks
 //! every payload before it folds any.
 //!
-//! Snapshots are only taken between steps (before a `begin_step`), so the
-//! in-flight flag set, its per-host buckets and the pushes' sync counts
-//! are never serialized: the next `begin_step` rebuilds all three. Nor is
-//! the forward calendar (per-vertex heaps and round lists): it is derived
-//! state, and `restore` rebuilds it from `dist_g` and τ. The snapshot
-//! still carries the paper's `M_v` per vertex, written from `dist_g`
-//! (format version 1, unchanged). `restore` refuses a section that
-//! differs from the one `dist_g` derives, a τ whose sent labels are not a
-//! prefix of `L_v` fired in their rounds, and a backward agenda or
-//! parked-δ table other than the one the labels and τ derive.
+//! Snapshots are only taken between steps (before a `begin_step`) and
+//! hold only what the run cannot derive (format version 2): the run
+//! configuration, `bc`, the batch index, the phase and its round, the
+//! batch's `dist_g`, `sigma_g`, `delta_g` and τ, `R`, and every host's
+//! proxy labels. `restore` derives the rest. The next `begin_step`
+//! rebuilds the flag set, its per-host buckets and the sync counts; the
+//! forward calendar and the pending count come from `dist_g` and τ; a
+//! backward phase's agenda (`A_sv = R − τ_sv + 1`) and parked δ come from
+//! the labels, τ and `R`. `restore` refuses a τ whose sent labels are not
+//! a prefix of `L_v` fired in their rounds, a backward phase with a label
+//! left to send, and a round or `R` outside the `2n + k + 2` forward
+//! bound, before it allocates anything sized by them.
 //! [`MrbcSpmd::new`] always runs the paper's delayed synchronization. The
 //! eager ablation is a mode only the in-process driver selects: its steps
 //! skip the broadcast write-back, and a forward phase whose last step
@@ -45,19 +47,18 @@
 use super::mrbc::{
     bucket_flags, bwd_push_host, fwd_push_host, Batch, MrbcOptions, ProxyFlag, Pushes,
 };
-use crate::schedule::{sorted_labels, SendSchedule};
+use crate::schedule::SendSchedule;
 use mrbc_dgalois::comm::Exchange;
 use mrbc_dgalois::spmd::SpmdProgram;
 use mrbc_dgalois::DistGraph;
 use mrbc_graph::{CsrGraph, VertexId};
 use mrbc_util::crc::{crc32, digest64};
 use mrbc_util::wire::{WireError, WireReader, WireWriter};
-use mrbc_util::DenseBitset;
 
 /// Snapshot magic: `"MSPD"` little-endian.
 const SNAP_MAGIC: u32 = 0x4450_534D;
 /// Snapshot format version.
-const SNAP_VERSION: u32 = 1;
+const SNAP_VERSION: u32 = 2;
 /// Encoded bytes of one push record: three `u32`s and an `f64`.
 const PUSH_BYTES: usize = 4 + 4 + 4 + 8;
 
@@ -84,9 +85,11 @@ pub(crate) struct BatchRun<'a> {
     /// nowhere; never serialized.
     reduce: Exchange<()>,
     bcast: Exchange<()>,
-    /// Backward agenda buckets (empty during the forward phase).
+    /// Backward agenda buckets (empty during the forward phase); derived
+    /// from τ and `R`, never serialized.
     agenda: Vec<Vec<(u32, u32, u32)>>,
-    /// Parked δ contributions per `(v, j)` (empty during forward).
+    /// Parked δ contributions per `(v, j)` (empty during forward); derived
+    /// from the labels, τ and `R`, never serialized.
     pending: Vec<Vec<(u32, f64)>>,
 }
 
@@ -107,8 +110,8 @@ pub struct MrbcSpmd<'a> {
     delayed_sync: bool,
     bc: Vec<f64>,
     batch_index: usize,
+    /// The current batch; `None` once every batch is done.
     run: Option<BatchRun<'a>>,
-    done: bool,
 }
 
 impl<'a> MrbcSpmd<'a> {
@@ -153,11 +156,8 @@ impl<'a> MrbcSpmd<'a> {
             bc: vec![0.0f64; n],
             batch_index: 0,
             run: None,
-            done: false,
         };
-        if me.sorted.is_empty() {
-            me.done = true;
-        } else {
+        if !me.sorted.is_empty() {
             me.run = Some(me.start_batch(0));
         }
         me
@@ -288,9 +288,10 @@ impl<'a> MrbcSpmd<'a> {
             }
             Phase::Backward { .. } => {
                 // Free the finished batch before the next one is built.
-                if let Some(mut run) = self.run.take() {
-                    run.batch.fold_all_pending(&mut run.pending);
-                    drop((run.pending, run.agenda));
+                if let Some(run) = self.run.take() {
+                    // Every label fired by round `R`, and round `R + 1`
+                    // carries no flags, so nothing is left parked.
+                    debug_assert!(run.pending.iter().all(Vec::is_empty));
                     let srcs = self.sorted.chunks(self.batch_size).nth(self.batch_index);
                     let srcs = srcs.unwrap_or(&[]);
                     for (v, x) in self.bc.iter_mut().enumerate() {
@@ -304,8 +305,6 @@ impl<'a> MrbcSpmd<'a> {
                 self.batch_index += 1;
                 if self.batch_index < self.num_batches() {
                     self.run = Some(self.start_batch(self.batch_index));
-                } else {
-                    self.done = true;
                 }
             }
         }
@@ -320,47 +319,6 @@ impl<'a> MrbcSpmd<'a> {
             w.u32(s);
         }
         crc32(&w.into_bytes())
-    }
-}
-
-fn put_bitset(w: &mut WireWriter, bits: &DenseBitset) {
-    w.u32(bits.len() as u32);
-    w.u32(bits.count_ones() as u32);
-    for i in bits.iter_ones() {
-        w.u32(i as u32);
-    }
-}
-
-fn get_bitset(r: &mut WireReader<'_>) -> Result<DenseBitset, WireError> {
-    let len = r.u32()? as usize;
-    let ones = r.u32()? as usize;
-    if ones > len {
-        return Err(WireError::Invalid("bitset ones exceed length"));
-    }
-    let mut bits = DenseBitset::new(len);
-    for _ in 0..ones {
-        let i = r.u32()? as usize;
-        if i >= len {
-            return Err(WireError::Invalid("bitset index out of range"));
-        }
-        bits.set(i);
-    }
-    Ok(bits)
-}
-
-/// Writes `M_v` from `v`'s distance row `row`: the labels grouped by
-/// distance, in ascending order, each group as a bitset over the sources.
-fn put_schedule(w: &mut WireWriter, row: &[u32]) {
-    let labels = sorted_labels(row);
-    let blocks = labels.chunk_by(|a, b| a.0 == b.0);
-    w.u32(blocks.clone().count() as u32);
-    for block in blocks {
-        w.u32(block[0].0);
-        w.u32(row.len() as u32);
-        w.u32(block.len() as u32);
-        for &(_, j) in block {
-            w.u32(j);
-        }
     }
 }
 
@@ -419,7 +377,7 @@ impl SpmdProgram for MrbcSpmd<'_> {
     }
 
     fn done(&self) -> bool {
-        self.done
+        self.run.is_none()
     }
 
     fn begin_step(&mut self, _step: u64) {
@@ -482,7 +440,6 @@ impl SpmdProgram for MrbcSpmd<'_> {
         w.u32(self.sorted.len() as u32);
         w.u32(self.sources_crc());
         put_f64s(&mut w, &self.bc);
-        w.u8(u8::from(self.done));
         w.u32(self.batch_index as u32);
         w.u8(u8::from(self.run.is_some()));
         if let Some(run) = &self.run {
@@ -503,40 +460,12 @@ impl SpmdProgram for MrbcSpmd<'_> {
             put_f64s(&mut w, &b.sigma_g);
             put_f64s(&mut w, &b.delta_g);
             put_u32s(&mut w, &b.tau);
-            w.u64(b.pending_total);
             w.u32(b.r_term);
-            for row in b.dist_g.chunks(k) {
-                put_schedule(&mut w, row);
-            }
             for hs in &b.hosts {
                 w.u32((hs.dist.len() / k.max(1)) as u32);
                 put_u32s(&mut w, &hs.dist);
                 put_f64s(&mut w, &hs.sigma);
                 put_f64s(&mut w, &hs.delta);
-                put_bitset(&mut w, &hs.synced);
-            }
-            w.u32(run.agenda.len() as u32);
-            for bucket in &run.agenda {
-                w.u32(bucket.len() as u32);
-                for &(v, j, d) in bucket {
-                    w.u32(v);
-                    w.u32(j);
-                    w.u32(d);
-                }
-            }
-            let nonempty = run.pending.iter().filter(|p| !p.is_empty()).count();
-            w.u32(run.pending.len() as u32);
-            w.u32(nonempty as u32);
-            for (idx, contribs) in run.pending.iter().enumerate() {
-                if contribs.is_empty() {
-                    continue;
-                }
-                w.u32(idx as u32);
-                w.u32(contribs.len() as u32);
-                for &(v, c) in contribs {
-                    w.u32(v);
-                    w.f64(c);
-                }
             }
         }
         w.into_bytes()
@@ -562,19 +491,18 @@ impl SpmdProgram for MrbcSpmd<'_> {
             ));
         }
         let bc = get_f64s(&mut r, n)?;
-        let done = r.u8()? != 0;
         let batch_index = r.u32()? as usize;
-        let has_run = r.u8()? != 0;
-        if done == has_run {
-            return Err(WireError::Invalid("snapshot done/run flags disagree"));
-        }
-        if batch_index > self.num_batches() {
+        // Flags are exactly 0 or 1, so every accepted snapshot has one
+        // encoding; a run is in progress exactly until the last batch ends.
+        let has_run = match r.u8()? {
+            0 => false,
+            1 => true,
+            _ => return Err(WireError::Invalid("bad snapshot run flag")),
+        };
+        if batch_index > self.num_batches() || has_run != (batch_index < self.num_batches()) {
             return Err(WireError::Invalid("snapshot batch index out of range"));
         }
         let run = if has_run {
-            if batch_index >= self.num_batches() {
-                return Err(WireError::Invalid("snapshot batch index out of range"));
-            }
             let phase = match r.u8()? {
                 0 => Phase::Forward { round: r.u32()? },
                 1 => Phase::Backward { round: r.u32()? },
@@ -590,41 +518,7 @@ impl SpmdProgram for MrbcSpmd<'_> {
             b.sigma_g = get_f64s(&mut r, n * k)?;
             b.delta_g = get_f64s(&mut r, n * k)?;
             b.tau = get_u32s(&mut r, n * k)?;
-            b.pending_total = r.u64()?;
             b.r_term = r.u32()?;
-            // The phase must agree with the state it carries: forward has
-            // no agenda and no parked δ; backward round `1..=R + 1` has
-            // `R + 2` agenda buckets, the full `n·k` pending table and
-            // nothing left to send.
-            let r_term = b.r_term as usize;
-            let (backward, next_round) = match phase {
-                Phase::Forward { round } => (false, round),
-                Phase::Backward { round } if (1..=r_term + 1).contains(&(round as usize)) => {
-                    (true, b.r_term.saturating_add(1))
-                }
-                Phase::Backward { .. } => {
-                    return Err(WireError::Invalid("backward round outside 1..=R + 1"))
-                }
-            };
-            // `M_v` is a view of the labels, so the section must be the
-            // one `dist_g` derives; the calendar is rebuilt from the
-            // labels and τ, which must agree with them and the phase.
-            let mut mv = WireWriter::new();
-            for row in b.dist_g.chunks(k) {
-                put_schedule(&mut mv, row);
-            }
-            if r.take(mv.len())? != mv.into_bytes() {
-                return Err(WireError::Invalid("schedule contradicts the labels"));
-            }
-            let schedule = SendSchedule::restore(&b.dist_g, &b.tau, k, next_round)
-                .map_err(WireError::Invalid)?;
-            let unsent: u64 = (0..n).map(|v| u64::from(schedule.pending(v))).sum();
-            if unsent != b.pending_total || backward && unsent != 0 {
-                return Err(WireError::Invalid("pending count contradicts the schedule"));
-            }
-            if !backward {
-                b.schedule = schedule;
-            }
             for (h, hs) in b.hosts.iter_mut().enumerate() {
                 let p = r.u32()? as usize;
                 if p != self.dg.hosts[h].num_proxies() {
@@ -633,72 +527,41 @@ impl SpmdProgram for MrbcSpmd<'_> {
                 hs.dist = get_u32s(&mut r, p * k)?;
                 hs.sigma = get_f64s(&mut r, p * k)?;
                 hs.delta = get_f64s(&mut r, p * k)?;
-                hs.synced = get_bitset(&mut r)?;
-                if hs.synced.len() != p * k {
-                    return Err(WireError::Invalid("synced bitset width mismatch"));
+            }
+            // Bound the round and `R` by the forward phase's `2n + k + 2`
+            // before anything sized by them is built: forward has no `R`
+            // yet, and backward runs rounds `1..=R + 1`.
+            let cap = 2 * n as u32 + k as u32 + 2;
+            let next_round = match phase {
+                Phase::Forward { round } if b.r_term == 0 && (1..=cap).contains(&round) => round,
+                Phase::Backward { round }
+                    if b.r_term <= cap && (1..=b.r_term + 1).contains(&round) =>
+                {
+                    b.r_term + 1
                 }
-            }
-            let buckets = r.u32()? as usize;
-            if buckets != if backward { r_term + 2 } else { 0 } {
-                return Err(WireError::Invalid("agenda size contradicts the phase"));
-            }
-            let mut agenda = Vec::new();
-            for _ in 0..buckets {
-                let cnt = r.u32()? as usize;
-                let mut bucket = Vec::new();
-                for _ in 0..cnt {
-                    bucket.push((r.u32()?, r.u32()?, r.u32()?));
+                _ => return Err(WireError::Invalid("snapshot round or R out of range")),
+            };
+            // The calendar and the pending count are rebuilt from the
+            // labels and τ; every stamp precedes the next round, so a
+            // backward phase has `τ ≤ R` and must have sent every label.
+            let schedule = SendSchedule::restore(&b.dist_g, &b.tau, k, next_round)
+                .map_err(WireError::Invalid)?;
+            b.pending_total = (0..n).map(|v| u64::from(schedule.pending(v))).sum();
+            match phase {
+                Phase::Forward { .. } => b.schedule = schedule,
+                Phase::Backward { .. } if b.pending_total != 0 => {
+                    return Err(WireError::Invalid("backward phase with a label unsent"))
                 }
-                agenda.push(bucket);
-            }
-            // What is left of the agenda is derived from τ: the buckets
-            // `build_agenda` files, from the current backward round on.
-            if let Phase::Backward { round } = phase {
-                let mut want = b.build_agenda();
-                want[..round as usize].iter_mut().for_each(Vec::clear);
-                if agenda != want {
-                    return Err(WireError::Invalid("agenda contradicts the send stamps"));
-                }
-            }
-            let pending_len = r.u32()? as usize;
-            if pending_len != if backward { n * k } else { 0 } {
-                return Err(WireError::Invalid("pending table contradicts the phase"));
-            }
-            let mut pending = vec![Vec::new(); pending_len];
-            let nonempty = r.u32()? as usize;
-            for _ in 0..nonempty {
-                let idx = r.u32()? as usize;
-                if idx >= pending_len {
-                    return Err(WireError::Invalid("pending index out of range"));
-                }
-                let cnt = r.u32()? as usize;
-                let mut contribs = Vec::new();
-                for _ in 0..cnt {
-                    contribs.push((r.u32()?, r.f64()?));
-                }
-                pending[idx] = contribs;
-            }
-            // So is the parked δ: each list, in pusher order (the order
-            // `fold_pending_flags` folds it in), must be the one the
-            // labels and τ derive, value for value in bits.
-            if let Phase::Backward { round } = phase {
-                let want = b.parked_deltas(round);
-                let same = pending.iter().zip(&want).all(|(got, want)| {
-                    let mut got = got.clone();
-                    got.sort_by_key(|&(v, _)| v);
-                    got.len() == want.len()
-                        && got
-                            .iter()
-                            .zip(want)
-                            .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
-                });
-                if !same {
-                    return Err(WireError::Invalid("parked δ contradicts the labels"));
+                Phase::Backward { round } => {
+                    // The agenda's buckets from this round on, and the δ
+                    // the fired labels parked.
+                    b.schedule = SendSchedule::default();
+                    run.agenda = b.build_agenda();
+                    run.agenda[..round as usize].iter_mut().for_each(Vec::clear);
+                    run.pending = b.parked_deltas(round);
                 }
             }
             run.phase = phase;
-            run.agenda = agenda;
-            run.pending = pending;
             Some(run)
         } else {
             None
@@ -707,7 +570,6 @@ impl SpmdProgram for MrbcSpmd<'_> {
             return Err(WireError::Invalid("trailing snapshot bytes"));
         }
         self.bc = bc;
-        self.done = done;
         self.batch_index = batch_index;
         self.run = run;
         Ok(())
@@ -744,7 +606,6 @@ mod tests {
     use mrbc_dgalois::spmd::run_local;
     use mrbc_dgalois::{partition, PartitionPolicy};
     use mrbc_graph::{generators, INF_DIST};
-    use std::collections::BTreeMap;
 
     #[test]
     fn run_local_matches_in_process_engine_bitwise() {
@@ -813,28 +674,54 @@ mod tests {
         }
     }
 
+    /// The snapshot `mid_forward_snapshot_bytes_are_pinned` pins, in format
+    /// version 1, which also carried the `done` byte, the pending count,
+    /// the paper's `M_v` per vertex and each host's synced bitset.
+    const SMALL_V1: [&str; 17] = [
+        "4d5350440100000005000000020000000200000002000000e2172bcf0000000000000000000000000000000000000000",
+        "000000000000000000000000000000000000000000000000000100030000000200000000000000ffffffff01000000ff",
+        "ffffff0200000000000000ffffffff01000000ffffffff02000000000000000000f03f00000000000000000000000000",
+        "00f03f0000000000000000000000000000f03f000000000000f03f0000000000000000000000000000f03f0000000000",
+        "000000000000000000f03f00000000000000000000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000001000000ff",
+        "ffffff02000000ffffffffffffffff01000000ffffffff02000000ffffffffffffffff02000000000000000000000001",
+        "000000000000000200000001000000000000000100000001000000020000000100000000000000020000000000000002",
+        "000000010000000100000002000000020000000100000000000000010000000100000002000000010000000100000001",
+        "000000020000000200000001000000010000000400000000000000ffffffff01000000ffffffff0200000000000000ff",
+        "ffffff01000000000000000000f03f0000000000000000000000000000f03f0000000000000000000000000000f03f00",
+        "0000000000f03f0000000000000000000000000000f03f00000000000000000000000000000000000000000000000000",
+        "000000000000000000000000000000000000000000000000000000000000000000000000000000080000000300000000",
+        "000000020000000500000003000000ffffffffffffffffffffffff01000000ffffffff02000000000000000000000000",
+        "000000000000000000000000000000000000000000f03f0000000000000000000000000000f03f000000000000000000",
+        "000000000000000000000000000000000000000000000000000000000000000000000000000000060000000100000003",
+        "000000000000000000000000000000",
+    ];
+
+    /// Decodes a hex string.
+    fn unhex(hex: &str) -> Vec<u8> {
+        let byte = |i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit pair");
+        (0..hex.len()).step_by(2).map(byte).collect()
+    }
+
     #[test]
     fn mid_forward_snapshot_bytes_are_pinned() {
-        // Captured before the forward calendar existed: the calendar is
-        // derived state, so the snapshot format and bytes must not move.
-        const SMALL: [&str; 17] = [
-            "4d5350440100000005000000020000000200000002000000e2172bcf0000000000000000000000000000000000000000",
-            "000000000000000000000000000000000000000000000000000100030000000200000000000000ffffffff01000000ff",
-            "ffffff0200000000000000ffffffff01000000ffffffff02000000000000000000f03f00000000000000000000000000",
-            "00f03f0000000000000000000000000000f03f000000000000f03f0000000000000000000000000000f03f0000000000",
-            "000000000000000000f03f00000000000000000000000000000000000000000000000000000000000000000000000000",
-            "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000001000000ff",
-            "ffffff02000000ffffffffffffffff01000000ffffffff02000000ffffffffffffffff02000000000000000000000001",
-            "000000000000000200000001000000000000000100000001000000020000000100000000000000020000000000000002",
-            "000000010000000100000002000000020000000100000000000000010000000100000002000000010000000100000001",
-            "000000020000000200000001000000010000000400000000000000ffffffff01000000ffffffff0200000000000000ff",
-            "ffffff01000000000000000000f03f0000000000000000000000000000f03f0000000000000000000000000000f03f00",
-            "0000000000f03f0000000000000000000000000000f03f00000000000000000000000000000000000000000000000000",
-            "000000000000000000000000000000000000000000000000000000000000000000000000000000080000000300000000",
-            "000000020000000500000003000000ffffffffffffffffffffffff01000000ffffffff02000000000000000000000000",
-            "000000000000000000000000000000000000000000f03f0000000000000000000000000000f03f000000000000000000",
-            "000000000000000000000000000000000000000000000000000000000000000000000000000000060000000100000003",
-            "000000000000000000000000000000",
+        // Format version 2 mid-forward: the run configuration, bc, the
+        // batch index, the phase and round, k, the four n·k label tables
+        // (d, σ, δ, τ), R and every host's proxy labels; nothing derived.
+        const SMALL: [&str; 13] = [
+            "4d5350440200000005000000020000000200000002000000e2172bcf0000000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000000000000000100030000000200000000000000ffffffff01000000ffff",
+            "ffff0200000000000000ffffffff01000000ffffffff02000000000000000000f03f0000000000000000000000000000",
+            "f03f0000000000000000000000000000f03f000000000000f03f0000000000000000000000000000f03f000000000000",
+            "0000000000000000f03f0000000000000000000000000000000000000000000000000000000000000000000000000000",
+            "00000000000000000000000000000000000000000000000000000000000000000000000000000000000001000000ffff",
+            "ffff02000000ffffffffffffffff01000000ffffffff02000000ffffffffffffffff000000000400000000000000ffff",
+            "ffff01000000ffffffff0200000000000000ffffffff01000000000000000000f03f0000000000000000000000000000",
+            "f03f0000000000000000000000000000f03f000000000000f03f0000000000000000000000000000f03f000000000000",
+            "000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+            "0000000000000000000003000000ffffffffffffffffffffffff01000000ffffffff0200000000000000000000000000",
+            "0000000000000000000000000000000000000000f03f0000000000000000000000000000f03f00000000000000000000",
+            "0000000000000000000000000000000000000000000000000000000000000000000000000000",
         ];
         let g = generators::cycle(5);
         let dg = partition(&g, 2, PartitionPolicy::BlockedEdgeCut);
@@ -849,6 +736,11 @@ mod tests {
         let mut back = MrbcSpmd::new(&g, &dg, &[0, 2], 2);
         back.restore(&snap).expect("restore");
         assert_eq!(back.snapshot(), snap);
+        // A version-1 snapshot is refused and changes nothing.
+        let refused = back.restore(&unhex(&SMALL_V1.concat()));
+        let version = WireError::Invalid("unsupported snapshot version");
+        assert_eq!(refused, Err(version));
+        assert_eq!(back.snapshot(), snap);
         run_local(&mut prog, 1_000).expect("run");
         run_local(&mut back, 1_000).expect("run");
         assert_eq!(back.bc(), prog.bc());
@@ -857,9 +749,9 @@ mod tests {
         let dg = partition(&g, 2, PartitionPolicy::BlockedEdgeCut);
         let sources: Vec<u32> = (0..6).collect();
         for (cut, len, digest) in [
-            (3, 9_527, 0x553f_0264_fa51_a529),
-            (7, 10_343, 0x3f56_4729_ace7_d1ff),
-            (12, 11_219, 0x6f75_300e_c478_6406),
+            (3, 8_502, 0x5b6d_4dfc_426c_ada4),
+            (7, 8_502, 0xd5aa_2a5e_ccab_ca06),
+            (12, 8_502, 0x2beb_c086_32ea_20de),
         ] {
             let mut prog = MrbcSpmd::new(&g, &dg, &sources, 6);
             run_steps(&mut prog, 2, cut);
@@ -874,9 +766,10 @@ mod tests {
 
     #[test]
     fn backward_and_batch_boundary_snapshot_bytes_are_pinned() {
-        // Captured while the schedule still stored `M_v` itself: the
-        // snapshot's `M_v` section is derived from the labels now, so
-        // these bytes must not move.
+        // Format version 2 in a backward phase and just after a batch
+        // boundary: the same sections as mid-forward, so every snapshot of
+        // a batch has one length; `restore` rebuilds the agenda and the
+        // parked δ from the labels, τ and `R`.
         let g = generators::grid_road_network(generators::RoadNetworkConfig::new(3, 8), 5);
         let dg = partition(&g, 2, PartitionPolicy::BlockedEdgeCut);
         let sources: Vec<u32> = (0..6).collect();
@@ -884,20 +777,20 @@ mod tests {
             (
                 18,
                 "batch 1/2 backward round 7",
-                6_775,
-                0x2293_87e3_8cc6_10c4,
+                4_374,
+                0x1cc8_76c7_c56e_089e,
             ),
             (
                 26,
                 "batch 2/2 forward round 2",
-                4_699,
-                0x728a_dd2f_a616_f1bb,
+                4_374,
+                0xc1e7_24f2_1841_5aab,
             ),
             (
                 40,
                 "batch 2/2 backward round 6",
-                6_815,
-                0x064d_16a8_5abd_b6a6,
+                4_374,
+                0xad17_56db_74b1_2882,
             ),
         ] {
             let mut prog = MrbcSpmd::new(&g, &dg, &sources, 3);
@@ -943,9 +836,9 @@ mod tests {
         let sources: Vec<u32> = (0..4).collect();
         let prog = MrbcSpmd::new(&g, &dg, &sources, 2);
         let mut forged = prog.snapshot();
-        // Header (7 u32s), bc (n f64s), done (u8), batch index (u32),
-        // has-run (u8), then the phase tag: forward → backward.
-        let tag = 7 * 4 + g.num_vertices() * 8 + 1 + 4 + 1;
+        // Header (7 u32s), bc (n f64s), batch index (u32), has-run (u8),
+        // then the phase tag: forward → backward.
+        let tag = 7 * 4 + g.num_vertices() * 8 + 4 + 1;
         assert_eq!(forged[tag], 0);
         forged[tag] = 1;
         let mut other = MrbcSpmd::new(&g, &dg, &sources, 2);
@@ -981,94 +874,33 @@ mod tests {
             .expect("a vertex with a sent and an unsent label")
     }
 
-    /// Byte offset of the `M_v` section in a snapshot taken mid-batch.
-    fn schedule_offset(n: usize, k: usize) -> usize {
-        // Header, bc, done, batch index, has-run, phase, round, k; the
-        // four n·k label tables; pending total and R.
-        7 * 4 + n * 8 + 1 + 4 + 1 + 1 + 4 + 4 + n * k * (4 + 8 + 8 + 4) + 8 + 4
-    }
-
-    /// `prog`'s snapshot with its `M_v` section (distance → sources, per
-    /// vertex) rewritten by `edit`.
-    fn forge_schedule(
-        prog: &MrbcSpmd<'_>,
-        edit: impl FnOnce(&mut [BTreeMap<u32, Vec<u32>>]),
-    ) -> Vec<u8> {
-        let b = &prog.run.as_ref().expect("a batch in progress").batch;
-        let (n, k) = (prog.g.num_vertices(), b.k);
-        let mut maps = vec![BTreeMap::<u32, Vec<u32>>::new(); n];
-        for (i, &d) in b.dist_g.iter().enumerate() {
-            if d != INF_DIST {
-                maps[i / k].entry(d).or_default().push((i % k) as u32);
-            }
-        }
-        let encode = |maps: &[BTreeMap<u32, Vec<u32>>]| {
-            let mut w = WireWriter::new();
-            for map in maps {
-                w.u32(map.len() as u32);
-                for (&d, js) in map {
-                    w.u32(d);
-                    w.u32(k as u32);
-                    w.u32(js.len() as u32);
-                    put_u32s(&mut w, js);
-                }
-            }
-            w.into_bytes()
-        };
-        let snap = prog.snapshot();
-        let (start, section) = (schedule_offset(n, k), encode(&maps));
-        let end = start + section.len();
-        assert_eq!(snap[start..end], section[..], "M_v section located");
-        edit(&mut maps);
-        [&snap[..start], &encode(&maps)[..], &snap[end..]].concat()
+    /// Byte offset of τ in a snapshot taken mid-batch: header, bc, batch
+    /// index, has-run, phase, round and k, then the three `n·k` label
+    /// tables. `R` follows τ.
+    fn tau_offset(n: usize, k: usize) -> usize {
+        7 * 4 + n * 8 + 4 + 1 + 1 + 4 + 4 + n * k * (4 + 8 + 8)
     }
 
     /// Restoring `forged` into a replica mid-way through the same run
     /// (6 sources in batches of `batch`) fails and leaves that replica as
-    /// it was.
-    fn assert_refused(g: &CsrGraph, dg: &DistGraph, batch: usize, forged: &[u8]) {
+    /// it was. Returns the refusal.
+    fn refusal(g: &CsrGraph, dg: &DistGraph, batch: usize, forged: &[u8]) -> WireError {
         let sources: Vec<u32> = (0..6).collect();
         let mut other = MrbcSpmd::new(g, dg, &sources, batch);
         run_steps(&mut other, 2, 3);
         let before = other.snapshot();
-        assert!(other.restore(forged).is_err(), "forged snapshot restored");
+        let err = other.restore(forged).expect_err("forged snapshot restored");
         assert!(
             other.snapshot() == before,
             "a refused restore changed the replica"
         );
+        err
     }
 
     fn road_grid() -> (CsrGraph, DistGraph) {
         let g = generators::grid_road_network(generators::RoadNetworkConfig::new(3, 8), 5);
         let dg = partition(&g, 2, PartitionPolicy::BlockedEdgeCut);
         (g, dg)
-    }
-
-    #[test]
-    fn restore_rejects_a_source_listed_under_two_distances() {
-        let (g, dg) = road_grid();
-        let prog = mid_forward(&g, &dg);
-        let (v, _, (d1, j1)) = half_sent_vertex(&prog);
-        let forged = forge_schedule(&prog, |maps| {
-            maps[v].entry(d1 + 1).or_default().push(j1);
-        });
-        assert_refused(&g, &dg, 6, &forged);
-    }
-
-    #[test]
-    fn restore_rejects_a_label_at_a_distance_dist_does_not_hold() {
-        let (g, dg) = road_grid();
-        let prog = mid_forward(&g, &dg);
-        let (v, _, (d1, j1)) = half_sent_vertex(&prog);
-        let forged = forge_schedule(&prog, |maps| {
-            let block = maps[v].get_mut(&d1).expect("block of the label");
-            block.retain(|&j| j != j1);
-            if block.is_empty() {
-                maps[v].remove(&d1);
-            }
-            maps[v].entry(d1 + 1).or_default().push(j1);
-        });
-        assert_refused(&g, &dg, 6, &forged);
     }
 
     #[test]
@@ -1079,49 +911,119 @@ mod tests {
         // Swap the two labels' send stamps: the second is sent, the first
         // is not.
         let (n, k) = (g.num_vertices(), 6);
-        let tau = schedule_offset(n, k) - 8 - 4 - n * k * 4;
-        let at = |j: u32| tau + (v * k + j as usize) * 4;
+        let at = |j: u32| tau_offset(n, k) + (v * k + j as usize) * 4;
         let mut forged = prog.snapshot();
         for i in 0..4 {
             forged.swap(at(j0) + i, at(j1) + i);
         }
-        assert_refused(&g, &dg, 6, &forged);
+        let err = refusal(&g, &dg, 6, &forged);
+        assert_eq!(
+            err,
+            WireError::Invalid("sent labels are not a prefix of L_v")
+        );
     }
 
     #[test]
-    fn restore_rejects_an_agenda_that_contradicts_the_send_stamps() {
+    fn restore_rejects_an_r_below_the_last_send_or_above_the_forward_bound() {
         let (g, dg) = road_grid();
         let mut prog = mid_forward(&g, &dg);
         while prog.run.as_ref().is_some_and(BatchRun::is_forward) {
             run_steps(&mut prog, 2, 1);
         }
         run_steps(&mut prog, 2, 2);
-        let run = prog.run.as_mut().expect("a batch in progress");
-        let entry = run.agenda.iter_mut().flatten().next();
-        // One label accumulated at a distance one off its own.
-        entry.expect("a label left to accumulate").2 += 1;
-        assert_refused(&g, &dg, 6, &prog.snapshot());
+        assert_eq!(prog.describe(0), "batch 1/1 backward round 3");
+        let b = &prog.run.as_ref().expect("a batch in progress").batch;
+        let last = b.tau.iter().filter(|&&t| t != u32::MAX).max();
+        let last = *last.expect("a sent label");
+        // Delayed sync: the forward phase ends in the round of its last send.
+        assert_eq!(b.r_term, last);
+        let (n, k) = (g.num_vertices(), 6);
+        let at = tau_offset(n, k) + n * k * 4;
+        let snap = prog.snapshot();
+        assert_eq!(snap[at..at + 4], last.to_le_bytes());
+        let stamp = WireError::Invalid("send stamp contradicts the label's position");
+        let bound = WireError::Invalid("snapshot round or R out of range");
+        let cap = 2 * n as u32 + k as u32 + 2;
+        // An agenda of `u32::MAX + 2` buckets would not fit in memory; the
+        // bound refuses it before `build_agenda` runs.
+        for (r_term, want) in [
+            (last - 1, stamp),
+            (cap + 1, bound.clone()),
+            (u32::MAX, bound),
+        ] {
+            let mut forged = snap.clone();
+            forged[at..at + 4].copy_from_slice(&r_term.to_le_bytes());
+            assert_eq!(refusal(&g, &dg, 6, &forged), want, "R = {r_term}");
+        }
     }
 
+    /// Seeded byte mutation of valid snapshots: single-byte flips and
+    /// truncations of forward, backward and batch-boundary snapshots of a
+    /// road grid and an R-MAT graph. `restore` never panics; a refusal
+    /// leaves the replica as it was, and an accepted snapshot re-encodes
+    /// to exactly its bytes.
     #[test]
-    fn restore_rejects_a_doubled_parked_contribution() {
-        let (g, dg) = road_grid();
-        let sources: Vec<u32> = (0..6).collect();
-        let mut prog = MrbcSpmd::new(&g, &dg, &sources, 3);
-        for step in 0.. {
-            if prog.describe(step) == "batch 1/2 backward round 5" {
-                break;
+    fn mutated_snapshots_are_refused_cleanly_or_round_trip() {
+        use rand::{Rng, SeedableRng};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let road = generators::grid_road_network(generators::RoadNetworkConfig::new(3, 8), 5);
+        let rmat = generators::rmat(generators::RmatConfig::new(7, 8), 3);
+        let cuts = [
+            "batch 1/2 forward round 3",
+            "batch 1/2 backward round 3",
+            "batch 2/2 forward round 1",
+            "batch 2/2 backward round 2",
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(43);
+        let (mut accepted, mut refused) = (0, 0);
+        for g in [&road, &rmat] {
+            let dg = partition(g, 2, PartitionPolicy::CartesianVertexCut);
+            let sources: Vec<u32> = (0..6).collect();
+            let mut inputs = Vec::new();
+            let mut prog = MrbcSpmd::new(g, &dg, &sources, 3);
+            while !prog.done() {
+                if cuts.contains(&prog.describe(0).as_str()) {
+                    inputs.push(prog.snapshot());
+                }
+                run_steps(&mut prog, 2, 1);
             }
-            assert!(step < 100, "batch 1 never reached backward round 5");
-            run_steps(&mut prog, 2, 1);
+            assert_eq!(inputs.len(), cuts.len());
+            let mut replica = MrbcSpmd::new(g, &dg, &sources, 3);
+            run_steps(&mut replica, 2, 2);
+            let before = replica.snapshot();
+            for input in &inputs {
+                let mut mutants: Vec<Vec<u8>> = (0..300)
+                    .map(|_| {
+                        let mut m = input.clone();
+                        m[rng.gen_range(0..input.len())] ^= rng.gen_range(1..=255u8);
+                        m
+                    })
+                    .collect();
+                let cut = |len: usize| input[..len].to_vec();
+                mutants.extend((0..20).map(|_| cut(rng.gen_range(0..input.len()))));
+                for (i, m) in mutants.iter().enumerate() {
+                    let got = catch_unwind(AssertUnwindSafe(|| replica.restore(m)));
+                    let got = got.unwrap_or_else(|_| panic!("restore panicked on mutant {i}"));
+                    if got.is_ok() {
+                        accepted += 1;
+                        assert!(replica.snapshot() == *m, "mutant {i} re-encodes otherwise");
+                        replica
+                            .restore(&before)
+                            .expect("the replica's own snapshot");
+                    } else {
+                        refused += 1;
+                        assert!(
+                            replica.snapshot() == before,
+                            "mutant {i} changed the replica"
+                        );
+                    }
+                }
+            }
         }
-        let mut back = MrbcSpmd::new(&g, &dg, &sources, 3);
-        back.restore(&prog.snapshot())
-            .expect("the intact snapshot restores");
-        let run = prog.run.as_mut().expect("a batch in progress");
-        let parked = run.pending.iter_mut().flatten().next();
-        parked.expect("a parked contribution").1 *= 2.0;
-        assert_refused(&g, &dg, 3, &prog.snapshot());
+        assert!(
+            accepted > 0 && refused > 0,
+            "{accepted} accepted, {refused} refused"
+        );
     }
 
     #[test]

@@ -54,8 +54,9 @@ pub trait SpmdProgram {
     /// the same (host 0..H) order.
     fn fold(&mut self, step: u64, payloads: &[Vec<u8>]) -> Result<(), WireError>;
 
-    /// Serializes the full state (replicated + all partials this instance
-    /// maintains) for a durable checkpoint.
+    /// Serializes, for a durable checkpoint, the state the program cannot
+    /// derive (replicated + all partials this instance maintains); what
+    /// follows from it is rebuilt by [`SpmdProgram::restore`].
     fn snapshot(&self) -> Vec<u8>;
 
     /// Restores state saved by [`SpmdProgram::snapshot`].

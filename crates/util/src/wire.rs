@@ -63,8 +63,7 @@ impl<'a> WireReader<'a> {
         self.remaining() == 0
     }
 
-    /// Consume exactly `n` raw bytes.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated {
                 needed: n,
