@@ -59,6 +59,36 @@ pub fn forward_counts(g: &CsrGraph, s: VertexId) -> (Vec<u32>, Vec<f64>) {
     (ws.dist, ws.sigma)
 }
 
+/// The dependency `δ_s•(u)` of label `(u, j)` as distributed MRBC folds
+/// it (Algorithm 5): the left fold from 0 of `σ_u · ((1 + δ_w) / σ_w)`
+/// over `u`'s shortest-path successors `w` (its out-neighbours at
+/// distance `d_u + 1`, in ascending vertex order, as CSR rows are
+/// sorted). The tables are flat over `(vertex, source)` with `k` sources,
+/// and `j` picks the source; every successor's δ must be final. The
+/// distributed backward phase and the incremental engine both call this
+/// one fold, so they agree bit for bit. The oracle below associates the
+/// same terms as `σ_u / σ_w · (1 + δ_w)`, equal only in exact arithmetic.
+#[inline]
+pub fn pull_delta(
+    g: &CsrGraph,
+    u: VertexId,
+    j: usize,
+    k: usize,
+    dist: &[u32],
+    sigma: &[f64],
+    delta: &[f64],
+) -> f64 {
+    let (du, su) = (dist[u as usize * k + j], sigma[u as usize * k + j]);
+    let mut acc = 0.0f64;
+    for &w in g.out_neighbors(u) {
+        let widx = w as usize * k + j;
+        if dist[widx] == du + 1 {
+            acc += su * ((1.0 + delta[widx]) / sigma[widx]);
+        }
+    }
+    acc
+}
+
 /// Reusable per-source scratch buffers (the "workhorse collection"
 /// pattern: one allocation reused across all sources).
 struct Workspace {

@@ -34,7 +34,7 @@
 //! one reproduces its cached bits, so it would cost time and change
 //! nothing. See DESIGN.md §16.
 
-use mrbc_core::brandes;
+use mrbc_core::brandes::{self, pull_delta};
 use mrbc_graph::{CsrGraph, VertexId, INF_DIST};
 
 /// The two edge mutations the serving tier supports, mirrored here so
@@ -109,19 +109,17 @@ pub fn canonical_source(g: &CsrGraph, s: VertexId) -> SourceArtifacts {
 
 /// The backward dependency fold, bit-compatible with the distributed
 /// MRBC kernel. For each vertex `u` in decreasing BFS-distance order,
-/// `δ(u)` starts at 0 and accumulates over the DAG successors `w`
+/// `δ(u)` is [`pull_delta`]: the fold from 0 over the DAG successors `w`
 /// (CSR out-neighbours in ascending vertex order, filtered to
-/// `dist(w) = dist(u) + 1`):
+/// `dist(w) = dist(u) + 1`) of
 ///
 /// ```text
 /// m = (1 + δ(w)) / σ(w);   δ(u) += σ(u) · m
 /// ```
 ///
-/// This is the exact contraction `bwd_push_host` computes per firing
-/// vertex and the exact ascending-pushing-vertex order
-/// `fold_pending_flags` folds contributions in, so the result is
-/// bitwise equal to the distributed backward phase at any host count
-/// and batch size. (The sequential Brandes oracle in `mrbc-core` uses a
+/// The distributed backward phase pulls every label's δ with the same
+/// function, so the result is bitwise equal to it at any host count and
+/// batch size. (The sequential Brandes oracle in `mrbc-core` uses a
 /// different association — `σ(u)/σ(w) · (1 + δ(w))` — which is equal in
 /// exact arithmetic but not in floats; it must not be used here.)
 pub fn canonical_backward(g: &CsrGraph, dist: &[u32], sigma: &[f64]) -> Vec<f64> {
@@ -143,16 +141,7 @@ pub fn canonical_backward(g: &CsrGraph, dist: &[u32], sigma: &[f64]) -> Vec<f64>
     }
     for level in levels.iter().rev() {
         for &u in level {
-            let du = dist[u as usize];
-            let su = sigma[u as usize];
-            let mut acc = 0.0f64;
-            for &w in g.out_neighbors(u) {
-                if dist[w as usize] == du + 1 {
-                    let m = (1.0 + delta[w as usize]) / sigma[w as usize];
-                    acc += su * m;
-                }
-            }
-            delta[u as usize] = acc;
+            delta[u as usize] = pull_delta(g, u, 0, 1, dist, sigma, &delta);
         }
     }
     delta
