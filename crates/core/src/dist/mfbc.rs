@@ -15,9 +15,12 @@
 //! the total volume is a multiple of MRBC's one-item-per-(v, s) — this is
 //! the cost structure that makes MFBC ~3× slower than MRBC in the
 //! paper's Table 2, and it is modeled here explicitly
-//! ([`super::MFBC_ELEM_BYTES`] per source per sync).
+//! ([`super::MFBC_ELEM_BYTES`] per source per sync). σ sums in pusher
+//! order and δ is pulled from the successors ([`pull_delta`]), so the
+//! scores do not depend on the host count.
 
 use super::{DistBcOutcome, MFBC_ELEM_BYTES};
+use crate::brandes::pull_delta;
 use mrbc_dgalois::comm::{Exchange, PhaseDir, RoundComm};
 use mrbc_dgalois::{BspStats, DistGraph, ReliableLink};
 use mrbc_faults::{FaultSession, RecoveryStats};
@@ -84,9 +87,10 @@ fn run(
     DistBcOutcome { bc, stats }
 }
 
-/// Per-host push records: `(target vertex, source index, σ or δ
-/// contribution)` plus the host's work units.
-type Pushes = (Vec<(u32, usize, f64)>, u64);
+/// Per-host forward push records: `(target vertex, pusher's frontier
+/// index, source index, σ contribution)` in frontier order, plus the
+/// host's work units.
+type Pushes = (Vec<(u32, u32, u32, f64)>, u64);
 
 fn run_batch(
     g: &CsrGraph,
@@ -102,7 +106,7 @@ fn run_batch(
     let mut delta = vec![0.0f64; n * k];
 
     // Forward Bellman-Ford sweeps. `frontier` holds the vertices with at
-    // least one improved source label (the maximal frontier).
+    // least one improved source label (the maximal frontier), ascending.
     let mut frontier: Vec<u32> = Vec::new();
     for (j, &s) in batch.iter().enumerate() {
         dist[s as usize * k + j] = 0;
@@ -127,9 +131,9 @@ fn run_batch(
             .into_par_iter()
             .map(|h| {
                 let topo = &dg.hosts[h];
-                let mut out: Vec<(u32, usize, f64)> = Vec::new();
+                let mut out = Vec::new();
                 let mut w = 0u64;
-                for &v in &frontier {
+                for (i, &v) in frontier.iter().enumerate() {
                     let Some(lv) = dg.local(h, v) else { continue };
                     w += 1;
                     for &lu in topo.graph.out_neighbors(lv) {
@@ -138,7 +142,7 @@ fn run_batch(
                         for j in 0..k {
                             let vidx = v as usize * k + j;
                             if dist[vidx] == level {
-                                out.push((gu, j, sigma[vidx]));
+                                out.push((gu, i as u32, j as u32, sigma[vidx]));
                             }
                         }
                     }
@@ -147,19 +151,26 @@ fn run_batch(
             })
             .collect();
 
-        let mut next: Vec<u32> = Vec::new();
+        // Each label's σ sums its contributions in the order of the
+        // pushers, whichever hosts hold the edges, so the `f64` sum is the
+        // same at every host count; the stable sort merges the hosts'
+        // frontier-ordered runs.
         let mut work = Vec::with_capacity(dg.num_hosts);
+        let mut records = Vec::new();
         for (pushes, w) in results {
             work.push(w);
-            for (gu, j, sig) in pushes {
-                let idx = gu as usize * k + j;
-                if dist[idx] == INF_DIST {
-                    dist[idx] = level + 1;
-                    sigma[idx] = sig;
-                    next.push(gu);
-                } else if dist[idx] == level + 1 {
-                    sigma[idx] += sig;
-                }
+            records.extend(pushes);
+        }
+        records.sort_by_key(|r| r.1);
+        let mut next: Vec<u32> = Vec::new();
+        for (gu, _, j, sig) in records {
+            let idx = gu as usize * k + j as usize;
+            if dist[idx] == INF_DIST {
+                dist[idx] = level + 1;
+                sigma[idx] = sig;
+                next.push(gu);
+            } else if dist[idx] == level + 1 {
+                sigma[idx] += sig;
             }
         }
         stats.record_round(work, comm);
@@ -180,45 +191,30 @@ fn run_batch(
         if frontier.is_empty() {
             continue;
         }
+        // The level's δ is pulled from its successors, whose δ the
+        // previous sweep fixed; the hosts' pushes along their local
+        // in-edges are only counted.
+        for &v in &frontier {
+            for j in 0..k {
+                let idx = v as usize * k + j;
+                if dist[idx] == lvl {
+                    delta[idx] = pull_delta(g, v, j, k, &dist, &sigma, &delta);
+                }
+            }
+        }
         if let Some(l) = link.as_deref_mut() {
             l.begin_round(stats.num_rounds() + 1);
         }
         let mut comm = RoundComm::new(dg.num_hosts);
         sync_dense(dg, &frontier, k, &mut comm, link.as_deref_mut());
-
-        let results: Vec<Pushes> = (0..dg.num_hosts)
-            .into_par_iter()
+        let work = (0..dg.num_hosts)
             .map(|h| {
-                let topo = &dg.hosts[h];
-                let mut out: Vec<(u32, usize, f64)> = Vec::new();
-                let mut w = 0u64;
-                for &v in &frontier {
-                    let Some(lv) = dg.local(h, v) else { continue };
-                    w += 1;
-                    for &lu in topo.in_graph.out_neighbors(lv) {
-                        w += k as u64;
-                        let gu = topo.global_of_local[lu as usize];
-                        for j in 0..k {
-                            let vidx = v as usize * k + j;
-                            let uidx = gu as usize * k + j;
-                            if dist[vidx] == lvl && dist[uidx] == lvl - 1 {
-                                let m = (1.0 + delta[vidx]) / sigma[vidx];
-                                out.push((gu, j, sigma[uidx] * m));
-                            }
-                        }
-                    }
-                }
-                (out, w)
+                let proxies = frontier.iter().filter_map(|&v| dg.local(h, v));
+                proxies
+                    .map(|lv| 1 + k as u64 * dg.hosts[h].in_graph.out_degree(lv) as u64)
+                    .sum()
             })
             .collect();
-
-        let mut work = Vec::with_capacity(dg.num_hosts);
-        for (pushes, w) in results {
-            work.push(w);
-            for (gu, j, contrib) in pushes {
-                delta[gu as usize * k + j] += contrib;
-            }
-        }
         stats.record_round(work, comm);
     }
     delta

@@ -25,16 +25,18 @@
 //! machine). [`mrbc_bc`] steps it in-process on typed per-host
 //! `Pushes`, with no serialization. Each round the machine first picks
 //! the labels whose send condition fires and buckets them by the hosts
-//! that hold a proxy of their vertex; every host then applies Gluon's
-//! reduce/broadcast (reduce mirrors → master, sum σ / δ partials,
-//! broadcast the reconciled value to every mirror that consumes it) to
-//! the proxies of its bucket and pushes those labels along its local
+//! that hold a proxy of their vertex; every host then counts Gluon's
+//! reduce/broadcast (one item from each mirror holding a partial to the
+//! master, one from the master to each mirror that consumes the value)
+//! for the proxies of its bucket and pushes those labels along its local
 //! edges; and the machine merges the forward pushes in flag order (a
-//! firing label's δ is pulled from its successors: [`pull_delta`]). Hosts
-//! run one after another on one thread. The authoritative pipelining
-//! schedule is kept per global vertex, which is exactly the CONGEST
-//! semantics the correctness lemmas are stated for (each host's flag is a
-//! subset of the global flag; Gluon synchronizes the union).
+//! firing label's δ is pulled from its successors: [`pull_delta`]). The
+//! σ and δ values themselves live only in the replicated labels; a proxy
+//! keeps its distance. Hosts run one after another on one thread. The
+//! authoritative pipelining schedule is kept per global vertex, which is
+//! exactly the CONGEST semantics the correctness lemmas are stated for
+//! (each host's flag is a subset of the global flag; Gluon synchronizes
+//! the union).
 //!
 //! Traffic is only counted, where the proxy is touched: each host's
 //! apply pass counts the sync items it moves, and the [`ReliableLink`] of
@@ -189,12 +191,6 @@ fn run(
                     ));
                 }
             }
-            // Debug builds check Gluon's reduce before the apply passes
-            // overwrite the partials it sums.
-            if cfg!(debug_assertions) && options.delayed_sync {
-                let (flags, buckets) = (&run.flags, &run.buckets);
-                run.batch.check_reduce(flags, buckets, forward);
-            }
         }
         // COMPUTE: every host applies the sync to its proxies, counting
         // it, and pushes the flagged labels along its local edges.
@@ -320,15 +316,15 @@ pub(crate) fn bucket_flags(dg: &DistGraph, flags: &[Flag], buckets: &mut [Vec<Pr
     }
 }
 
-/// Per-host proxy labels for one batch: the partial (pre-reduce) values
-/// accumulated from local edges, flat over `(local proxy, source)`. Once
-/// `(v, j)` syncs, its proxies hold the final `dist_g` and τ is stamped,
-/// so [`Batch::merge_pushes`]' Lemma-5 checks catch any later
-/// contribution to it.
+/// Per-host proxy distances for one batch: the partial (pre-reduce)
+/// distance each proxy has reached through local edges, flat over
+/// `(local proxy, source)`. It filters the forward pushes and marks the
+/// mirrors that hold a forward partial. Once `(v, j)` syncs, its proxies
+/// hold the final `dist_g` and τ is stamped, so [`Batch::merge_pushes`]'
+/// Lemma-5 checks catch any later contribution to it. σ and δ are read
+/// from the replicated labels only.
 pub(crate) struct HostState {
     pub(crate) dist: Vec<u32>,
-    pub(crate) sigma: Vec<f64>,
-    pub(crate) delta: Vec<f64>,
 }
 
 /// One batch's labels, schedule and proxies. [`MrbcSpmd`] owns it and
@@ -353,7 +349,7 @@ pub(crate) struct Batch<'a> {
 
 /// Forward push kernel for one host: relax the flagged labels of the
 /// host's `bucket` along its local out-edges, updating its proxy
-/// partials. Runs inside [`MrbcSpmd`]'s step for host `h`.
+/// distances. Runs inside [`MrbcSpmd`]'s step for host `h`.
 pub(crate) fn fwd_push_host(
     dg: &DistGraph,
     h: usize,
@@ -379,59 +375,49 @@ pub(crate) fn fwd_push_host(
             w += 3;
             let gu = topo.global_of_local[lu as usize];
             let idx = lu as usize * k + j as usize;
-            let cur = hs.dist[idx];
-            if d_new < cur {
+            // A proxy at a shorter distance is ignored.
+            if d_new <= hs.dist[idx] {
                 hs.dist[idx] = d_new;
-                hs.sigma[idx] = sig;
-                out.push((gu, i, sig));
-            } else if d_new == cur {
-                hs.sigma[idx] += sig;
                 out.push((gu, i, sig));
             }
-            // d_new > cur: longer path, ignored.
         }
     }
     (out, w)
 }
 
-/// Backward push kernel for one host: push `(1 + δ)/σ` of the flagged
-/// labels in the host's `bucket` to shortest-path predecessors along its
-/// local in-edges, into its δ partials. Runs inside [`MrbcSpmd`]'s step
-/// for host `h`. [`Batch::pull_deltas`] sets the authoritative δ, so the
-/// kernel emits records only if `records` asks for them.
-#[allow(clippy::too_many_arguments)] // kernel boundary: three global views + per-host state
+/// Backward push kernel for one host: the flagged labels in the host's
+/// `bucket` push `(1 + δ)/σ` to their shortest-path predecessors along
+/// its local in-edges. Runs inside [`MrbcSpmd`]'s step for host `h`.
+/// [`Batch::pull_deltas`] sets the authoritative δ, so the kernel counts
+/// its work from the in-degrees and walks the edges only if `records`
+/// asks for the pushes (the eager ablation's accounting).
 pub(crate) fn bwd_push_host(
-    dg: &DistGraph,
+    b: &Batch<'_>,
     h: usize,
-    k: usize,
-    dist_g: &[u32],
-    sigma_g: &[f64],
-    delta_g: &[f64],
-    hs: &mut HostState,
     flags: &[Flag],
     bucket: &[ProxyFlag],
     records: bool,
 ) -> Pushes {
-    let topo = &dg.hosts[h];
+    let (topo, k) = (&b.dg.hosts[h], b.k);
     let mut out = Vec::new();
     let mut w = 0u64;
     for &(i, lv, _) in bucket {
+        let preds = topo.in_graph.out_neighbors(lv);
+        // Sync bookkeeping, then accumulation + per-source indexing
+        // upkeep per in-edge.
+        w += 2 + 2 * preds.len() as u64;
+        if !records {
+            continue;
+        }
         let (v, j, dv) = flags[i as usize];
-        w += 2;
         let gidx = v as usize * k + j as usize;
-        let m = (1.0 + delta_g[gidx]) / sigma_g[gidx];
-        for &lu in topo.in_graph.out_neighbors(lv) {
-            // Accumulation + per-source indexing upkeep.
-            w += 2;
+        let m = (1.0 + b.delta_g[gidx]) / b.sigma_g[gidx];
+        for &lu in preds {
             let gu = topo.global_of_local[lu as usize] as usize;
             let uidx = gu * k + j as usize;
             // u ∈ P_s(v) iff d_su + 1 = d_sv.
-            if dv > 0 && dist_g[uidx] == dv - 1 {
-                let contrib = sigma_g[uidx] * m;
-                hs.delta[lu as usize * k + j as usize] += contrib;
-                if records {
-                    out.push((gu as u32, i, contrib));
-                }
+            if dv > 0 && b.dist_g[uidx] == dv - 1 {
+                out.push((gu as u32, i, b.sigma_g[uidx] * m));
             }
         }
     }
@@ -445,13 +431,8 @@ impl<'a> Batch<'a> {
         let hosts = dg
             .hosts
             .iter()
-            .map(|h| {
-                let p = h.num_proxies();
-                HostState {
-                    dist: vec![INF_DIST; p * k],
-                    sigma: vec![0.0; p * k],
-                    delta: vec![0.0; p * k],
-                }
+            .map(|h| HostState {
+                dist: vec![INF_DIST; h.num_proxies() * k],
             })
             .collect();
         let mut b = Self {
@@ -473,12 +454,11 @@ impl<'a> Batch<'a> {
             b.sigma_g[v * k + j] = 1.0;
             b.schedule.insert(v, j as u32, 0);
             b.pending_total += 1;
-            // The source's own proxy on its owner starts with (0, 1).
+            // The source's own proxy on its owner starts at distance 0.
             let own = dg.owner(s) as usize;
             // lint: allow(unwrap): every vertex has a master proxy on its owner host
             let l = dg.local(own, s).expect("owner has master proxy") as usize;
             b.hosts[own].dist[l * k + j] = 0;
-            b.hosts[own].sigma[l * k + j] = 1.0;
         }
         b
     }
@@ -530,14 +510,19 @@ impl<'a> Batch<'a> {
 
     /// Applies one delayed sync to host `h`'s proxies of the flagged labels
     /// in its `bucket`, and counts it there: a mirror proxy that holds a
-    /// partial (`d ≠ ∞` forward, `δ ≠ 0` backward) counts one `reduce`
-    /// item to the owner before it is overwritten; every proxy that
+    /// partial counts one `reduce` item to the owner; every proxy that
     /// consumes the reconciled value (or is the master) takes it, and a
-    /// consuming mirror counts one `bcast` item from the owner. This is the
-    /// *only* state mutation a sync performs; [`MrbcSpmd`]'s step runs it
-    /// for host `h` just before `h`'s pushes, and each flag touches its own
-    /// `(v, j)` slots only (at most one flag per vertex per round). Eager
-    /// mode never calls it.
+    /// consuming mirror counts one `bcast` item from the owner. Forward, a
+    /// mirror holds a partial iff a local push reached it (`d ≠ ∞`), and
+    /// takes the final distance. Backward, a mirror of `(u, j, d)` holds a
+    /// δ partial iff one of `u`'s local out-edges reaches a successor at
+    /// `d + 1`: every successor fired in an earlier round (Lemma 7) and
+    /// pushed a positive `σ_u · (1 + δ_w)/σ_w` along that edge; δ itself
+    /// is read from the replicated labels, so nothing is written back. The
+    /// forward write-back is the *only* state mutation a sync performs;
+    /// [`MrbcSpmd`]'s step runs it for host `h` just before `h`'s pushes,
+    /// and each flag touches its own `(v, j)` slots only (at most one flag
+    /// per vertex per round). Eager mode never calls it.
     pub(crate) fn apply_sync_to_host(
         &mut self,
         h: usize,
@@ -550,16 +535,20 @@ impl<'a> Batch<'a> {
         let k = self.k;
         let topo = &self.dg.hosts[h];
         let hs = &mut self.hosts[h];
+        let dist_g = &self.dist_g;
         for &(i, l, own) in bucket {
-            let (v, j, _) = flags[i as usize];
+            let (_, j, d) = flags[i as usize];
             let own = own as usize;
-            let gidx = v as usize * k + j as usize;
             let lidx = l as usize * k + j as usize;
             if h != own {
                 let partial = if forward {
                     hs.dist[lidx] != INF_DIST
                 } else {
-                    hs.delta[lidx] != 0.0
+                    let succ = |&lw: &u32| {
+                        let w = topo.global_of_local[lw as usize] as usize;
+                        dist_g[w * k + j as usize] == d + 1
+                    };
+                    topo.graph.out_neighbors(l).iter().any(succ)
                 };
                 if partial {
                     reduce.count(h, own, 1, MRBC_ITEM_BYTES);
@@ -578,43 +567,8 @@ impl<'a> Batch<'a> {
                 bcast.count(own, h, 1, MRBC_ITEM_BYTES);
             }
             if forward {
-                hs.dist[lidx] = self.dist_g[gidx];
-                hs.sigma[lidx] = self.sigma_g[gidx];
-            } else {
-                hs.delta[lidx] = self.delta_g[gidx];
+                hs.dist[lidx] = d;
             }
-        }
-    }
-
-    /// Checks Gluon's reduce for the flagged labels before any host
-    /// applies it: each label's partials, summed over every proxy in
-    /// `buckets`, must match its authoritative σ (forward; only partials
-    /// at the final distance count) or δ (backward).
-    pub(crate) fn check_reduce(&self, flags: &[Flag], buckets: &[Vec<ProxyFlag>], forward: bool) {
-        let k = self.k;
-        let mut sums = vec![0.0f64; flags.len()];
-        for (hs, bucket) in self.hosts.iter().zip(buckets) {
-            for &(i, l, _) in bucket {
-                let (v, j, _) = flags[i as usize];
-                let lidx = l as usize * k + j as usize;
-                if !forward {
-                    sums[i as usize] += hs.delta[lidx];
-                } else if hs.dist[lidx] == self.dist_g[v as usize * k + j as usize] {
-                    sums[i as usize] += hs.sigma[lidx];
-                }
-            }
-        }
-        for (&(v, j, _), got) in flags.iter().zip(sums) {
-            let gidx = v as usize * k + j as usize;
-            let want = if forward {
-                self.sigma_g[gidx]
-            } else {
-                self.delta_g[gidx]
-            };
-            assert!(
-                (got - want).abs() <= 1e-9 * want.abs().max(1.0),
-                "reduce mismatch for ({v}, {j}): {got} vs {want}"
-            );
         }
     }
 
@@ -835,7 +789,6 @@ mod tests {
             b.mark_flags(&flags, round);
             let mut buckets = vec![Vec::new(); dg.num_hosts];
             bucket_flags(dg, &flags, &mut buckets);
-            b.check_reduce(&flags, &buckets, true);
             let mut reduce: Exchange<()> = Exchange::new(dg.num_hosts);
             let mut bcast: Exchange<()> = Exchange::new(dg.num_hosts);
             let pushes: Vec<Pushes> = (0..dg.num_hosts)
@@ -865,10 +818,21 @@ mod tests {
         }
     }
 
+    /// Backward δ partials the old per-host kernel left: `(host, u, j)`
+    /// for every local push into a proxy of `(u, j)`.
+    type Marks = std::collections::HashSet<(usize, u32, u32)>;
+
     /// Reference for the delayed sync the apply passes count: two walks
     /// over every flag's owner + mirrors, staging one item per send, run
-    /// before the step's pushes on the pre-step proxies.
-    fn sync_flags(b: &Batch<'_>, flags: &[Flag], comm: &mut RoundComm, forward: bool) {
+    /// before the step's pushes on the pre-step proxies (forward) or on
+    /// the `marks` of earlier steps (backward).
+    fn sync_flags(
+        b: &Batch<'_>,
+        marks: &Marks,
+        flags: &[Flag],
+        comm: &mut RoundComm,
+        forward: bool,
+    ) {
         let (dg, k) = (b.dg, b.k);
         let mut reduce: Exchange<()> = Exchange::new(dg.num_hosts);
         let mut bcast: Exchange<()> = Exchange::new(dg.num_hosts);
@@ -879,12 +843,10 @@ mod tests {
             // Reduce: mirror partials cross the network.
             for h in proxies.clone() {
                 let Some(l) = dg.local(h, v) else { continue };
-                let lidx = l as usize * k + j as usize;
-                let hs = &b.hosts[h];
                 let partial = if forward {
-                    hs.dist[lidx] != INF_DIST
+                    b.hosts[h].dist[l as usize * k + j as usize] != INF_DIST
                 } else {
-                    hs.delta[lidx] != 0.0
+                    marks.contains(&(h, v, j))
                 };
                 if h != own && partial {
                     reduce.send(h, own, (), MRBC_ITEM_BYTES);
@@ -933,6 +895,25 @@ mod tests {
         bcast.finish(dg, PhaseDir::Broadcast, comm);
     }
 
+    /// Replays the old backward kernel's effect on the δ partials: each
+    /// flagged `v` pushes to every local in-neighbour `u` with
+    /// `d_u = d_v − 1`, on every host that holds the edge.
+    fn mark_backward_pushes(b: &Batch<'_>, flags: &[Flag], marks: &mut Marks) {
+        let (dg, k) = (b.dg, b.k);
+        for &(v, j, dv) in flags {
+            for h in 0..dg.num_hosts {
+                let Some(lv) = dg.local(h, v) else { continue };
+                let topo = &dg.hosts[h];
+                for &lu in topo.in_graph.out_neighbors(lv) {
+                    let u = topo.global_of_local[lu as usize];
+                    if dv > 0 && b.dist_g[u as usize * k + j as usize] == dv - 1 {
+                        marks.insert((h, u, j));
+                    }
+                }
+            }
+        }
+    }
+
     /// Per-round traffic by the reference walks: steps the machine as
     /// [`run`] does, but accounts each round before its pushes.
     fn reference_rounds(
@@ -943,27 +924,34 @@ mod tests {
     ) -> Vec<RoundComm> {
         let mut prog = MrbcSpmd::with_options(g, dg, sources, options);
         let mut eager: Vec<(u16, u32, u32)> = Vec::new();
+        let mut marks = Marks::new();
         let mut seeded = None;
         let mut rounds = Vec::new();
         let mut step = 0;
         while let Some((bi, run)) = prog.current() {
-            if !options.delayed_sync && run.is_forward() && seeded != Some(bi) {
+            if run.is_forward() && seeded != Some(bi) {
                 seeded = Some(bi);
-                let seeds = prog.batch_sources(bi).iter().enumerate();
-                eager.extend(seeds.map(|(j, &s)| (dg.owner(s), s, j as u32)));
+                marks.clear();
+                if !options.delayed_sync {
+                    let seeds = prog.batch_sources(bi).iter().enumerate();
+                    eager.extend(seeds.map(|(j, &s)| (dg.owner(s), s, j as u32)));
+                }
             }
             prog.begin_step(step);
             step += 1;
             let mut comm = RoundComm::new(dg.num_hosts);
             let (_, run) = prog.current().expect("a step in progress");
             if options.delayed_sync {
-                sync_flags(&run.batch, &run.flags, &mut comm, run.is_forward());
+                sync_flags(&run.batch, &marks, &run.flags, &mut comm, run.is_forward());
             } else {
                 eager_sync_staged(dg, &mut eager, &mut comm);
             }
             let pushes: Vec<Pushes> = (0..dg.num_hosts).map(|h| prog.push(h)).collect();
+            let (_, run) = prog.current().expect("a step in progress");
+            if !run.is_forward() {
+                mark_backward_pushes(&run.batch, &run.flags, &mut marks);
+            }
             if !options.delayed_sync {
-                let (_, run) = prog.current().expect("a step in progress");
                 for (h, (records, _)) in pushes.iter().enumerate() {
                     let label =
                         |&(u, i, _): &(u32, u32, f64)| (h as u16, u, run.flags[i as usize].1);

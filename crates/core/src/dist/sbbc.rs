@@ -8,12 +8,16 @@
 //! One source at a time. Each BFS level is one BSP round: the labels
 //! finalized in the previous round (the frontier) are synchronized
 //! (min-distance / sum-σ reduce, then broadcast), then pushed along local
-//! out-edges. The backward phase walks levels in decreasing order,
-//! synchronizing sum-δ per round. A source thus costs
+//! out-edges; σ sums in pusher order. The backward phase walks levels in
+//! decreasing order, synchronizing sum-δ per round; a level's δ is
+//! pulled from its successors ([`pull_delta`]), so the scores do not
+//! depend on the host count. A source thus costs
 //! `≈ 2 · ecc(s)` rounds — each paying barrier latency and per-round
 //! metadata — which is exactly the cost MRBC's pipelining removes.
 
+use super::mrbc::Pushes;
 use super::{DistBcOutcome, SBBC_ITEM_BYTES};
+use crate::brandes::pull_delta;
 use mrbc_dgalois::comm::{Exchange, PhaseDir, RoundComm};
 use mrbc_dgalois::{BspStats, DistGraph, ReliableLink};
 use mrbc_faults::{FaultSession, RecoveryStats};
@@ -63,26 +67,25 @@ fn run(
     DistBcOutcome { bc, stats }
 }
 
-/// Reusable per-source buffers (global truth + per-host proxy partials).
+/// Reusable per-source buffers: the global labels, and per host the
+/// distances its proxies have reached through local edges.
 struct SourceState<'a> {
+    g: &'a CsrGraph,
     dg: &'a DistGraph,
-    source: VertexId,
     dist_g: Vec<u32>,
     sigma_g: Vec<f64>,
     delta_g: Vec<f64>,
-    /// `levels[ℓ]`: global vertices at distance ℓ.
+    /// `levels[ℓ]`: global vertices at distance ℓ, ascending.
     levels: Vec<Vec<u32>>,
     host_dist: Vec<Vec<u32>>,
-    host_sigma: Vec<Vec<f64>>,
-    host_delta: Vec<Vec<f64>>,
 }
 
 impl<'a> SourceState<'a> {
-    fn new(g: &CsrGraph, dg: &'a DistGraph) -> Self {
+    fn new(g: &'a CsrGraph, dg: &'a DistGraph) -> Self {
         let n = g.num_vertices();
         Self {
+            g,
             dg,
-            source: 0,
             dist_g: vec![INF_DIST; n],
             sigma_g: vec![0.0; n],
             delta_g: vec![0.0; n],
@@ -92,29 +95,16 @@ impl<'a> SourceState<'a> {
                 .iter()
                 .map(|h| vec![INF_DIST; h.num_proxies()])
                 .collect(),
-            host_sigma: dg
-                .hosts
-                .iter()
-                .map(|h| vec![0.0; h.num_proxies()])
-                .collect(),
-            host_delta: dg
-                .hosts
-                .iter()
-                .map(|h| vec![0.0; h.num_proxies()])
-                .collect(),
         }
     }
 
     fn reset(&mut self, s: VertexId) {
-        self.source = s;
         self.dist_g.fill(INF_DIST);
         self.sigma_g.fill(0.0);
         self.delta_g.fill(0.0);
         self.levels.clear();
-        for h in 0..self.dg.num_hosts {
-            self.host_dist[h].fill(INF_DIST);
-            self.host_sigma[h].fill(0.0);
-            self.host_delta[h].fill(0.0);
+        for hd in &mut self.host_dist {
+            hd.fill(INF_DIST);
         }
         self.dist_g[s as usize] = 0;
         self.sigma_g[s as usize] = 1.0;
@@ -123,10 +113,11 @@ impl<'a> SourceState<'a> {
         // lint: allow(unwrap): every vertex has a master proxy on its owner host
         let l = self.dg.local(own, s).expect("master proxy") as usize;
         self.host_dist[own][l] = 0;
-        self.host_sigma[own][l] = 1.0;
     }
 
-    /// Reduce + broadcast `(d, σ)` for the given frontier vertices.
+    /// Reduce + broadcast `(d, σ)` for the given frontier vertices: a
+    /// mirror that a local push reached sends its partial to the master,
+    /// and every proxy that consumes the value takes the final distance.
     fn sync_forward(
         &mut self,
         frontier: &[u32],
@@ -138,40 +129,25 @@ impl<'a> SourceState<'a> {
         for &v in frontier {
             let own = self.dg.owner(v) as usize;
             let d = self.dist_g[v as usize];
-            let sig = self.sigma_g[v as usize];
-            let mut reduced = 0.0;
             for h in std::iter::once(own).chain(self.dg.mirror_hosts(v).iter().map(|&m| m as usize))
             {
                 let Some(l) = self.dg.local(h, v) else {
                     continue;
                 };
-                if self.host_dist[h][l as usize] == d {
-                    reduced += self.host_sigma[h][l as usize];
-                }
-                if h != own && self.host_dist[h][l as usize] != INF_DIST {
-                    reduce.count(h, own, 1, SBBC_ITEM_BYTES);
-                }
-            }
-            debug_assert!(
-                (reduced - sig).abs() <= 1e-9 * sig.max(1.0),
-                "σ reduce mismatch for {v}: {reduced} vs {sig}"
-            );
-            for h in std::iter::once(own).chain(self.dg.mirror_hosts(v).iter().map(|&m| m as usize))
-            {
-                let Some(l) = self.dg.local(h, v) else {
-                    continue;
-                };
-                // Partition-constraint optimization (Section 4.1): a
-                // proxy consumes (d, σ) only to push along local
-                // out-edges; skip mirrors without any.
-                if h != own && self.dg.hosts[h].graph.out_degree(l) == 0 {
-                    continue;
-                }
+                let hd = &mut self.host_dist[h][l as usize];
                 if h != own {
+                    if *hd != INF_DIST {
+                        reduce.count(h, own, 1, SBBC_ITEM_BYTES);
+                    }
+                    // Partition-constraint optimization (Section 4.1): a
+                    // proxy consumes (d, σ) only to push along local
+                    // out-edges; skip mirrors without any.
+                    if self.dg.hosts[h].graph.out_degree(l) == 0 {
+                        continue;
+                    }
                     bcast.count(own, h, 1, SBBC_ITEM_BYTES);
                 }
-                self.host_dist[h][l as usize] = d;
-                self.host_sigma[h][l as usize] = sig;
+                *hd = d;
             }
         }
         reduce.finish_reliable(self.dg, PhaseDir::Reduce, comm, link.as_deref_mut());
@@ -192,32 +168,29 @@ impl<'a> SourceState<'a> {
             let mut comm = RoundComm::new(self.dg.num_hosts);
             self.sync_forward(&frontier, &mut comm, link.as_deref_mut());
 
-            // Push the frontier along local out-edges on every host.
-            let dg = self.dg;
+            // Push the frontier along local out-edges on every host:
+            // `(target, pusher's frontier index, σ)` records in frontier
+            // order, as MRBC's forward kernel pushes in flag order.
+            let (dg, d_new) = (self.dg, level + 1);
             let sigma_g = &self.sigma_g;
-            let results: Vec<(Vec<(u32, f64)>, u64)> = self
+            let results: Vec<Pushes> = self
                 .host_dist
                 .par_iter_mut()
-                .zip(self.host_sigma.par_iter_mut())
                 .enumerate()
-                .map(|(h, (hd, hsig))| {
+                .map(|(h, hd)| {
                     let topo = &dg.hosts[h];
-                    let mut out: Vec<(u32, f64)> = Vec::new();
+                    let mut out = Vec::new();
                     let mut w = 0u64;
-                    for &v in &frontier {
+                    for (i, &v) in frontier.iter().enumerate() {
                         let Some(lv) = dg.local(h, v) else { continue };
                         w += 1;
                         let sig = sigma_g[v as usize];
                         for &lu in topo.graph.out_neighbors(lv) {
                             w += 1;
-                            let d = &mut hd[lu as usize];
-                            if *d == INF_DIST {
-                                *d = level + 1;
-                                hsig[lu as usize] = sig;
-                                out.push((topo.global_of_local[lu as usize], sig));
-                            } else if *d == level + 1 {
-                                hsig[lu as usize] += sig;
-                                out.push((topo.global_of_local[lu as usize], sig));
+                            // A proxy at a shorter distance is ignored.
+                            if d_new <= hd[lu as usize] {
+                                hd[lu as usize] = d_new;
+                                out.push((topo.global_of_local[lu as usize], i as u32, sig));
                             }
                         }
                     }
@@ -225,30 +198,40 @@ impl<'a> SourceState<'a> {
                 })
                 .collect();
 
-            let mut next: Vec<u32> = Vec::new();
+            // Each target's σ sums its contributions in the order of the
+            // pushers, whichever hosts hold the edges, so the `f64` sum is
+            // the same at every host count. Each host's records are
+            // already in frontier order; the stable sort merges the runs.
             let mut work = Vec::with_capacity(self.dg.num_hosts);
+            let mut records = Vec::new();
             for (pushes, w) in results {
                 work.push(w);
-                for (gu, sig) in pushes {
-                    let gi = gu as usize;
-                    if self.dist_g[gi] == INF_DIST {
-                        self.dist_g[gi] = level + 1;
-                        self.sigma_g[gi] = sig;
-                        next.push(gu);
-                    } else if self.dist_g[gi] == level + 1 {
-                        self.sigma_g[gi] += sig;
-                    }
+                records.extend(pushes);
+            }
+            records.sort_by_key(|r| r.1);
+            let mut next: Vec<u32> = Vec::new();
+            for (gu, _, sig) in records {
+                let gi = gu as usize;
+                if self.dist_g[gi] == INF_DIST {
+                    self.dist_g[gi] = d_new;
+                    self.sigma_g[gi] = sig;
+                    next.push(gu);
+                } else if self.dist_g[gi] == d_new {
+                    self.sigma_g[gi] += sig;
                 }
             }
             stats.record_round(work, comm);
+            next.sort_unstable();
             self.levels.push(next);
             level += 1;
         }
     }
 
-    /// Reduce + broadcast δ for the given level's vertices.
+    /// Reduce + broadcast δ for the given level's vertices. A mirror holds
+    /// a δ partial iff one of its local out-edges reaches a successor one
+    /// level deeper, which pushed along it in the previous round.
     fn sync_backward(
-        &mut self,
+        &self,
         level_vertices: &[u32],
         comm: &mut RoundComm,
         mut link: Option<&mut ReliableLink<'_>>,
@@ -256,93 +239,57 @@ impl<'a> SourceState<'a> {
         let mut reduce: Exchange<()> = Exchange::new(self.dg.num_hosts);
         let mut bcast: Exchange<()> = Exchange::new(self.dg.num_hosts);
         for &v in level_vertices {
-            let total = self.delta_g[v as usize];
-            if total == 0.0 {
-                continue; // label never updated; mirrors' zero is correct
+            if self.delta_g[v as usize] == 0.0 {
+                continue; // no successor: nothing was pushed to any proxy
             }
             let own = self.dg.owner(v) as usize;
-            let mut reduced = 0.0;
-            for h in std::iter::once(own).chain(self.dg.mirror_hosts(v).iter().map(|&m| m as usize))
-            {
+            let d = self.dist_g[v as usize];
+            for &h in self.dg.mirror_hosts(v) {
+                let (h, topo) = (h as usize, &self.dg.hosts[h as usize]);
                 let Some(l) = self.dg.local(h, v) else {
                     continue;
                 };
-                reduced += self.host_delta[h][l as usize];
-                if h != own && self.host_delta[h][l as usize] != 0.0 {
+                let succ =
+                    |&lw: &u32| self.dist_g[topo.global_of_local[lw as usize] as usize] == d + 1;
+                if topo.graph.out_neighbors(l).iter().any(succ) {
                     reduce.count(h, own, 1, SBBC_ITEM_BYTES);
                 }
-            }
-            debug_assert!(
-                (reduced - total).abs() <= 1e-9 * total.abs().max(1.0),
-                "δ reduce mismatch for {v}"
-            );
-            for h in std::iter::once(own).chain(self.dg.mirror_hosts(v).iter().map(|&m| m as usize))
-            {
-                let Some(l) = self.dg.local(h, v) else {
-                    continue;
-                };
                 // δ is consumed by pushes along local in-edges only.
-                if h != own && self.dg.hosts[h].in_graph.out_degree(l) == 0 {
-                    continue;
-                }
-                if h != own {
+                if topo.in_graph.out_degree(l) > 0 {
                     bcast.count(own, h, 1, SBBC_ITEM_BYTES);
                 }
-                self.host_delta[h][l as usize] = total;
             }
         }
         reduce.finish_reliable(self.dg, PhaseDir::Reduce, comm, link.as_deref_mut());
         bcast.finish_reliable(self.dg, PhaseDir::Broadcast, comm, link);
     }
 
-    /// Backward dependency accumulation, deepest level first.
+    /// Backward dependency accumulation, deepest level first. A level's δ
+    /// is pulled from its successors, whose δ the previous round fixed,
+    /// so the hosts' pushes along their local in-edges are only counted.
     fn backward(&mut self, stats: &mut BspStats, mut link: Option<&mut ReliableLink<'_>>) {
         // The last frontier is empty; deepest populated level is len - 2.
         let max_level = self.levels.len().saturating_sub(2);
         for level in (1..=max_level).rev() {
-            let vertices = self.levels[level].clone();
+            let vertices = std::mem::take(&mut self.levels[level]);
+            for &v in &vertices {
+                let (dist, sigma, delta) = (&self.dist_g, &self.sigma_g, &self.delta_g);
+                self.delta_g[v as usize] = pull_delta(self.g, v, 0, 1, dist, sigma, delta);
+            }
             if let Some(l) = link.as_deref_mut() {
                 l.begin_round(stats.num_rounds() + 1);
             }
             let mut comm = RoundComm::new(self.dg.num_hosts);
             self.sync_backward(&vertices, &mut comm, link.as_deref_mut());
-
             let dg = self.dg;
-            let (dist_g, sigma_g, delta_g) = (&self.dist_g, &self.sigma_g, &self.delta_g);
-            let results: Vec<(Vec<(u32, f64)>, u64)> = self
-                .host_delta
-                .par_iter_mut()
-                .enumerate()
-                .map(|(h, hdelta)| {
-                    let topo = &dg.hosts[h];
-                    let mut out: Vec<(u32, f64)> = Vec::new();
-                    let mut w = 0u64;
-                    for &v in &vertices {
-                        let Some(lv) = dg.local(h, v) else { continue };
-                        w += 1;
-                        let m = (1.0 + delta_g[v as usize]) / sigma_g[v as usize];
-                        for &lu in topo.in_graph.out_neighbors(lv) {
-                            w += 1;
-                            let gu = topo.global_of_local[lu as usize];
-                            // u ∈ P_s(v): one level closer to s.
-                            if dist_g[gu as usize] == level as u32 - 1 {
-                                let contrib = sigma_g[gu as usize] * m;
-                                hdelta[lu as usize] += contrib;
-                                out.push((gu, contrib));
-                            }
-                        }
-                    }
-                    (out, w)
+            let work = (0..dg.num_hosts)
+                .map(|h| {
+                    let proxies = vertices.iter().filter_map(|&v| dg.local(h, v));
+                    proxies
+                        .map(|lv| 1 + dg.hosts[h].in_graph.out_degree(lv) as u64)
+                        .sum()
                 })
                 .collect();
-
-            let mut work = Vec::with_capacity(self.dg.num_hosts);
-            for (pushes, w) in results {
-                work.push(w);
-                for (gu, contrib) in pushes {
-                    self.delta_g[gu as usize] += contrib;
-                }
-            }
             stats.record_round(work, comm);
         }
     }

@@ -9,8 +9,9 @@
 //!   `delta_g`), τ, the forward calendar, the backward agenda and the BC
 //!   accumulator. Every worker holds all of it and mutates it identically
 //!   in `begin_step` / `fold`.
-//! * **partial state** — one host's proxy labels (`HostState`). A worker
-//!   only ever advances its own host's partials in `local_step`.
+//! * **partial state** — one host's proxy distances (`HostState`). A
+//!   worker only ever advances its own host's proxies in `local_step`;
+//!   σ and δ are read from the replicated labels only.
 //!
 //! One SPMD step = one BSP round. `begin_step` computes the round's flag
 //! set (forward: the labels whose send condition fires, stamping τ;
@@ -28,17 +29,18 @@
 //! every payload before it folds any.
 //!
 //! Snapshots are only taken between steps (before a `begin_step`) and
-//! hold only what the run cannot derive (format version 2): the run
+//! hold only what the run cannot derive (format version 3): the run
 //! configuration, `bc`, the batch index, the phase and its round, the
 //! batch's `dist_g`, `sigma_g`, `delta_g` and τ, `R`, and every host's
-//! proxy labels. `restore` derives the rest. The next `begin_step`
-//! rebuilds the flag set, its per-host buckets and the sync counts; the
-//! forward calendar and the pending count come from `dist_g` and τ; a
-//! backward phase's agenda (`A_sv = R − τ_sv + 1`) comes from τ and `R`.
-//! `restore` refuses a τ whose sent labels are not
-//! a prefix of `L_v` fired in their rounds, a backward phase with a label
-//! left to send, and a round or `R` outside the `2n + k + 2` forward
-//! bound, before it allocates anything sized by them.
+//! proxy distances. `restore` derives the rest and refuses any other
+//! format version. The next `begin_step` rebuilds the flag set, its
+//! per-host buckets and the sync counts; the forward calendar and the
+//! pending count come from `dist_g` and τ; a backward phase's agenda
+//! (`A_sv = R − τ_sv + 1`) comes from τ and `R`. `restore` refuses a τ
+//! whose sent labels are not a prefix of `L_v` fired in their rounds, a
+//! backward phase with a label left to send, and a round or `R` outside
+//! the `2n + k + 2` forward bound, before it allocates anything sized by
+//! them.
 //! [`MrbcSpmd::new`] always runs the paper's delayed synchronization. The
 //! eager ablation is a mode only the in-process driver selects: its steps
 //! skip the broadcast write-back, and a forward phase whose last step
@@ -59,7 +61,7 @@ use mrbc_util::wire::{WireError, WireReader, WireWriter};
 /// Snapshot magic: `"MSPD"` little-endian.
 const SNAP_MAGIC: u32 = 0x4450_534D;
 /// Snapshot format version.
-const SNAP_VERSION: u32 = 2;
+const SNAP_VERSION: u32 = 3;
 /// Encoded bytes of one push record: two `u32`s and an `f64`.
 const PUSH_BYTES: usize = 4 + 4 + 8;
 
@@ -206,7 +208,7 @@ impl<'a> MrbcSpmd<'a> {
     /// Host `h`'s share of the current step, over the flags of its bucket
     /// only: apply the sync to its proxies and count it (delayed mode
     /// only), then push the flagged labels along its local edges. Mutates
-    /// only host `h`'s partials and its counts.
+    /// only host `h`'s proxy distances and its counts.
     pub(crate) fn push(&mut self, h: usize) -> Pushes {
         let Some(run) = self.run.as_mut() else {
             return Pushes::default();
@@ -217,13 +219,10 @@ impl<'a> MrbcSpmd<'a> {
         if self.delayed_sync {
             b.apply_sync_to_host(h, flags, bucket, forward, &mut run.reduce, &mut run.bcast);
         }
-        let hs = &mut b.hosts[h];
         if forward {
-            fwd_push_host(b.dg, h, b.k, &b.sigma_g, hs, flags, bucket)
+            fwd_push_host(b.dg, h, b.k, &b.sigma_g, &mut b.hosts[h], flags, bucket)
         } else {
-            let (dist, sigma, delta, eager) =
-                (&b.dist_g, &b.sigma_g, &b.delta_g, !self.delayed_sync);
-            bwd_push_host(b.dg, h, b.k, dist, sigma, delta, hs, flags, bucket, eager)
+            bwd_push_host(b, h, flags, bucket, !self.delayed_sync)
         }
     }
 
@@ -455,8 +454,6 @@ impl SpmdProgram for MrbcSpmd<'_> {
             for hs in &b.hosts {
                 w.u32((hs.dist.len() / k.max(1)) as u32);
                 put_u32s(&mut w, &hs.dist);
-                put_f64s(&mut w, &hs.sigma);
-                put_f64s(&mut w, &hs.delta);
             }
         }
         w.into_bytes()
@@ -516,8 +513,6 @@ impl SpmdProgram for MrbcSpmd<'_> {
                     return Err(WireError::Invalid("snapshot proxy count mismatch"));
                 }
                 hs.dist = get_u32s(&mut r, p * k)?;
-                hs.sigma = get_f64s(&mut r, p * k)?;
-                hs.delta = get_f64s(&mut r, p * k)?;
             }
             // Bound the round and `R` by the forward phase's `2n + k + 2`
             // before anything sized by them is built: forward has no `R`
@@ -664,26 +659,21 @@ mod tests {
     }
 
     /// The snapshot `mid_forward_snapshot_bytes_are_pinned` pins, in format
-    /// version 1, which also carried the `done` byte, the pending count,
-    /// the paper's `M_v` per vertex and each host's synced bitset.
-    const SMALL_V1: [&str; 17] = [
-        "4d5350440100000005000000020000000200000002000000e2172bcf0000000000000000000000000000000000000000",
-        "000000000000000000000000000000000000000000000000000100030000000200000000000000ffffffff01000000ff",
-        "ffffff0200000000000000ffffffff01000000ffffffff02000000000000000000f03f00000000000000000000000000",
-        "00f03f0000000000000000000000000000f03f000000000000f03f0000000000000000000000000000f03f0000000000",
-        "000000000000000000f03f00000000000000000000000000000000000000000000000000000000000000000000000000",
-        "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000001000000ff",
-        "ffffff02000000ffffffffffffffff01000000ffffffff02000000ffffffffffffffff02000000000000000000000001",
-        "000000000000000200000001000000000000000100000001000000020000000100000000000000020000000000000002",
-        "000000010000000100000002000000020000000100000000000000010000000100000002000000010000000100000001",
-        "000000020000000200000001000000010000000400000000000000ffffffff01000000ffffffff0200000000000000ff",
-        "ffffff01000000000000000000f03f0000000000000000000000000000f03f0000000000000000000000000000f03f00",
-        "0000000000f03f0000000000000000000000000000f03f00000000000000000000000000000000000000000000000000",
-        "000000000000000000000000000000000000000000000000000000000000000000000000000000080000000300000000",
-        "000000020000000500000003000000ffffffffffffffffffffffff01000000ffffffff02000000000000000000000000",
-        "000000000000000000000000000000000000000000f03f0000000000000000000000000000f03f000000000000000000",
-        "000000000000000000000000000000000000000000000000000000000000000000000000000000060000000100000003",
-        "000000000000000000000000000000",
+    /// version 2, which also carried every host's σ and δ partials.
+    const SMALL_V2: [&str; 13] = [
+        "4d5350440200000005000000020000000200000002000000e2172bcf0000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000100030000000200000000000000ffffffff01000000ffff",
+        "ffff0200000000000000ffffffff01000000ffffffff02000000000000000000f03f0000000000000000000000000000",
+        "f03f0000000000000000000000000000f03f000000000000f03f0000000000000000000000000000f03f000000000000",
+        "0000000000000000f03f0000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000000001000000ffff",
+        "ffff02000000ffffffffffffffff01000000ffffffff02000000ffffffffffffffff000000000400000000000000ffff",
+        "ffff01000000ffffffff0200000000000000ffffffff01000000000000000000f03f0000000000000000000000000000",
+        "f03f0000000000000000000000000000f03f000000000000f03f0000000000000000000000000000f03f000000000000",
+        "000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000003000000ffffffffffffffffffffffff01000000ffffffff0200000000000000000000000000",
+        "0000000000000000000000000000000000000000f03f0000000000000000000000000000f03f00000000000000000000",
+        "0000000000000000000000000000000000000000000000000000000000000000000000000000",
     ];
 
     /// Decodes a hex string.
@@ -694,23 +684,20 @@ mod tests {
 
     #[test]
     fn mid_forward_snapshot_bytes_are_pinned() {
-        // Format version 2 mid-forward: the run configuration, bc, the
+        // Format version 3 mid-forward: the run configuration, bc, the
         // batch index, the phase and round, k, the four n·k label tables
-        // (d, σ, δ, τ), R and every host's proxy labels; nothing derived.
-        const SMALL: [&str; 13] = [
-            "4d5350440200000005000000020000000200000002000000e2172bcf0000000000000000000000000000000000000000",
+        // (d, σ, δ, τ), R and every host's proxy distances; nothing
+        // derived.
+        const SMALL: [&str; 9] = [
+            "4d5350440300000005000000020000000200000002000000e2172bcf0000000000000000000000000000000000000000",
             "0000000000000000000000000000000000000000000000000100030000000200000000000000ffffffff01000000ffff",
             "ffff0200000000000000ffffffff01000000ffffffff02000000000000000000f03f0000000000000000000000000000",
             "f03f0000000000000000000000000000f03f000000000000f03f0000000000000000000000000000f03f000000000000",
             "0000000000000000f03f0000000000000000000000000000000000000000000000000000000000000000000000000000",
             "00000000000000000000000000000000000000000000000000000000000000000000000000000000000001000000ffff",
             "ffff02000000ffffffffffffffff01000000ffffffff02000000ffffffffffffffff000000000400000000000000ffff",
-            "ffff01000000ffffffff0200000000000000ffffffff01000000000000000000f03f0000000000000000000000000000",
-            "f03f0000000000000000000000000000f03f000000000000f03f0000000000000000000000000000f03f000000000000",
-            "000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
-            "0000000000000000000003000000ffffffffffffffffffffffff01000000ffffffff0200000000000000000000000000",
-            "0000000000000000000000000000000000000000f03f0000000000000000000000000000f03f00000000000000000000",
-            "0000000000000000000000000000000000000000000000000000000000000000000000000000",
+            "ffff01000000ffffffff0200000000000000ffffffff0100000003000000ffffffffffffffffffffffff01000000ffff",
+            "ffff02000000",
         ];
         let g = generators::cycle(5);
         let dg = partition(&g, 2, PartitionPolicy::BlockedEdgeCut);
@@ -725,8 +712,8 @@ mod tests {
         let mut back = MrbcSpmd::new(&g, &dg, &[0, 2], 2);
         back.restore(&snap).expect("restore");
         assert_eq!(back.snapshot(), snap);
-        // A version-1 snapshot is refused and changes nothing.
-        let refused = back.restore(&unhex(&SMALL_V1.concat()));
+        // A version-2 snapshot is refused and changes nothing.
+        let refused = back.restore(&unhex(&SMALL_V2.concat()));
         let version = WireError::Invalid("unsupported snapshot version");
         assert_eq!(refused, Err(version));
         assert_eq!(back.snapshot(), snap);
@@ -738,9 +725,9 @@ mod tests {
         let dg = partition(&g, 2, PartitionPolicy::BlockedEdgeCut);
         let sources: Vec<u32> = (0..6).collect();
         for (cut, len, digest) in [
-            (3, 8_502, 0x5b6d_4dfc_426c_ada4),
-            (7, 8_502, 0xd5aa_2a5e_ccab_ca06),
-            (12, 8_502, 0x2beb_c086_32ea_20de),
+            (3, 4_662, 0xc315_aeb8_fe14_b884),
+            (7, 4_662, 0xb185_1519_8c84_0325),
+            (12, 4_662, 0x3fe9_5728_02e8_4114),
         ] {
             let mut prog = MrbcSpmd::new(&g, &dg, &sources, 6);
             run_steps(&mut prog, 2, cut);
@@ -755,10 +742,10 @@ mod tests {
 
     #[test]
     fn backward_and_batch_boundary_snapshot_bytes_are_pinned() {
-        // Format version 2 in a backward phase and just after a batch
+        // Format version 3 in a backward phase and just after a batch
         // boundary: the same sections as mid-forward, so every snapshot of
-        // a batch has one length; `restore` rebuilds the agenda and the
-        // parked δ from the labels, τ and `R`.
+        // a batch has one length; `restore` rebuilds the agenda from τ
+        // and `R`.
         let g = generators::grid_road_network(generators::RoadNetworkConfig::new(3, 8), 5);
         let dg = partition(&g, 2, PartitionPolicy::BlockedEdgeCut);
         let sources: Vec<u32> = (0..6).collect();
@@ -766,20 +753,20 @@ mod tests {
             (
                 18,
                 "batch 1/2 backward round 7",
-                4_374,
-                0x1cc8_76c7_c56e_089e,
+                2_454,
+                0xa4d0_aa47_17a9_1584,
             ),
             (
                 26,
                 "batch 2/2 forward round 2",
-                4_374,
-                0xc1e7_24f2_1841_5aab,
+                2_454,
+                0xdb6f_5ea6_6816_e165,
             ),
             (
                 40,
                 "batch 2/2 backward round 6",
-                4_374,
-                0xad17_56db_74b1_2882,
+                2_454,
+                0x98ef_bd2c_2b96_02ef,
             ),
         ] {
             let mut prog = MrbcSpmd::new(&g, &dg, &sources, 3);

@@ -1,8 +1,8 @@
 //! Peak live bytes of SPMD MRBC runs. At a batch boundary the program
 //! frees the finished batch before it builds the next, so a multi-batch
 //! run peaks at about the live memory of a single batch instead of two;
-//! and a batch holds its labels and proxies, not a table of parked δ
-//! contributions.
+//! and a batch holds its labels and its proxies' distances, not a table
+//! of parked δ contributions or per-proxy σ and δ partials.
 
 // The workspace denies unsafe_code; measuring peak live bytes requires
 // implementing GlobalAlloc, as in `crates/obs/tests/no_overhead.rs`.
@@ -71,11 +71,12 @@ fn a_batch_boundary_holds_one_batch_not_two() {
 }
 
 #[test]
-fn a_road_batch_peaks_below_twenty_megabytes() {
+fn a_road_batch_peaks_below_thirteen_megabytes() {
     // Road 16×512 (8,192 vertices), one batch of k = 32, 4 hosts: the
     // four n·k label tables alone are 6.3 MB, and the run peaks at about
-    // 16.6 MB. A per-label list of parked δ contributions (a 24 B header
-    // per label, plus its records) took the same run to 21.2 MB.
+    // 11.5 MB, as each of the 12,124 proxies keeps only its distances.
+    // Per-proxy σ and δ partials (16 B per proxy and source) took the
+    // same run to 17.7 MB.
     let g = generators::grid_road_network(generators::RoadNetworkConfig::new(16, 512), 5);
     let dg = partition(&g, 4, PartitionPolicy::CartesianVertexCut);
     let sources: Vec<u32> = (0..32).collect();
@@ -83,5 +84,5 @@ fn a_road_batch_peaks_below_twenty_megabytes() {
         let mut prog = MrbcSpmd::new(&g, &dg, &sources, 32);
         run_local(&mut prog, u64::MAX).expect("run");
     });
-    assert!(peak <= 20_000_000, "one road batch peaked at {peak} B");
+    assert!(peak <= 13_000_000, "one road batch peaked at {peak} B");
 }

@@ -12,7 +12,9 @@
 //!   order, never in (partition-dependent) arrival order; σ past 2⁵³,
 //!   where the order of a sum shows, keeps that for every host count at
 //!   a given batch size (σ sums in flag order within a round, but in
-//!   firing order across rounds, which the batch shifts);
+//!   firing order across rounds, which the batch shifts); SBBC and MFBC
+//!   fold σ and δ the same way, so their scores do not depend on the
+//!   host count either;
 //! * the shared-memory ABBC engine's scores do not depend on the
 //!   worklist chunk size or thread interleaving — racing relaxations
 //!   converge to the same integer distances, and the σ/δ sweeps reduce
@@ -20,7 +22,7 @@
 
 use mrbc::prelude::*;
 use mrbc_core::congest::mrbc::{mrbc_bc as congest_mrbc, TerminationMode};
-use mrbc_core::dist::mrbc as dist_mrbc;
+use mrbc_core::dist::{mfbc, mrbc as dist_mrbc, sbbc};
 use mrbc_core::shared::abbc;
 use proptest::prelude::*;
 
@@ -55,12 +57,24 @@ fn layered_dag(width: u32, layers: u32, seed: u64) -> CsrGraph {
         .build()
 }
 
-/// Distributed MRBC on σ far past 2⁵³: at each batch size, every policy
-/// and host count gives the 1-host scores bit for bit. σ sums a target's
-/// contributions in flag order, whichever hosts push them; merged in host
-/// order, `HashedEdgeCut` (whose host order is not vertex order) differs.
+/// Distributed MRBC, SBBC and MFBC on σ far past 2⁵³: at each batch
+/// size, every policy and host count gives the 1-host scores bit for bit.
+/// σ sums a target's contributions in pusher order, whichever hosts push
+/// them, and δ is pulled from the successors; merged in host order,
+/// `HashedEdgeCut` (whose host order is not vertex order) differs.
 #[test]
 fn dist_mrbc_bits_independent_of_hosts_past_two_pow_53() {
+    type Engine = fn(&CsrGraph, &DistGraph, &[u32], usize) -> Vec<f64>;
+    // SBBC runs one source at a time: a batch size does not apply.
+    let engines: [(&str, &[usize], Engine); 3] = [
+        ("MRBC", &[1, 3, 6], |g, dg, s, b| {
+            dist_mrbc::mrbc_bc(g, dg, s, b).bc
+        }),
+        ("SBBC", &[1], |g, dg, s, _| sbbc::sbbc_bc(g, dg, s).bc),
+        ("MFBC", &[1, 3, 6], |g, dg, s, b| {
+            mfbc::mfbc_bc(g, dg, s, b).bc
+        }),
+    ];
     let policies = [
         PartitionPolicy::BlockedEdgeCut,
         PartitionPolicy::HashedEdgeCut,
@@ -71,17 +85,19 @@ fn dist_mrbc_bits_independent_of_hosts_past_two_pow_53() {
         let g = layered_dag(6, 40, seed);
         let deepest = brandes::forward_counts(&g, 0).1[6 * 39];
         assert!(deepest > 2f64.powi(53), "seed {seed}: σ {deepest}");
-        for batch in [1usize, 3, 6] {
-            let one = partition(&g, 1, PartitionPolicy::BlockedEdgeCut);
-            let base = dist_mrbc::mrbc_bc(&g, &one, &sources, batch);
-            for policy in policies {
-                for hosts in [1usize, 2, 3, 4, 7] {
-                    let dg = partition(&g, hosts, policy);
-                    let got = dist_mrbc::mrbc_bc(&g, &dg, &sources, batch);
-                    assert!(
-                        bits(&got.bc) == bits(&base.bc),
-                        "seed {seed} batch {batch} {policy:?} hosts {hosts}"
-                    );
+        let one = partition(&g, 1, PartitionPolicy::BlockedEdgeCut);
+        for (name, batches, engine) in engines {
+            for &batch in batches {
+                let base = engine(&g, &one, &sources, batch);
+                for policy in policies {
+                    for hosts in [1usize, 2, 3, 4, 7] {
+                        let dg = partition(&g, hosts, policy);
+                        let got = engine(&g, &dg, &sources, batch);
+                        assert!(
+                            bits(&got) == bits(&base),
+                            "{name} seed {seed} batch {batch} {policy:?} hosts {hosts}"
+                        );
+                    }
                 }
             }
         }
