@@ -149,15 +149,15 @@ fn watch_stdin_for_quit(quit: ShutdownHandle) {
 /// `kill:worker=R@query=N` (SIGKILL worker R after its N-th routed
 /// query), `pause:worker=R:ms=D` (SIGSTOP/SIGCONT freeze),
 /// `torn:wal@rec=N` (tear the Nth WAL append), and `fsyncfail:ms=D`
-/// (WAL fsyncs start failing) clauses for chaos runs.
+/// (any `D > 0`: the WAL's disk is unsyncable) clauses for chaos runs.
 ///
 /// `--wal-dir DIR` turns on crash-consistent durability: every
 /// acknowledged mutation is fsynced into a write-ahead log before the
 /// ack leaves, and a restart over the same directory replays the log to
 /// the exact pre-crash epoch. A WAL that cannot be opened (corrupt
 /// beyond its last snapshot, or unsyncable) exits 8 instead of serving
-/// with silent data loss. `--wal-flush-ms MS` sets the group-commit
-/// flush interval (0 = fsync inline on every append).
+/// with silent data loss. Appends serialize, so each is fsynced inline
+/// (`--wal-flush-ms 0`, the default); MS > 0 sets a group-commit window.
 fn cmd_pool(p: &ParsedArgs) -> Result<String, CmdError> {
     let graph = p
         .positional
@@ -205,7 +205,7 @@ fn cmd_pool(p: &ParsedArgs) -> Result<String, CmdError> {
         retry_after_ms: p.get_or("retry-after", 100u32).map_err(CmdError::general)?,
         faults,
         wal_dir: wal_dir.clone(),
-        wal_flush_ms: p.get_or("wal-flush-ms", 5u64).map_err(CmdError::general)?,
+        wal_flush_ms: p.get_or("wal-flush-ms", 0u64).map_err(CmdError::general)?,
         ..PoolConfig::default()
     };
 

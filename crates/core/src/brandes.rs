@@ -13,7 +13,6 @@
 //! this module.
 
 use mrbc_graph::{CsrGraph, VertexId, INF_DIST};
-use std::collections::VecDeque;
 
 /// Betweenness centrality restricted to the given sources (approximate BC
 /// in the sense of Bader et al. 2007: the betweenness scores of sampled
@@ -54,9 +53,42 @@ pub fn dependencies(g: &CsrGraph, s: VertexId) -> Vec<f64> {
 pub fn forward_counts(g: &CsrGraph, s: VertexId) -> (Vec<u32>, Vec<f64>) {
     let n = g.num_vertices();
     assert!((s as usize) < n, "source {s} out of range for {n} vertices");
-    let mut ws = Workspace::new(n);
-    ws.forward(g, s);
-    (ws.dist, ws.sigma)
+    let (mut dist, mut sigma) = (vec![INF_DIST; n], vec![0.0; n]);
+    forward_into(g, s, &mut dist, &mut sigma, &mut Vec::with_capacity(n));
+    (dist, sigma)
+}
+
+/// The forward phase into caller-owned buffers: BFS from `s` resets and
+/// fills `dist` and `sigma` as [`forward_counts`] returns them, and
+/// leaves the reached vertices in `order` in visit order (non-decreasing
+/// distance), which doubles as the BFS queue.
+pub fn forward_into(
+    g: &CsrGraph,
+    s: VertexId,
+    dist: &mut [u32],
+    sigma: &mut [f64],
+    order: &mut Vec<VertexId>,
+) {
+    dist.fill(INF_DIST);
+    sigma.fill(0.0);
+    order.clear();
+    dist[s as usize] = 0;
+    sigma[s as usize] = 1.0;
+    order.push(s);
+    let mut head = 0;
+    while let Some(&u) = order.get(head) {
+        head += 1;
+        let (du, su) = (dist[u as usize], sigma[u as usize]);
+        for &v in g.out_neighbors(u) {
+            if dist[v as usize] == INF_DIST {
+                dist[v as usize] = du + 1;
+                order.push(v);
+            }
+            if dist[v as usize] == du + 1 {
+                sigma[v as usize] += su;
+            }
+        }
+    }
 }
 
 /// The dependency `δ_s•(u)` of label `(u, j)` as distributed MRBC folds
@@ -97,7 +129,6 @@ struct Workspace {
     delta: Vec<f64>,
     /// Vertices in BFS visit order (non-decreasing distance).
     order: Vec<VertexId>,
-    queue: VecDeque<VertexId>,
 }
 
 impl Workspace {
@@ -107,7 +138,6 @@ impl Workspace {
             sigma: vec![0.0; n],
             delta: vec![0.0; n],
             order: Vec::with_capacity(n),
-            queue: VecDeque::new(),
         }
     }
 
@@ -115,35 +145,9 @@ impl Workspace {
         if g.num_vertices() == 0 {
             return;
         }
-        self.forward(g, s);
-        self.backward(g, s, bc);
-    }
-
-    /// Forward phase: BFS from `s` computing distances, σ counts, and
-    /// the visit order the backward sweep replays in reverse.
-    fn forward(&mut self, g: &CsrGraph, s: VertexId) {
-        self.dist.fill(INF_DIST);
-        self.sigma.fill(0.0);
+        forward_into(g, s, &mut self.dist, &mut self.sigma, &mut self.order);
         self.delta.fill(0.0);
-        self.order.clear();
-
-        self.dist[s as usize] = 0;
-        self.sigma[s as usize] = 1.0;
-        self.queue.push_back(s);
-        while let Some(u) = self.queue.pop_front() {
-            self.order.push(u);
-            let du = self.dist[u as usize];
-            let su = self.sigma[u as usize];
-            for &v in g.out_neighbors(u) {
-                if self.dist[v as usize] == INF_DIST {
-                    self.dist[v as usize] = du + 1;
-                    self.queue.push_back(v);
-                }
-                if self.dist[v as usize] == du + 1 {
-                    self.sigma[v as usize] += su;
-                }
-            }
-        }
+        self.backward(g, s, bc);
     }
 
     /// Backward sweep in reverse BFS order. Pull-based: `v ∈ P_s(w)` iff

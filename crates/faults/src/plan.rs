@@ -14,7 +14,7 @@
 //! stall:ms=150               the serving batch worker sleeps 150 ms per batch
 //! hangup:session=2           the daemon force-closes its 2nd accepted session
 //! torn:wal@rec=5             the pool front-end's WAL tears (half-writes) its 5th record
-//! fsyncfail:ms=120           WAL fsyncs start failing 120 ms of flush budget in
+//! fsyncfail:ms=120           the pool WAL's disk is unsyncable from open (any ms > 0)
 //! churn:edges=64@seed=9      the pool front-end drives a seeded 64-mutation edge storm
 //! seed=42                    RNG seed for the probabilistic clauses
 //! ```
@@ -42,10 +42,10 @@
 //! (`mrbc-serve` with `--wal-dir`): `torn:wal@rec=N` makes the Nth append
 //! write only half its frame before poisoning the log (a simulated crash
 //! mid-write — recovery must truncate the torn tail and keep exactly the
-//! acknowledged prefix), and `fsyncfail:ms=D` makes every fsync fail once
-//! `D` milliseconds of flush budget have been consumed (an unsyncable
-//! disk — the front-end must refuse further acks with `WalFault`, never
-//! acknowledge unsynced data).
+//! acknowledged prefix), and `fsyncfail:ms=D` with any `D > 0` makes the
+//! disk unsyncable from open: the first fsync fails and poisons the log,
+//! so the front-end must refuse every ack with `WalFault`, never
+//! acknowledge unsynced data.
 //!
 //! `churn` targets the supervised pool as *load*, not damage: the
 //! front-end streams `K` edge mutations derived deterministically from
@@ -175,8 +175,8 @@ pub struct FaultPlan {
     /// half-writes the frame and poisons itself (simulated crash
     /// mid-append); `None` means no torn write.
     pub torn_wal_rec: Option<u64>,
-    /// Milliseconds of WAL flush budget after which every fsync fails
-    /// (simulated unsyncable disk); 0 means fsyncs never fail.
+    /// Any value above 0 makes the WAL's disk unsyncable from open
+    /// (every fsync fails); 0 means fsyncs never fail.
     pub fsyncfail_ms: u64,
     /// Seeded mutation storm the pool front-end drives; `None` means no
     /// churn.
@@ -379,7 +379,7 @@ impl FromStr for FaultPlan {
                     }
                     plan.torn_wal_rec = Some(keyed(rec_kv, "rec")?);
                 }
-                // fsyncfail:ms=D — WAL fsyncs fail after D ms of flush budget.
+                // fsyncfail:ms=D — any D > 0: the WAL's disk is unsyncable from open.
                 "fsyncfail" => plan.fsyncfail_ms = keyed(body, "ms")?,
                 "churn" => {
                     // churn:edges=K@seed=S — seeded pool mutation storm.

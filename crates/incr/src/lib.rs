@@ -17,18 +17,25 @@
 //!    and dependencies are bitwise unchanged, because the backward fold
 //!    filters successors by `dist(w) = dist(u) + 1` and a non-DAG edge
 //!    never enters the filtered subsequence.
-//! 2. **Canonical rebuild of affected sources only.** Rebuilt artifacts
-//!    use the same floating-point contraction and the same ascending
-//!    successor fold order as the distributed MRBC kernel, so every
-//!    maintained epoch is bit-identical to a fresh full recompute at any
-//!    host count and batch size (the PR 3 determinism contract).
+//! 2. **In-place rebuild of affected sources only.** An affected
+//!    source is rebuilt inside its cached buffers: one BFS
+//!    ([`brandes::forward_into`]) rewrites `dist` and `σ` and records the
+//!    visit order, then `δ` is reset and [`pull_delta`] runs over that
+//!    order in reverse. `pull_delta` reads only successors one level
+//!    deeper, which the reverse order has already finished, and folds
+//!    them in the same ascending successor order and floating-point
+//!    contraction as the distributed MRBC kernel, so every maintained
+//!    epoch is bit-identical to a fresh full recompute at any host count
+//!    and batch size (the workspace's determinism contract).
 //! 3. **Delta adjustment of the full-BC vector.** `BC(v)` is re-folded
-//!    from the per-source dependency vectors in ascending source order —
-//!    cached vectors for reused sources, fresh ones for rebuilt sources
-//!    — reproducing the driver's fold sequence exactly. A literal
-//!    subtract-old/add-new would drift in the last ulp; the re-fold is
-//!    O(n · sources) flat additions and keeps bit-identity by
-//!    construction.
+//!    from the per-source dependency vectors — cached vectors for reused
+//!    sources, fresh ones for rebuilt sources — source-major: `BC` is
+//!    zeroed, then each source in ascending order adds its `δ_s` to every
+//!    `BC(v)`, `v ≠ s`, as two contiguous slices. Every `BC(v)` thus sees
+//!    the driver's fold sequence exactly (ascending sources, self term
+//!    skipped). A literal subtract-old/add-new would drift in the last
+//!    ulp; the re-fold is O(n · sources) flat additions and keeps
+//!    bit-identity by construction.
 //!
 //! Only the affected sources are ever rebuilt: rebuilding an unaffected
 //! one reproduces its cached bits, so it would cost time and change
@@ -98,53 +105,31 @@ pub struct SourceArtifacts {
     pub delta: Vec<f64>,
 }
 
-/// Rebuild one source from scratch with the canonical kernel: Brandes
-/// forward pass, then the backward fold in exactly the floating-point
-/// order the distributed MRBC engine uses (see [`canonical_backward`]).
-pub fn canonical_source(g: &CsrGraph, s: VertexId) -> SourceArtifacts {
-    let (dist, sigma) = brandes::forward_counts(g, s);
-    let delta = canonical_backward(g, &dist, &sigma);
-    SourceArtifacts { dist, sigma, delta }
-}
-
-/// The backward dependency fold, bit-compatible with the distributed
-/// MRBC kernel. For each vertex `u` in decreasing BFS-distance order,
-/// `δ(u)` is [`pull_delta`]: the fold from 0 over the DAG successors `w`
-/// (CSR out-neighbours in ascending vertex order, filtered to
-/// `dist(w) = dist(u) + 1`) of
-///
-/// ```text
-/// m = (1 + δ(w)) / σ(w);   δ(u) += σ(u) · m
-/// ```
-///
-/// The distributed backward phase pulls every label's δ with the same
-/// function, so the result is bitwise equal to it at any host count and
-/// batch size. (The sequential Brandes oracle in `mrbc-core` uses a
-/// different association — `σ(u)/σ(w) · (1 + δ(w))` — which is equal in
-/// exact arithmetic but not in floats; it must not be used here.)
-pub fn canonical_backward(g: &CsrGraph, dist: &[u32], sigma: &[f64]) -> Vec<f64> {
-    let n = g.num_vertices();
-    let mut delta = vec![0.0f64; n];
-    // Bucket reachable vertices by BFS level; process levels deepest
-    // first so every successor's δ is final before it is read.
-    let mut max_d = 0u32;
-    for &d in dist {
-        if d != INF_DIST && d > max_d {
-            max_d = d;
+impl SourceArtifacts {
+    /// Rebuilds source `s` on `g` inside these buffers (each of length
+    /// `n`): the BFS resets and refills `dist` and `σ` and leaves the
+    /// visit order in `order`; `δ` is reset, then every reached `u`, in
+    /// reverse visit order, takes [`pull_delta`] — the fold from 0 over
+    /// its DAG successors `w` (CSR out-neighbours in ascending order,
+    /// filtered to `dist(w) = dist(u) + 1`) of
+    ///
+    /// ```text
+    /// m = (1 + δ(w)) / σ(w);   δ(u) += σ(u) · m
+    /// ```
+    ///
+    /// The distributed backward phase pulls every label's δ with the same
+    /// function, so the result is bitwise equal to it at any host count
+    /// and batch size. (The sequential Brandes oracle in `mrbc-core` uses
+    /// a different association — `σ(u)/σ(w) · (1 + δ(w))` — which is
+    /// equal in exact arithmetic but not in floats; it must not be used
+    /// here.)
+    fn rebuild(&mut self, g: &CsrGraph, s: VertexId, order: &mut Vec<VertexId>) {
+        brandes::forward_into(g, s, &mut self.dist, &mut self.sigma, order);
+        self.delta.fill(0.0);
+        for &u in order.iter().rev() {
+            self.delta[u as usize] = pull_delta(g, u, 0, 1, &self.dist, &self.sigma, &self.delta);
         }
     }
-    let mut levels: Vec<Vec<VertexId>> = vec![Vec::new(); max_d as usize + 1];
-    for (v, &d) in dist.iter().enumerate() {
-        if d != INF_DIST {
-            levels[d as usize].push(v as VertexId);
-        }
-    }
-    for level in levels.iter().rev() {
-        for &u in level {
-            delta[u as usize] = pull_delta(g, u, 0, 1, dist, sigma, &delta);
-        }
-    }
-    delta
 }
 
 /// Decide whether a mutation of edge `(u, v)` can change source `s`'s
@@ -183,8 +168,18 @@ impl IncrEngine {
     /// canonical kernel, then the ascending-source BC fold.
     pub fn build(g: &CsrGraph) -> IncrEngine {
         let n = g.num_vertices();
-        let per_source: Vec<SourceArtifacts> =
-            (0..n).map(|s| canonical_source(g, s as VertexId)).collect();
+        let mut order = Vec::with_capacity(n);
+        let per_source: Vec<SourceArtifacts> = (0..n)
+            .map(|s| {
+                let mut art = SourceArtifacts {
+                    dist: vec![INF_DIST; n],
+                    sigma: vec![0.0; n],
+                    delta: vec![0.0; n],
+                };
+                art.rebuild(g, s as VertexId, &mut order);
+                art
+            })
+            .collect();
         let mut engine = IncrEngine {
             per_source,
             bc: vec![0.0; n],
@@ -212,15 +207,16 @@ impl IncrEngine {
     /// Maintain the epoch across one edge mutation. `g` is the
     /// *post-mutation* graph; the affected-source test runs against the
     /// cached pre-mutation distances, then affected sources are rebuilt
-    /// on `g` and the BC vector is re-folded.
+    /// in place on `g` and the BC vector is re-folded.
     pub fn apply(&mut self, g: &CsrGraph, op: EdgeOp, u: VertexId, v: VertexId) -> IncrOutcome {
         let n = self.per_source.len();
         assert_eq!(g.num_vertices(), n, "mutations never change the vertex set");
         let affected: Vec<VertexId> = (0..n as VertexId)
             .filter(|&s| source_affected(&self.per_source[s as usize].dist, op, u, v))
             .collect();
+        let mut order = Vec::with_capacity(n);
         for &s in &affected {
-            self.per_source[s as usize] = canonical_source(g, s);
+            self.per_source[s as usize].rebuild(g, s, &mut order);
         }
         self.refold_bc();
         let rebuilt = affected.len() as u64;
@@ -232,19 +228,20 @@ impl IncrEngine {
         }
     }
 
-    /// Re-fold `BC(v) = Σ_{s ≠ v} δ_s(v)` in ascending source order —
-    /// the exact per-element addition sequence of the driver's full-BC
-    /// fold (sources ascending, self term skipped).
+    /// Re-fold `BC(v) = Σ_{s ≠ v} δ_s(v)` source-major: from 0, each
+    /// source in ascending order adds `δ_s` to `BC` below and above `s`.
+    /// Each `BC(v)` gets the exact addition sequence of the driver's
+    /// full-BC fold (sources ascending, self term skipped), while the
+    /// loops stream over contiguous slices.
     fn refold_bc(&mut self) {
-        let n = self.per_source.len();
-        for v in 0..n {
-            let mut acc = 0.0f64;
-            for (s, art) in self.per_source.iter().enumerate() {
-                if s != v {
-                    acc += art.delta[v];
-                }
-            }
-            self.bc[v] = acc;
+        let add = |acc: &mut [f64], part: &[f64]| {
+            acc.iter_mut().zip(part).for_each(|(b, d)| *b += d);
+        };
+        self.bc.fill(0.0);
+        for (s, art) in self.per_source.iter().enumerate() {
+            let (below, above) = self.bc.split_at_mut(s);
+            add(below, &art.delta[..s]);
+            add(&mut above[1..], &art.delta[s + 1..]);
         }
     }
 }
@@ -416,6 +413,91 @@ mod tests {
                 }
                 assert!(out.sources_rebuilt + out.sources_reused == n as u64);
             }
+        }
+    }
+
+    /// The backward fold level by level, independent of any BFS visit
+    /// order: reached vertices bucketed by distance, deepest level first,
+    /// each taking [`pull_delta`] over the finished level below it.
+    fn level_fold(g: &CsrGraph, dist: &[u32], sigma: &[f64]) -> Vec<f64> {
+        let mut delta = vec![0.0; dist.len()];
+        let depth = dist.iter().filter(|&&d| d != INF_DIST).max().copied();
+        for level in (0..=depth.unwrap_or(0)).rev() {
+            for u in (0..dist.len()).filter(|&u| dist[u] == level) {
+                delta[u] = pull_delta(g, u as VertexId, 0, 1, dist, sigma, &delta);
+            }
+        }
+        delta
+    }
+
+    /// `BC(v) = Σ_{s ≠ v} δ_s(v)` folded vertex-major: one accumulator
+    /// per `v`, sources ascending.
+    fn vertex_major_bc(engine: &IncrEngine) -> Vec<f64> {
+        let n = engine.num_vertices();
+        (0..n)
+            .map(|v| {
+                (0..n)
+                    .filter(|&s| s != v)
+                    .fold(0.0, |acc, s| acc + engine.source(s as VertexId).delta[v])
+            })
+            .collect()
+    }
+
+    /// In-place rebuilds under a removal-heavy stream that strands
+    /// vertices, so a rebuilt source's buffers hold stale finite values
+    /// that must be reset. Every rebuilt source matches the Brandes
+    /// forward pass (`dist`, σ) and the level-by-level fold (δ) bit for
+    /// bit, and the source-major re-fold matches the vertex-major one.
+    #[test]
+    fn in_place_rebuilds_match_independent_oracles() {
+        for (mut g, label) in [
+            (generators::rmat(RmatConfig::new(5, 2), 23), "rmat"),
+            (
+                generators::grid_road_network(RoadNetworkConfig::new(3, 5), 7),
+                "road",
+            ),
+        ] {
+            let n = g.num_vertices();
+            let mut engine = IncrEngine::build(&g);
+            let mut stranded = 0usize;
+            for i in 0..48usize {
+                let b = mrbc_util::splitmix64(i as u64 ^ 0x7e3a_91d5);
+                let edges: Vec<(VertexId, VertexId)> = g.edges().collect();
+                // Three removals of an existing edge for every addition.
+                let (op, u, v) = if i % 4 == 3 || edges.is_empty() {
+                    match probe_mutation(&g, i) {
+                        Some(m) => m,
+                        None => continue,
+                    }
+                } else {
+                    let (u, v) = edges[(b % edges.len() as u64) as usize];
+                    (EdgeOp::Remove, u, v)
+                };
+                let before = engine.clone();
+                g = mutate_graph(&g, op, u, v);
+                engine.apply(&g, op, u, v);
+                for s in 0..n as VertexId {
+                    let old = &before.source(s).dist;
+                    if !source_affected(old, op, u, v) {
+                        continue;
+                    }
+                    let (art, at) = (engine.source(s), format!("{label} step {i} source {s}"));
+                    let (dist, sigma) = brandes::forward_counts(&g, s);
+                    assert_eq!(art.dist, dist, "{at}");
+                    assert_eq!(bits(&art.sigma), bits(&sigma), "{at}");
+                    let delta = level_fold(&g, &dist, &sigma);
+                    assert_eq!(bits(&art.delta), bits(&delta), "{at}");
+                    stranded += (0..n)
+                        .filter(|&x| old[x] != INF_DIST && dist[x] == INF_DIST)
+                        .count();
+                }
+                assert_eq!(
+                    bits(engine.bc()),
+                    bits(&vertex_major_bc(&engine)),
+                    "{label} step {i}"
+                );
+            }
+            assert!(stranded > 0, "{label}: the stream must strand vertices");
         }
     }
 

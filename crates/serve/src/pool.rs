@@ -136,8 +136,8 @@ pub struct PoolConfig {
     /// and a restarted front-end recovers snapshot + log replay to the
     /// exact pre-crash epoch. `None` = legacy in-memory-only mode.
     pub wal_dir: Option<PathBuf>,
-    /// Group-commit flush interval for the WAL, milliseconds
-    /// (0 = fsync per mutation).
+    /// Group-commit flush interval for the WAL, milliseconds; the default
+    /// 0 fsyncs inline, as appends serialize under the mutation-log lock.
     pub wal_flush_ms: u64,
     /// Snapshot + compact the WAL once this many mutations have been
     /// appended since the last snapshot.
@@ -154,7 +154,7 @@ impl Default for PoolConfig {
             retry_after_ms: 100,
             faults: None,
             wal_dir: None,
-            wal_flush_ms: 5,
+            wal_flush_ms: 0,
             wal_snapshot_every: 64,
         }
     }
@@ -1740,7 +1740,6 @@ mod tests {
                 dead_after_ms: 800,
             },
             wal_dir: Some(wal_dir.to_path_buf()),
-            wal_flush_ms: 0, // inline fsync: deterministic for tests
             ..PoolConfig::default()
         };
         start_pool(spawn, cfg).expect("pool starts")

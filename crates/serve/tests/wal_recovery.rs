@@ -153,7 +153,6 @@ fn with_pool<T>(wal_dir: Option<&Path>, f: impl FnOnce(&mut ServeClient) -> T) -
     let cfg = PoolConfig {
         workers: 2,
         wal_dir: wal_dir.map(Path::to_path_buf),
-        wal_flush_ms: 0,
         ..PoolConfig::default()
     };
     let spawn = WorkerSpawn::InProcess {

@@ -31,7 +31,7 @@
 //!   fsync → rename → fsync dir) shared by the WAL and the checkpoint
 //!   store.
 //! * [`wal`] — a durable write-ahead log (CRC-framed records, rotating
-//!   segments, torn-tail truncation, group-commit fsync batching, and
+//!   segments, torn-tail truncation, fsync per append or group commit, and
 //!   snapshot compaction) backing the serving tier's ack-durability
 //!   promise.
 //!

@@ -1,4 +1,4 @@
-//! Durable write-ahead log with group-commit fsync batching.
+//! Durable write-ahead log: fsync per append, or group commit.
 //!
 //! The serving tier acknowledges mutations to clients; an ack is a
 //! durability promise, so the bytes backing it must be on disk **before**
@@ -21,11 +21,12 @@
 //!   not a torn tail — it means acknowledged records are gone, which is
 //!   surfaced as a structured [`WalError::Corrupt`], never repaired
 //!   silently.
-//! * **Group commit**: appends land in the OS page cache immediately;
-//!   a flusher thread fsyncs every `flush_interval_ms`, and
-//!   [`Wal::append_durable`] blocks until the covering fsync completes.
-//!   One fsync thus amortizes over every append in the window. Interval
-//!   0 degenerates to synchronous fsync-per-append.
+//! * **Inline fsync** (`flush_interval_ms` 0, the default):
+//!   [`Wal::append_durable`] fsyncs its record before returning. The
+//!   serve pool serializes its appends, so a window could batch nothing.
+//! * **Group commit** (`flush_interval_ms` > 0): a flusher thread fsyncs
+//!   every interval and [`Wal::append_durable`] blocks until the covering
+//!   fsync, one fsync amortizing every concurrent append in the window.
 //! * **Fsync failure is fatal**: after a failed fsync the page cache
 //!   state is unknowable ("fsyncgate"), so the log poisons itself — every
 //!   waiting and future append returns [`WalError::SyncFailed`] — rather
@@ -72,7 +73,7 @@ const PREAMBLE_LEN: u64 = 8;
 #[derive(Clone, Debug)]
 pub struct WalConfig {
     /// Group-commit window in milliseconds: acks wait at most this long
-    /// for the covering fsync. `0` = synchronous fsync per append.
+    /// for the covering fsync. `0` (default) = inline fsync per append.
     pub flush_interval_ms: u64,
     /// Rotate to a new segment once the current one exceeds this size.
     pub segment_bytes: u64,
@@ -80,15 +81,15 @@ pub struct WalConfig {
     /// number writes only half its frame and then fails, simulating a
     /// crash mid-write. The next open must truncate the torn tail.
     pub torn_at_rec: Option<u64>,
-    /// Fault injection: fsyncs fail for roughly this long after open,
-    /// poisoning the log exactly as a real `EIO` from `fsync(2)` would.
+    /// Fault injection: any value above 0 makes the disk unsyncable from
+    /// open, poisoning the log exactly as a real `EIO` from `fsync(2)` would.
     pub fsyncfail_ms: u64,
 }
 
 impl Default for WalConfig {
     fn default() -> Self {
         WalConfig {
-            flush_interval_ms: 5,
+            flush_interval_ms: 0,
             segment_bytes: 4 << 20,
             torn_at_rec: None,
             fsyncfail_ms: 0,
@@ -159,8 +160,6 @@ struct WalState {
     durable: u64,
     /// Poison reason after a failed fsync or injected torn write.
     failed: Option<String>,
-    /// Remaining injected-fsync-failure window (counts down per flush).
-    fsyncfail_left_ms: u64,
     /// Tells the flusher thread to do a final sync and exit.
     shutdown: bool,
 }
@@ -180,12 +179,11 @@ impl Inner {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Fsyncs the current segment, honoring the injected failure window.
+    /// Fsyncs the current segment, failing it if `fsyncfail_ms` is set.
     /// On failure the log is poisoned and every waiter woken.
-    fn sync_locked(&self, st: &mut WalState, charge_ms: u64) -> Result<(), WalError> {
-        if st.fsyncfail_left_ms > 0 {
-            st.fsyncfail_left_ms = st.fsyncfail_left_ms.saturating_sub(charge_ms.max(1));
-            let msg = "injected fsync failure (fsyncfail fault window)".to_string();
+    fn sync_locked(&self, st: &mut WalState) -> Result<(), WalError> {
+        if self.cfg.fsyncfail_ms > 0 {
+            let msg = "injected fsync failure (fsyncfail fault)".to_string();
             st.failed = Some(msg.clone());
             self.cv.notify_all();
             return Err(WalError::SyncFailed(msg));
@@ -293,7 +291,6 @@ impl Wal {
                 appended,
                 durable: appended,
                 failed: None,
-                fsyncfail_left_ms: cfg.fsyncfail_ms,
                 shutdown: false,
             }),
             cv: Condvar::new(),
@@ -356,7 +353,7 @@ impl Wal {
         // are durable without waiting on the old file handle) and start
         // a new one named by this record's sequence number.
         if st.seg_len >= inner.cfg.segment_bytes {
-            inner.sync_locked(&mut st, 0)?;
+            inner.sync_locked(&mut st)?;
             let path = segment_path(&inner.dir, seq);
             write_preamble_file(&path)?;
             let file = OpenOptions::new()
@@ -381,7 +378,7 @@ impl Wal {
 
         if inner.cfg.flush_interval_ms == 0 {
             // Synchronous mode: fsync inline, no flusher involved.
-            inner.sync_locked(&mut st, 1)?;
+            inner.sync_locked(&mut st)?;
             return Ok(seq);
         }
         // Group commit: wait for the flusher's covering fsync.
@@ -410,7 +407,7 @@ impl Wal {
                 return Err(WalError::SyncFailed(msg.clone()));
             }
             if st.durable < st.appended {
-                inner.sync_locked(&mut st, 0)?;
+                inner.sync_locked(&mut st)?;
             }
             st.appended
         };
@@ -461,7 +458,7 @@ impl Wal {
             let mut st = self.inner.lock();
             st.shutdown = true;
             if st.failed.is_none() && st.durable < st.appended {
-                self.inner.sync_locked(&mut st, 0)?;
+                self.inner.sync_locked(&mut st)?;
             }
         }
         if let Some(h) = self.flusher.take() {
@@ -487,8 +484,8 @@ fn flusher_loop(inner: &Inner) {
         if st.shutdown {
             return;
         }
-        if st.failed.is_none() && (st.durable < st.appended || st.fsyncfail_left_ms > 0) {
-            let _ = inner.sync_locked(&mut st, interval);
+        if st.failed.is_none() && st.durable < st.appended {
+            let _ = inner.sync_locked(&mut st);
         }
     }
 }
