@@ -185,7 +185,7 @@ impl MessageClass {
 
 #[cfg(feature = "record")]
 mod global {
-    use std::io::Write as _;
+    use std::io::{IsTerminal as _, Write as _};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Mutex;
     use std::time::Instant;
@@ -421,12 +421,18 @@ mod global {
     }
 
     /// Overwrite the live progress line on stderr (no trailing
-    /// newline; each call replaces the previous line).
+    /// newline; each call replaces the previous line). The line is
+    /// drawn only when stderr is a terminal: redirected to a pipe or a
+    /// file, its carriage returns and erase codes would land mid-line
+    /// in whatever else shares that stream.
     pub fn progress(msg: &str) {
         if !verbose_enabled() {
             return;
         }
         let mut err = std::io::stderr().lock();
+        if !err.is_terminal() {
+            return;
+        }
         let _ = write!(err, "\r\x1b[K{msg}");
         let _ = err.flush();
     }
@@ -437,6 +443,9 @@ mod global {
             return;
         }
         let mut err = std::io::stderr().lock();
+        if !err.is_terminal() {
+            return;
+        }
         let _ = write!(err, "\r\x1b[K");
         let _ = err.flush();
     }
